@@ -95,9 +95,9 @@ func BenchmarkExtInterleave(b *testing.B) { benchExperiment(b, experiments.RunEx
 // benchMachineThroughput measures the simulator's core speed — simulated
 // fragments per wall-clock second on one representative configuration
 // (16 processors, block-16, 16 KB caches, ratio-1 bus, truc640) — with the
-// node kernel's worker bound fixed at nodePar (1 = event-driven kernel,
-// 0 = GOMAXPROCS workers). Both kernels produce byte-identical results, so
-// the pair measures pure wall-clock speedup.
+// machine's worker bound fixed at nodePar (1 = one worker, 0 = GOMAXPROCS
+// workers). Results are byte-identical at every bound, so the pair measures
+// pure wall-clock speedup.
 func benchMachineThroughput(b *testing.B, nodePar int) {
 	bm, err := scene.ByName("truc640", 0.5)
 	if err != nil {
@@ -121,12 +121,12 @@ func benchMachineThroughput(b *testing.B, nodePar int) {
 	b.ReportMetric(float64(frags)/b.Elapsed().Seconds(), "frags/s")
 }
 
-// BenchmarkMachineThroughput is the shipping default: the parallel node
-// kernel with a GOMAXPROCS worker bound.
+// BenchmarkMachineThroughput is the shipping default: the frame built and
+// replayed with a GOMAXPROCS worker bound.
 func BenchmarkMachineThroughput(b *testing.B) { benchMachineThroughput(b, 0) }
 
-// BenchmarkMachineThroughputSerial forces the event-driven kernel — the
-// before side of the parallel-kernel speedup, and the seed baseline.
+// BenchmarkMachineThroughputSerial builds and replays on one worker — the
+// before side of the node-parallel speedup.
 func BenchmarkMachineThroughputSerial(b *testing.B) { benchMachineThroughput(b, 1) }
 
 // benchEngineFlight runs the BenchmarkMachineThroughput configuration with

@@ -66,7 +66,7 @@ func main() {
 		queue        = flag.Int("queue", 64, "job queue depth (full queue returns 429)")
 		jobTimeout   = flag.Duration("job-timeout", 0, "per-job timeout (0 = unlimited)")
 		parallelism  = flag.Int("job-par", 1, "concurrent simulations inside one job")
-		nodePar      = flag.Int("node-par", 0, "worker bound for each simulation's parallel node kernel (0 = share the -job-par budget, 1 = force the event-driven kernel)")
+		nodePar      = flag.Int("node-par", 0, "worker bound for building and replaying each simulation's frames (0 = share the -job-par budget, 1 = one worker; results are identical at every setting)")
 		noMemo       = flag.Bool("no-memo", false, "disable cross-configuration raster memoization in sweep jobs (identical output, more rasterization work)")
 		cacheEntries = flag.Int("cache-entries", resultcache.DefaultMaxEntries, "in-memory result cache entries")
 		cacheDir     = flag.String("cache-dir", "", "on-disk result cache directory (empty = memory only)")

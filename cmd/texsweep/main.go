@@ -59,7 +59,7 @@ func main() {
 		bufList   = flag.String("buffers", "", "triangle buffer sizes to sweep (comma-separated; replaces -buffer)")
 		noMemo    = flag.Bool("no-memo", false, "disable cross-configuration raster memoization (identical output, more rasterization work)")
 		par       = flag.Int("par", 1, "concurrent simulations")
-		nodePar   = flag.Int("node-par", 0, "worker bound for each simulation's parallel node kernel (0 = share -par budget, 1 = force the event-driven kernel)")
+		nodePar   = flag.Int("node-par", 0, "worker bound for building and replaying each simulation's frames (0 = share -par budget, 1 = one worker; results are identical at every setting)")
 		asJSON    = flag.Bool("json", false, "emit the full JSON document instead of CSV")
 		outPath   = flag.String("o", "", "output file (default stdout)")
 		flightDir = flag.String("flight", "", "record per-node phase timelines and write one Chrome trace-event JSON file per configuration into this directory (load in Perfetto)")

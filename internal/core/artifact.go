@@ -1,27 +1,33 @@
-// The raster artifact: the frame path's geometry half — rasterization,
-// span demultiplexing and per-fragment texel address generation — as a
-// first-class, reusable value. Those stages depend only on (scene,
-// resolution, distribution); the cache model, bus bandwidth and buffer depth
-// they feed do not change a single span or address. A RasterArtifact is
-// built once per (scene, resolution, distribution) and replayed into any
-// number of machine configurations, which is what makes dense cache-axis
-// sweeps cheap (internal/sweep's planner) and, being serializable
-// (artifactio.go), lets cluster peers ship the geometry work instead of
-// redoing it.
+// The raster artifact: the frame path's build step — rasterization, span
+// demultiplexing and, optionally, per-fragment texel address generation —
+// as a first-class value. Every frame the machine simulates is first built
+// into a FrameArtifact by buildFrameArtifact, the one rasterize→demux loop,
+// and then replayed by one of the two frame drivers (parallel.go, core.go).
+//
+// A frame built for one run only is kept in memory without footprint
+// streams: each destination points at its source triangle, whose texture
+// binding engine.ProcessTriangle generates the footprints from while
+// timing. A
+// RasterArtifact built by BuildRasterArtifact carries run-length-encoded
+// footprint streams instead. Those stages depend only on (scene, resolution,
+// distribution); the cache model, bus bandwidth and buffer depth they feed
+// do not change a single span or address. So one artifact is built per
+// (scene, resolution, distribution) and replayed into any number of machine
+// configurations, which is what makes dense cache-axis sweeps cheap
+// (internal/sweep's planner) and, being serializable (artifactio.go), lets
+// cluster peers ship the geometry work instead of redoing it.
 //
 // Equivalence contract: a machine with an artifact attached produces
 // byte-identical results (cycles, counters, cache statistics, FIFO peaks) to
-// the same machine rasterizing from scratch, on both kernels. The builder
-// runs the exact demultiplexing code path of the distributor and the exact
-// u/v stepping of engine.ProcessTriangle, and the replay side
-// (engine.ProcessPrecomputed) replicates the engine's floating-point
-// operation order verbatim.
+// the same machine building its frames in memory, on both drivers: the
+// footprint streams come from engine.TriangleWork.Precompute, which steps
+// u/v exactly as engine.ProcessTriangle does, and both engine paths time
+// every fragment through the same per-fragment body.
 package core
 
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 
 	"repro/internal/distrib"
@@ -29,7 +35,6 @@ import (
 	"repro/internal/geom"
 	"repro/internal/par"
 	"repro/internal/raster"
-	"repro/internal/sim"
 	"repro/internal/texture"
 	"repro/internal/trace"
 )
@@ -71,7 +76,7 @@ type FrameArtifact struct {
 	// Tris holds the routed triangles in submission order.
 	Tris []ArtifactTriangle
 	// counts is each node's routed triangle count — its FIFO occupancy at
-	// time zero in the event kernel. Derived by finalize.
+	// time zero on the coupled driver. Derived by finalize.
 	counts []int
 	// perNode indexes each node's work in submission order. Derived by
 	// finalize; shared replays only read it.
@@ -87,6 +92,22 @@ type ArtifactTriangle struct {
 type ArtifactDest struct {
 	Node int
 	Work engine.PrecomputedWork
+	// src, set when the frame was built without footprint streams, is the
+	// source triangle: its TexID and TexMap are the texture binding
+	// engine.ProcessTriangle generates the footprints from, stored once per
+	// triangle by the scene itself.
+	src *geom.Triangle
+}
+
+// process times d on engine e, arriving at arrival, and returns the
+// completion time: the one step both frame drivers take per work item. mgr
+// resolves the source triangle's texture.
+func (d *ArtifactDest) process(e *engine.Engine, mgr *texture.Manager, arrival float64) float64 {
+	if d.src == nil {
+		return e.ProcessPrecomputed(arrival, &d.Work)
+	}
+	w := engine.TriangleWork{Tex: mgr.Texture(d.src.TexID), Map: d.src.Tex, LOD: d.src.Tex.LOD(), Segments: d.Work.Segments}
+	return e.ProcessTriangle(arrival, &w)
 }
 
 // Counts returns each node's routed triangle count for frame fi.
@@ -97,21 +118,26 @@ func (a *RasterArtifact) Counts(fi int) []int { return a.Frames[fi].counts }
 // finalized artifact is safe for concurrent replays.
 func (a *RasterArtifact) finalize() {
 	for _, f := range a.Frames {
-		f.counts = make([]int, a.Procs)
-		f.perNode = make([][]*ArtifactDest, a.Procs)
-		for i := range f.Tris {
-			for j := range f.Tris[i].Dests {
-				f.counts[f.Tris[i].Dests[j].Node]++
-			}
+		f.finalize(a.Procs)
+	}
+}
+
+// finalize derives the frame's per-node counts and work index.
+func (f *FrameArtifact) finalize(procs int) {
+	f.counts = make([]int, procs)
+	f.perNode = make([][]*ArtifactDest, procs)
+	for i := range f.Tris {
+		for j := range f.Tris[i].Dests {
+			f.counts[f.Tris[i].Dests[j].Node]++
 		}
-		for p := range f.perNode {
-			f.perNode[p] = make([]*ArtifactDest, 0, f.counts[p])
-		}
-		for i := range f.Tris {
-			for j := range f.Tris[i].Dests {
-				d := &f.Tris[i].Dests[j]
-				f.perNode[d.Node] = append(f.perNode[d.Node], d)
-			}
+	}
+	for p := range f.perNode {
+		f.perNode[p] = make([]*ArtifactDest, 0, f.counts[p])
+	}
+	for i := range f.Tris {
+		for j := range f.Tris[i].Dests {
+			d := &f.Tris[i].Dests[j]
+			f.perNode[d.Node] = append(f.perNode[d.Node], d)
 		}
 	}
 }
@@ -196,6 +222,8 @@ func BuildRasterArtifact(ctx context.Context, frames []*trace.Scene, procs int, 
 // buildFrameArtifact rasterizes one frame across worker goroutines. Each
 // chunk writes a disjoint index range of the triangle slice, so the routed
 // order — and every span and address — is independent of scheduling.
+// Without footprints, every destination points at its source triangle
+// instead, so ProcessTriangle can generate the addresses at replay.
 func buildFrameArtifact(ctx context.Context, f *trace.Scene, d distrib.Distribution, rast *raster.Rasterizer, mgr *texture.Manager, workers int, footprints bool) (*FrameArtifact, error) {
 	fa := &FrameArtifact{Name: f.Name, Triangles: len(f.Triangles)}
 	if len(f.Triangles) == 0 {
@@ -211,10 +239,7 @@ func buildFrameArtifact(ctx context.Context, f *trace.Scene, d distrib.Distribut
 	procs := d.NumProcs()
 	all := make([]ArtifactTriangle, len(f.Triangles))
 	err := par.ForEach(ctx, workers, nChunks, func(c int) error {
-		w := artifactScratch{
-			route: make([]int, 0, procs),
-			spans: make([][]raster.Span, procs),
-		}
+		w := newArtifactScratch(procs)
 		lo, hi := c*len(f.Triangles)/nChunks, (c+1)*len(f.Triangles)/nChunks
 		for i := lo; i < hi; i++ {
 			if (i-lo)%ctxPollTriangles == 0 && i > lo {
@@ -222,7 +247,7 @@ func buildFrameArtifact(ctx context.Context, f *trace.Scene, d distrib.Distribut
 					return err
 				}
 			}
-			all[i] = buildTriangle(&w, d, rast, mgr, f, i, footprints)
+			all[i] = buildTriangle(w, d, rast, mgr, f, i, footprints)
 		}
 		return nil
 	})
@@ -232,13 +257,7 @@ func buildFrameArtifact(ctx context.Context, f *trace.Scene, d distrib.Distribut
 	// Compact away triangles that routed nowhere (off-screen), preserving
 	// submission order — the distributor skips them without any timing
 	// effect, so the replay never needs to see them.
-	routed := 0
-	for i := range all {
-		if len(all[i].Dests) > 0 {
-			routed++
-		}
-	}
-	fa.Tris = make([]ArtifactTriangle, 0, routed)
+	fa.Tris = all[:0]
 	for i := range all {
 		if len(all[i].Dests) > 0 {
 			fa.Tris = append(fa.Tris, all[i])
@@ -251,28 +270,39 @@ func buildFrameArtifact(ctx context.Context, f *trace.Scene, d distrib.Distribut
 type artifactScratch struct {
 	route   []int
 	spanBuf []raster.Span
-	spans   [][]raster.Span
+	spans   [][]raster.Span // per-proc owned segments of one triangle
+	// emit appends one owned segment of row y to its owner's spans; made
+	// once per worker so demultiplexing a span allocates nothing.
+	y    int
+	emit func(proc, x0, x1 int)
 }
 
-// buildTriangle rasterizes triangle i once, demultiplexes its spans per
-// owning node — the same code path as the distributor and the parallel
-// kernel, so spans are identical — and, when footprints is set, generates
-// each destination's texel address stream with the exact per-span u/v
-// stepping of engine.ProcessTriangle.
+func newArtifactScratch(procs int) *artifactScratch {
+	w := &artifactScratch{
+		route: make([]int, 0, procs),
+		spans: make([][]raster.Span, procs),
+	}
+	w.emit = func(proc, x0, x1 int) {
+		w.spans[proc] = append(w.spans[proc], raster.Span{Y: w.y, X0: x0, X1: x1})
+	}
+	return w
+}
+
+// buildTriangle rasterizes triangle i once and demultiplexes its spans per
+// owning node: the machine's one rasterize→demux step. With footprints it
+// generates each destination's texel address stream
+// (engine.TriangleWork.Precompute); without, it points every destination at
+// the source triangle.
 func buildTriangle(w *artifactScratch, d distrib.Distribution, rast *raster.Rasterizer, mgr *texture.Manager, f *trace.Scene, i int, footprints bool) ArtifactTriangle {
 	t := &f.Triangles[i]
-	tex := mgr.Texture(t.TexID)
-	lod := t.Tex.LOD()
-
 	dests := d.Route(t.BBox(), w.route[:0])
 	for _, p := range dests {
 		w.spans[p] = w.spans[p][:0]
 	}
 	w.spanBuf = rast.AppendSpans(*t, f.Screen, w.spanBuf[:0])
 	for _, sp := range w.spanBuf {
-		d.ForEachOwnedSegment(sp.Y, sp.X0, sp.X1, func(proc, x0, x1 int) {
-			w.spans[proc] = append(w.spans[proc], raster.Span{Y: sp.Y, X0: x0, X1: x1})
-		})
+		w.y = sp.Y
+		d.ForEachOwnedSegment(sp.Y, sp.X0, sp.X1, w.emit)
 	}
 	total := 0
 	for _, p := range dests {
@@ -291,42 +321,17 @@ func buildTriangle(w *artifactScratch, d distrib.Distribution, rast *raster.Rast
 			backing = append(backing, segs...)
 			owned = backing[start:len(backing):len(backing)]
 		}
-		work := engine.PrecomputedWork{Segments: owned}
-		if footprints && len(owned) > 0 {
-			buildFootprints(tex, t.Tex, lod, owned, &work)
+		dest := ArtifactDest{Node: p, Work: engine.PrecomputedWork{Segments: owned}}
+		if !footprints {
+			dest.src = t
+		} else if len(owned) > 0 {
+			tw := engine.TriangleWork{Tex: mgr.Texture(t.TexID), Map: t.Tex, LOD: t.Tex.LOD(), Segments: owned}
+			dest.Work = tw.Precompute()
 		}
-		out.Dests = append(out.Dests, ArtifactDest{Node: p, Work: work})
+		out.Dests = append(out.Dests, dest)
 	}
 	w.route = dests[:0]
 	return out
-}
-
-// buildFootprints generates the run-length-encoded footprint stream for one
-// destination's segments. The u/v arithmetic — recomputed at each span
-// start, stepped per pixel — mirrors engine.ProcessTriangle exactly, so the
-// addresses are the ones the engine would have generated.
-func buildFootprints(tex *texture.Texture, tm geom.TexMap, lod float64, segs []raster.Span, work *engine.PrecomputedWork) {
-	var foot, prev [8]texture.Addr
-	have := false
-	for _, sp := range segs {
-		yc := float64(sp.Y) + 0.5
-		xc := float64(sp.X0) + 0.5
-		u := tm.U0 + tm.DuDx*xc + tm.DuDy*yc
-		v := tm.V0 + tm.DvDx*xc + tm.DvDy*yc
-		for x := sp.X0; x < sp.X1; x++ {
-			tex.TrilinearFootprint(u, v, lod, &foot)
-			if have && foot == prev && work.Reps[len(work.Reps)-1] < math.MaxInt32 {
-				work.Reps[len(work.Reps)-1]++
-			} else {
-				work.Addrs = append(work.Addrs, foot[:]...)
-				work.Reps = append(work.Reps, 1)
-				prev = foot
-				have = true
-			}
-			u += tm.DuDx
-			v += tm.DvDx
-		}
-	}
 }
 
 // SetRasterArtifact attaches a prebuilt raster artifact: subsequent runs
@@ -383,143 +388,4 @@ func (m *Machine) checkArtifactFrames(frames []*trace.Scene) error {
 		}
 	}
 	return nil
-}
-
-// runFrameArtifact replays one frame from the attached artifact, through the
-// parallel kernel when the kernel-equivalence preconditions hold and the
-// coupled event kernel otherwise — the same results as rasterizing from
-// scratch. Unlike runFrame's dispatch, the worker count does not gate the
-// choice: the preconditions (default-or-larger triangle buffer, no flight
-// recorder, every per-node FIFO count fits) are what make the two kernels
-// byte-identical, and with the routing pre-pass already in the artifact the
-// decoupled replay is cheaper than the event kernel even on one worker.
-func (m *Machine) runFrameArtifact(ctx context.Context, fa *FrameArtifact) error {
-	if m.cfg.TriangleBuffer >= DefaultTriangleBuffer && m.flight == nil {
-		fits := true
-		for _, n := range fa.counts {
-			if n > m.cfg.TriangleBuffer {
-				fits = false
-				break
-			}
-		}
-		if fits {
-			return m.replayParallel(ctx, fa)
-		}
-	}
-	return m.replayEvents(ctx, fa)
-}
-
-// replayParallel is the parallel kernel over artifact work: every node
-// pipeline simulates independently with the event kernel's exact arrival
-// arithmetic. The routing pre-pass and demux phases are already in the
-// artifact, so this is phase 2 of runFrameParallel alone.
-func (m *Machine) replayParallel(ctx context.Context, fa *FrameArtifact) error {
-	procs := m.cfg.Procs
-	workers := m.nodeParallelism()
-	if workers > procs {
-		workers = procs
-	}
-	err := par.ForEach(ctx, workers, procs, func(p int) error {
-		e := m.engines[p]
-		arrival := 0.0
-		for k, d := range fa.perNode[p] {
-			if k%ctxPollTriangles == 0 && k > 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			done := e.ProcessPrecomputed(arrival, &d.Work)
-			arrival = float64(sim.Time(math.Ceil(done)))
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	m.lastFIFOPeaks = append(m.lastFIFOPeaks[:0], fa.counts...)
-	m.parallelFrames++
-	return nil
-}
-
-// replayEvents is the coupled event kernel over artifact work: the same
-// FIFO machinery, back-pressure and deadlock check as runFrameEvents, with
-// the distributor's rasterization replaced by the artifact's triangle list.
-func (m *Machine) replayEvents(ctx context.Context, fa *FrameArtifact) error {
-	s := sim.New()
-	d := &artifactDistributor{sim: s, fa: fa}
-	for i := 0; i < m.cfg.Procs; i++ {
-		d.fifos = append(d.fifos, sim.NewFIFO[*engine.PrecomputedWork](s, m.cfg.TriangleBuffer))
-	}
-	s.At(0, d.step)
-	for i := 0; i < m.cfg.Procs; i++ {
-		n := &artifactNode{sim: s, engine: m.engines[i], fifo: d.fifos[i]}
-		s.At(0, n.step)
-	}
-	if err := runSim(ctx, s); err != nil {
-		return err
-	}
-	if !d.done || d.next != len(fa.Tris) {
-		panic(fmt.Sprintf("core: artifact replay deadlock: distributed %d of %d triangles",
-			d.next, len(fa.Tris)))
-	}
-	m.lastFIFOPeaks = m.lastFIFOPeaks[:0]
-	for _, fifo := range d.fifos {
-		m.lastFIFOPeaks = append(m.lastFIFOPeaks, fifo.Peak)
-	}
-	return nil
-}
-
-// artifactDistributor feeds artifact triangles in submission order to the
-// routed nodes' FIFOs, blocking while any destination FIFO is full —
-// distributor.step without the rasterization.
-type artifactDistributor struct {
-	sim   *sim.Simulator
-	fa    *FrameArtifact
-	fifos []*sim.FIFO[*engine.PrecomputedWork]
-
-	next    int
-	pending []*ArtifactDest
-	done    bool
-}
-
-func (d *artifactDistributor) step(now sim.Time) {
-	for {
-		if len(d.pending) == 0 {
-			if d.next == len(d.fa.Tris) {
-				d.done = true
-				return
-			}
-			tri := &d.fa.Tris[d.next]
-			d.next++
-			d.pending = d.pending[:0]
-			for j := range tri.Dests {
-				d.pending = append(d.pending, &tri.Dests[j])
-			}
-		}
-		for len(d.pending) > 0 {
-			dst := d.pending[0]
-			if !d.fifos[dst.Node].TryPush(&dst.Work) {
-				d.fifos[dst.Node].WaitSpace(d.step)
-				return
-			}
-			d.pending = d.pending[1:]
-		}
-	}
-}
-
-// artifactNode is one node's consumer loop over precomputed work.
-type artifactNode struct {
-	sim    *sim.Simulator
-	engine *engine.Engine
-	fifo   *sim.FIFO[*engine.PrecomputedWork]
-}
-
-func (n *artifactNode) step(now sim.Time) {
-	w, ok := n.fifo.TryPop()
-	if !ok {
-		n.fifo.WaitItem(n.step)
-		return
-	}
-	done := n.engine.ProcessPrecomputed(float64(now), w)
-	n.sim.At(sim.Time(math.Ceil(done)), n.step)
 }

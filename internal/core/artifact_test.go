@@ -14,21 +14,31 @@ import (
 	"repro/internal/trace"
 )
 
-// runArtifactPair simulates frames under cfg from scratch and by replaying a
-// prebuilt raster artifact, on the given kernel setting, and fails unless the
-// per-frame results are byte-identical after JSON encoding. It returns the
-// replaying machine.
+// runArtifactPair simulates frames under cfg on the FIFO-coupled driver,
+// building each frame in memory, as the reference. It then replays a
+// prebuilt raster artifact of the same frames on the coupled driver and,
+// with the given node parallelism, under the default dispatch rule, and
+// fails unless every per-frame result is byte-identical after JSON encoding.
+// It returns the default-dispatch replaying machine.
 func runArtifactPair(t *testing.T, frames []*trace.Scene, cfg Config, nodePar int, opts ArtifactOpts) *Machine {
 	t.Helper()
-	direct, err := NewMachine(frames[0], cfg)
-	if err != nil {
-		t.Fatal(err)
+	run := func(a *RasterArtifact, coupled bool) ([]*Result, *Machine) {
+		m, err := NewMachine(frames[0], cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.coupledOnly = coupled
+		m.SetNodeParallelism(nodePar)
+		if err := m.SetRasterArtifact(a); err != nil {
+			t.Fatal(err)
+		}
+		rs, err := m.RunSequence(frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs, m
 	}
-	direct.SetNodeParallelism(nodePar)
-	want, err := direct.RunSequence(frames)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _ := run(nil, true)
 
 	cfgd := cfg.withDefaults()
 	a, err := BuildRasterArtifact(context.Background(), frames, cfgd.Procs,
@@ -36,37 +46,30 @@ func runArtifactPair(t *testing.T, frames []*trace.Scene, cfg Config, nodePar in
 	if err != nil {
 		t.Fatal(err)
 	}
-	replay, err := NewMachine(frames[0], cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay.SetNodeParallelism(nodePar)
-	if err := replay.SetRasterArtifact(a); err != nil {
-		t.Fatal(err)
-	}
-	got, err := replay.RunSequence(frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		wantJS, err := json.Marshal(want[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotJS, err := json.Marshal(got[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(wantJS) != string(gotJS) {
-			t.Errorf("frame %d: replay diverged\ndirect: %s\nreplay: %s", i, wantJS, gotJS)
+	coupled, _ := run(a, true)
+	got, replay := run(a, false)
+	for name, rs := range map[string][]*Result{"coupled": coupled, "default": got} {
+		for i := range want {
+			wantJS, err := json.Marshal(want[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotJS, err := json.Marshal(rs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(wantJS) != string(gotJS) {
+				t.Errorf("frame %d: %s replay diverged\ndirect: %s\nreplay: %s", i, name, wantJS, gotJS)
+			}
 		}
 	}
 	return replay
 }
 
 // TestArtifactReplayEquivalenceMatrix pins the replay contract across
-// benchmark scenes, every distribution family, every cache kind and both
-// kernels: replaying an artifact must be indistinguishable from rasterizing.
+// benchmark scenes, every distribution family, every cache kind, both
+// drivers and one or four workers: replaying an artifact must be
+// indistinguishable from building each frame in memory.
 func TestArtifactReplayEquivalenceMatrix(t *testing.T) {
 	dists := []struct {
 		kind distrib.Kind
@@ -131,18 +134,18 @@ func TestArtifactReplaySequence(t *testing.T) {
 	frames := scene.PanSequence(base, 4, 3, 1)
 	m := runArtifactPair(t, frames, Config{Procs: 8, TileSize: 8}, 4, ArtifactOpts{})
 	if m.parallelFrames != len(frames) {
-		t.Errorf("replay ran %d of %d frames on the parallel kernel", m.parallelFrames, len(frames))
+		t.Errorf("replay ran %d of %d frames on the decoupled driver", m.parallelFrames, len(frames))
 	}
 }
 
-// TestArtifactReplayEventKernel forces the coupled event kernel with a small
-// triangle buffer: the replay distributor must model the same back-pressure,
-// FIFO peaks included.
+// TestArtifactReplayEventKernel sends the default dispatch to the coupled
+// event driver with a small triangle buffer: the replay distributor must
+// model the same back-pressure, FIFO peaks included.
 func TestArtifactReplayEventKernel(t *testing.T) {
 	s := testScene(5, 60, 96)
 	m := runArtifactPair(t, []*trace.Scene{s}, Config{Procs: 4, TriangleBuffer: 8}, 4, ArtifactOpts{})
 	if m.parallelFrames != 0 {
-		t.Error("parallel kernel engaged despite a small triangle buffer")
+		t.Error("decoupled driver engaged despite a small triangle buffer")
 	}
 }
 

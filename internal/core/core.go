@@ -10,11 +10,16 @@
 // owning no fragment, and pays at least the triangle setup cost — the
 // small-triangle overhead of the paper's section 2.3.
 //
-// The simulation is event-driven on the sim kernel: one event per
-// (triangle, node), with the node-internal pixel pipeline timed by
-// internal/engine. The distributor back-pressures on full FIFOs, which is
-// what couples nodes together and makes the triangle-buffer-size experiment
-// (paper §8) meaningful.
+// Every frame runs in two steps. Build: each triangle is rasterized and
+// demultiplexed once into the frame's work list (artifact.go), in memory or
+// from a prebuilt raster artifact. Replay: one dispatch rule hands the list
+// to one of two drivers, with the node-internal pixel pipeline timed by
+// internal/engine. The FIFO-coupled driver is event-driven on the sim
+// kernel, one event per (triangle, node); its distributor back-pressures on
+// full FIFOs, which is what couples nodes together and makes the
+// triangle-buffer-size experiment (paper §8) meaningful. When no FIFO can
+// ever fill, the nodes are independent and the decoupled driver
+// (parallel.go) times each node's list on its own, byte-identically.
 package core
 
 import (
@@ -264,15 +269,18 @@ type Machine struct {
 	lastFIFOPeaks []int
 	// flight, when non-nil, records every node's per-phase cycle timeline.
 	flight *flight.Recorder
-	// nodePar bounds the parallel kernel's workers (see SetNodeParallelism);
-	// 0 means runtime.GOMAXPROCS(0), 1 forces the event-driven kernel.
+	// nodePar bounds the workers that build and replay a frame (see
+	// SetNodeParallelism); 0 means runtime.GOMAXPROCS(0).
 	nodePar int
-	// artifact, when non-nil, replaces rasterization with replay of a
-	// prebuilt raster artifact (see SetRasterArtifact).
+	// artifact, when non-nil, supplies every frame's prebuilt work list in
+	// place of an in-memory build (see SetRasterArtifact).
 	artifact *RasterArtifact
-	// parallelFrames counts frames simulated by the parallel kernel, so
-	// tests can assert which kernel actually ran.
+	// parallelFrames counts frames timed by the decoupled driver, so tests
+	// can assert which driver actually ran.
 	parallelFrames int
+	// coupledOnly sends every frame to the FIFO-coupled driver. Only tests
+	// set it, to take their reference results from that driver.
+	coupledOnly bool
 }
 
 // NewMachine builds a machine for the scene. The scene's texture table is
@@ -435,23 +443,27 @@ func (m *Machine) RunSequenceContext(ctx context.Context, frames []*trace.Scene)
 // time, rare enough to stay invisible in profiles.
 const cancelCheckEvents = 1 << 14
 
-// runFrame simulates frame fi's triangle stream, dispatching to the
-// parallel kernel (parallel.go) when the triangle FIFOs provably never
-// back-pressure, and to the coupled event-driven kernel otherwise. Both
-// kernels produce byte-identical results; the event kernel is the reference.
-// With a raster artifact attached, the same dispatch replays the artifact's
-// frame instead of rasterizing (artifact.go), again byte-identically.
+// runFrame simulates frame fi: it takes the frame's work list from the
+// attached artifact, or builds it in memory without footprint streams and
+// drops it after the frame, then replays it on the driver the dispatch rule
+// (decoupled, parallel.go) picks. The coupled driver is the reference the
+// decoupled one matches byte for byte wherever the rule allows it.
 func (m *Machine) runFrame(ctx context.Context, fi int, f *trace.Scene) error {
+	var fa *FrameArtifact
 	if m.artifact != nil {
-		return m.runFrameArtifact(ctx, m.artifact.Frames[fi])
-	}
-	if m.parallelEligible() {
-		ran, err := m.runFrameParallel(ctx, f)
-		if ran || err != nil {
+		fa = m.artifact.Frames[fi]
+	} else {
+		var err error
+		fa, err = buildFrameArtifact(ctx, f, m.dist, m.rast, m.mgr, m.nodeParallelism(), false)
+		if err != nil {
 			return err
 		}
+		fa.finalize(m.cfg.Procs)
 	}
-	return m.runFrameEvents(ctx, f)
+	if m.decoupled(fa) {
+		return m.replayParallel(ctx, fa)
+	}
+	return m.replayEvents(ctx, fa)
 }
 
 // runSim drives an event simulation to completion, polling ctx between
@@ -477,34 +489,6 @@ func runSim(ctx context.Context, s *sim.Simulator) error {
 			return nil
 		}
 	}
-}
-
-// runFrameEvents drives the event simulation of one frame's triangle stream.
-// A cancelled context abandons the frame mid-flight and leaves the machine in
-// an undefined (but safely reusable-after-Reset) state.
-func (m *Machine) runFrameEvents(ctx context.Context, f *trace.Scene) error {
-	s := sim.New()
-	d := newDistributor(s, m, f)
-	nodes := make([]*nodeProc, m.cfg.Procs)
-	for i := range nodes {
-		nodes[i] = &nodeProc{sim: s, engine: m.engines[i], fifo: d.fifos[i]}
-	}
-	s.At(0, d.step)
-	for _, n := range nodes {
-		s.At(0, n.step)
-	}
-	if err := runSim(ctx, s); err != nil {
-		return err
-	}
-	if !d.done || d.next != len(f.Triangles) {
-		panic(fmt.Sprintf("core: simulation deadlock: distributed %d of %d triangles",
-			d.next, len(f.Triangles)))
-	}
-	m.lastFIFOPeaks = m.lastFIFOPeaks[:0]
-	for _, fifo := range d.fifos {
-		m.lastFIFOPeaks = append(m.lastFIFOPeaks, fifo.Peak)
-	}
-	return nil
 }
 
 // snapshot captures node i's cumulative counters.
@@ -570,121 +554,79 @@ func SpeedupContext(ctx context.Context, scene *trace.Scene, cfg Config) (speedu
 	return single.Cycles / parallel.Cycles, single, parallel, nil
 }
 
-// distributor feeds triangles in strict submission order to the routed
-// nodes' FIFOs, blocking while any destination FIFO is full.
-type distributor struct {
-	sim   *sim.Simulator
-	m     *Machine
-	frame *trace.Scene
-	fifos []*sim.FIFO[engine.TriangleWork]
-
-	next    int   // next triangle index to distribute
-	pending []int // remaining destinations of triangle `next`
-	work    []engine.TriangleWork
-	done    bool
-
-	routeScratch []int
-	spanScratch  [][]raster.Span
+// replayEvents is the FIFO-coupled event driver: the distributor pushes
+// each triangle's work to its destinations' bounded FIFOs in submission
+// order, blocking while any destination FIFO is full, and every node pops
+// and times its work as the sim kernel schedules it. Any frame may run here;
+// the §8 buffering study and overfull FIFOs must. A cancelled context
+// abandons the frame mid-flight and leaves the machine in an undefined (but
+// safely reusable-after-Reset) state.
+func (m *Machine) replayEvents(ctx context.Context, fa *FrameArtifact) error {
+	s := sim.New()
+	d := &artifactDistributor{fa: fa}
+	for i := 0; i < m.cfg.Procs; i++ {
+		d.fifos = append(d.fifos, sim.NewFIFO[*ArtifactDest](s, m.cfg.TriangleBuffer))
+	}
+	s.At(0, d.step)
+	for i := 0; i < m.cfg.Procs; i++ {
+		n := &artifactNode{sim: s, engine: m.engines[i], mgr: m.mgr, fifo: d.fifos[i]}
+		s.At(0, n.step)
+	}
+	if err := runSim(ctx, s); err != nil {
+		return err
+	}
+	if d.next != len(fa.Tris) {
+		panic(fmt.Sprintf("core: simulation deadlock: distributed %d of %d triangles",
+			d.next, len(fa.Tris)))
+	}
+	m.lastFIFOPeaks = m.lastFIFOPeaks[:0]
+	for _, fifo := range d.fifos {
+		m.lastFIFOPeaks = append(m.lastFIFOPeaks, fifo.Peak)
+	}
+	return nil
 }
 
-func newDistributor(s *sim.Simulator, m *Machine, frame *trace.Scene) *distributor {
-	d := &distributor{
-		sim:          s,
-		m:            m,
-		frame:        frame,
-		routeScratch: make([]int, 0, m.cfg.Procs),
-		spanScratch:  make([][]raster.Span, m.cfg.Procs),
-		work:         make([]engine.TriangleWork, m.cfg.Procs),
-	}
-	for i := 0; i < m.cfg.Procs; i++ {
-		d.fifos = append(d.fifos, sim.NewFIFO[engine.TriangleWork](s, m.cfg.TriangleBuffer))
-	}
-	return d
+// artifactDistributor feeds a frame's triangles in submission order to the
+// routed nodes' FIFOs, blocking while any destination FIFO is full.
+// Distribution is instantaneous in simulated time (ideal geometry stage and
+// network), so all pushes happen at the stall-free front of the machine.
+type artifactDistributor struct {
+	fa    *FrameArtifact
+	fifos []*sim.FIFO[*ArtifactDest]
+
+	next int // next triangle to distribute
+	dest int // next destination of triangle next
 }
 
 // step distributes triangles until a FIFO back-pressures, then re-arms on
-// that FIFO's space event. Distribution is instantaneous in simulated time
-// (ideal geometry stage and network), so all pushes happen at the stall-free
-// front of the machine.
-func (d *distributor) step(now sim.Time) {
-	for {
-		if len(d.pending) == 0 {
-			if d.next == len(d.frame.Triangles) {
-				d.done = true
+// that FIFO's space event.
+func (d *artifactDistributor) step(now sim.Time) {
+	for ; d.next < len(d.fa.Tris); d.next, d.dest = d.next+1, 0 {
+		dests := d.fa.Tris[d.next].Dests
+		for ; d.dest < len(dests); d.dest++ {
+			dst := &dests[d.dest]
+			if !d.fifos[dst.Node].TryPush(dst) {
+				d.fifos[dst.Node].WaitSpace(d.step)
 				return
 			}
-			d.prepare(d.next)
-			d.next++
-			if len(d.pending) == 0 {
-				continue // off-screen triangle: routed nowhere
-			}
-		}
-		for len(d.pending) > 0 {
-			dst := d.pending[0]
-			if !d.fifos[dst].TryPush(d.work[dst]) {
-				d.fifos[dst].WaitSpace(d.step)
-				return
-			}
-			d.pending = d.pending[1:]
 		}
 	}
 }
 
-// prepare rasterizes triangle i once, demultiplexes its spans per owning
-// node, and sets up the pending destination list.
-func (d *distributor) prepare(i int) {
-	t := &d.frame.Triangles[i]
-	tex := d.m.mgr.Texture(t.TexID)
-	lod := t.Tex.LOD()
-
-	dests := d.m.dist.Route(t.BBox(), d.routeScratch[:0])
-	for _, p := range dests {
-		d.spanScratch[p] = d.spanScratch[p][:0]
-	}
-	d.m.rast.ForEachSpan(*t, d.frame.Screen, func(sp raster.Span) {
-		d.m.dist.ForEachOwnedSegment(sp.Y, sp.X0, sp.X1, func(proc, x0, x1 int) {
-			d.spanScratch[proc] = append(d.spanScratch[proc], raster.Span{Y: sp.Y, X0: x0, X1: x1})
-		})
-	})
-	// One backing array holds every destination's segments for this
-	// triangle, so a triangle costs one allocation however many nodes it
-	// fans out to.
-	total := 0
-	for _, p := range dests {
-		total += len(d.spanScratch[p])
-	}
-	var backing []raster.Span
-	if total > 0 {
-		backing = make([]raster.Span, 0, total)
-	}
-	d.pending = d.pending[:0]
-	for _, p := range dests {
-		segs := d.spanScratch[p]
-		var owned []raster.Span
-		if len(segs) > 0 {
-			start := len(backing)
-			backing = append(backing, segs...)
-			owned = backing[start:len(backing):len(backing)]
-		}
-		d.work[p] = engine.TriangleWork{Tex: tex, Map: t.Tex, LOD: lod, Segments: owned}
-		d.pending = append(d.pending, p)
-	}
-	d.routeScratch = dests[:0]
-}
-
-// nodeProc is one node's consumer loop on the sim kernel.
-type nodeProc struct {
+// artifactNode is one node's consumer loop on the sim kernel.
+type artifactNode struct {
 	sim    *sim.Simulator
 	engine *engine.Engine
-	fifo   *sim.FIFO[engine.TriangleWork]
+	mgr    *texture.Manager
+	fifo   *sim.FIFO[*ArtifactDest]
 }
 
-func (n *nodeProc) step(now sim.Time) {
-	w, ok := n.fifo.TryPop()
+func (n *artifactNode) step(now sim.Time) {
+	d, ok := n.fifo.TryPop()
 	if !ok {
 		n.fifo.WaitItem(n.step)
 		return
 	}
-	done := n.engine.ProcessTriangle(float64(now), &w)
+	done := d.process(n.engine, n.mgr, float64(now))
 	n.sim.At(sim.Time(math.Ceil(done)), n.step)
 }

@@ -1,26 +1,29 @@
-// The parallel kernel: when triangle FIFOs are provably big enough to never
+// The decoupled driver: when triangle FIFOs are provably big enough to never
 // back-pressure the distributor, the machine's nodes are fully independent —
 // the distributor pushes every triangle at simulated time zero and each node
 // drains its own queue with no cross-node coupling. In that regime (the
 // paper's "big enough" buffer assumption, used by every experiment except the
-// §8 buffering study) the event-driven kernel's global heap is pure overhead:
-// this file rasterizes and demultiplexes triangles across worker goroutines,
-// then simulates all N node pipelines concurrently via internal/par.
+// §8 buffering study) the event kernel's global heap is pure overhead: this
+// file times every node's work list on its own, the nodes concurrently via
+// internal/par.
 //
-// Equivalence contract: the parallel kernel produces byte-identical results
-// (cycles, counters, cache statistics, FIFO peaks) to the event-driven
-// kernel. That holds because, with no backpressure, a node's k-th triangle
-// arrival in the event kernel is exactly ceil(completion of triangle k−1)
+// Equivalence contract: the decoupled driver produces byte-identical results
+// (cycles, counters, cache statistics, FIFO peaks) to the FIFO-coupled event
+// driver. That holds because, with no backpressure, a node's k-th triangle
+// arrival in the event driver is exactly ceil(completion of triangle k−1)
 // (the node re-arms its step event at that cycle), and the engine's timing is
-// a deterministic function of its own arrival sequence only. The kernel
-// therefore refuses to run — and falls back to the event kernel — whenever
+// a deterministic function of its own arrival sequence only. The one dispatch
+// rule (decoupled) therefore sends a frame to the event driver whenever
 // coupling could matter:
 //
 //   - the configured TriangleBuffer is below the paper default (§8 regime);
 //   - some node is routed more triangles than its FIFO holds, so the
-//     distributor would actually block (checked by a cheap routing pre-pass);
+//     distributor would actually block (the frame's per-node counts);
 //   - a flight recorder is attached (its shared auto-rescaling bucket grid is
 //     written by every node and is deliberately not synchronized).
+//
+// The worker count never gates the choice: on one worker the decoupled
+// driver is still cheaper than the event heap.
 package core
 
 import (
@@ -28,19 +31,16 @@ import (
 	"math"
 	"runtime"
 
-	"repro/internal/engine"
-	"repro/internal/geom"
 	"repro/internal/par"
-	"repro/internal/raster"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // SetNodeParallelism bounds how many concurrent workers the machine may use
-// to simulate independent node pipelines (the parallel kernel). n == 1
-// forces the coupled event-driven kernel; n <= 0 restores the default,
-// runtime.GOMAXPROCS(0). Results are byte-identical at every setting — the
-// knob trades wall-clock for cores, never accuracy.
+// to build a frame's work list and to replay independent node pipelines.
+// n <= 0 restores the default, runtime.GOMAXPROCS(0); n == 1 runs both on a
+// single worker. Which driver times a frame does not depend on n, and
+// results are byte-identical at every setting — the knob trades wall-clock
+// for cores, never accuracy.
 func (m *Machine) SetNodeParallelism(n int) {
 	m.nodePar = n
 }
@@ -53,180 +53,51 @@ func (m *Machine) nodeParallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// parallelEligible reports whether the frame may even attempt the parallel
-// kernel. The per-node FIFO occupancy check needs the routing pre-pass and
-// lives in runFrameParallel.
-func (m *Machine) parallelEligible() bool {
-	return m.nodeParallelism() > 1 &&
-		m.cfg.TriangleBuffer >= DefaultTriangleBuffer &&
-		m.flight == nil
-}
-
 // ctxPollTriangles is how many triangles a worker processes between context
-// polls, mirroring the event kernel's cancelCheckEvents granularity.
+// polls, mirroring the event driver's cancelCheckEvents granularity.
 const ctxPollTriangles = 1 << 10
 
-// runFrameParallel simulates one frame on the parallel kernel. It returns
-// ran=false (and no error) when the routing pre-pass finds a node whose FIFO
-// would overflow, in which case the caller must run the event kernel instead.
-func (m *Machine) runFrameParallel(ctx context.Context, f *trace.Scene) (ran bool, err error) {
-	procs := m.cfg.Procs
-	tris := f.Triangles
-	if len(tris) == 0 {
-		m.lastFIFOPeaks = append(m.lastFIFOPeaks[:0], make([]int, procs)...)
-		m.parallelFrames++
-		return true, nil
+// decoupled is the dispatch rule: it reports whether frame fa may run on the
+// decoupled driver, i.e. whether no triangle FIFO can ever back-pressure.
+func (m *Machine) decoupled(fa *FrameArtifact) bool {
+	if m.coupledOnly || m.cfg.TriangleBuffer < DefaultTriangleBuffer || m.flight != nil {
+		return false
 	}
-
-	workers := m.nodeParallelism()
-	if workers > len(tris) {
-		workers = len(tris)
-	}
-	// Finer-than-worker chunks smooth out uneven per-triangle cost; chunk
-	// boundaries are fixed up front so the slot layout below is deterministic.
-	nChunks := workers * 4
-	if nChunks > len(tris) {
-		nChunks = len(tris)
-	}
-	chunkBounds := func(c int) (int, int) {
-		return c * len(tris) / nChunks, (c + 1) * len(tris) / nChunks
-	}
-
-	// Routing pre-pass: count each node's routed triangles (its FIFO
-	// occupancy at time zero in the event kernel) per chunk. Any node over
-	// its FIFO capacity means the distributor would block — fall back.
-	counts := make([]int, procs)
-	chunkCounts := make([]int, nChunks*procs)
-	routeScratch := make([]int, 0, procs)
-	for c := 0; c < nChunks; c++ {
-		row := chunkCounts[c*procs : (c+1)*procs]
-		lo, hi := chunkBounds(c)
-		for i := lo; i < hi; i++ {
-			dests := m.dist.Route(tris[i].BBox(), routeScratch[:0])
-			for _, p := range dests {
-				counts[p]++
-				row[p]++
-			}
-			routeScratch = dests[:0]
-		}
-	}
-	for _, n := range counts {
+	for _, n := range fa.counts {
 		if n > m.cfg.TriangleBuffer {
-			return false, nil
+			return false
 		}
 	}
+	return true
+}
 
-	// Slot layout: node p's work list holds its triangles in submission
-	// order; chunk c writes the contiguous slot range carved out by the
-	// prefix sums, so phase 1 workers never touch the same slot.
-	chunkStart := make([]int, nChunks*procs)
-	running := make([]int, procs)
-	for c := 0; c < nChunks; c++ {
-		copy(chunkStart[c*procs:(c+1)*procs], running)
-		for p := 0; p < procs; p++ {
-			running[p] += chunkCounts[c*procs+p]
-		}
+// replayParallel is the decoupled driver: every node pipeline times its own
+// work list with the event driver's exact arrival arithmetic — the first pop
+// at cycle 0, each later pop at the integer cycle the node re-arms on.
+func (m *Machine) replayParallel(ctx context.Context, fa *FrameArtifact) error {
+	procs := m.cfg.Procs
+	workers := m.nodeParallelism()
+	if workers > procs {
+		workers = procs
 	}
-	nodeWork := make([][]engine.TriangleWork, procs)
-	for p := range nodeWork {
-		nodeWork[p] = make([]engine.TriangleWork, counts[p])
-	}
-
-	// Phase 1: rasterize each triangle once and demultiplex its spans to the
-	// owning nodes' work lists, chunks in parallel.
-	err = par.ForEach(ctx, workers, nChunks, func(c int) error {
-		w := demuxScratch{
-			route: make([]int, 0, procs),
-			spans: make([][]raster.Span, procs),
-		}
-		cursors := make([]int, procs)
-		copy(cursors, chunkStart[c*procs:(c+1)*procs])
-		lo, hi := chunkBounds(c)
-		for i := lo; i < hi; i++ {
-			if (i-lo)%ctxPollTriangles == 0 && i > lo {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			m.demuxTriangle(&w, f, &tris[i], cursors, nodeWork)
-		}
-		return nil
-	})
-	if err != nil {
-		return true, err
-	}
-
-	// Phase 2: simulate every node pipeline independently. The arrival
-	// arithmetic replicates the event kernel exactly: the first pop happens
-	// at cycle 0, each later pop at the integer cycle the node re-arms on.
-	err = par.ForEach(ctx, workers, procs, func(p int) error {
+	err := par.ForEach(ctx, workers, procs, func(p int) error {
 		e := m.engines[p]
-		work := nodeWork[p]
 		arrival := 0.0
-		for k := range work {
+		for k, d := range fa.perNode[p] {
 			if k%ctxPollTriangles == 0 && k > 0 {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
-			done := e.ProcessTriangle(arrival, &work[k])
+			done := d.process(e, m.mgr, arrival)
 			arrival = float64(sim.Time(math.Ceil(done)))
 		}
 		return nil
 	})
 	if err != nil {
-		return true, err
+		return err
 	}
-	m.lastFIFOPeaks = append(m.lastFIFOPeaks[:0], counts...)
+	m.lastFIFOPeaks = append(m.lastFIFOPeaks[:0], fa.counts...)
 	m.parallelFrames++
-	return true, nil
-}
-
-// demuxScratch is one phase-1 worker's reusable buffers: the per-triangle
-// hot path allocates only each triangle's backing span array, exactly like
-// the event kernel's distributor.
-type demuxScratch struct {
-	route   []int
-	spanBuf []raster.Span
-	spans   [][]raster.Span // per-proc demux scratch
-}
-
-// demuxTriangle rasterizes t once and writes one TriangleWork per routed
-// node into the node's pre-assigned slot. The segment demultiplexing is the
-// same code path as the event kernel's distributor.prepare, so the spans —
-// and therefore the engine timing — are identical.
-func (m *Machine) demuxTriangle(w *demuxScratch, f *trace.Scene, t *geom.Triangle, cursors []int, nodeWork [][]engine.TriangleWork) {
-	tex := m.mgr.Texture(t.TexID)
-	lod := t.Tex.LOD()
-
-	dests := m.dist.Route(t.BBox(), w.route[:0])
-	for _, p := range dests {
-		w.spans[p] = w.spans[p][:0]
-	}
-	w.spanBuf = m.rast.AppendSpans(*t, f.Screen, w.spanBuf[:0])
-	for _, sp := range w.spanBuf {
-		m.dist.ForEachOwnedSegment(sp.Y, sp.X0, sp.X1, func(proc, x0, x1 int) {
-			w.spans[proc] = append(w.spans[proc], raster.Span{Y: sp.Y, X0: x0, X1: x1})
-		})
-	}
-	total := 0
-	for _, p := range dests {
-		total += len(w.spans[p])
-	}
-	var backing []raster.Span
-	if total > 0 {
-		backing = make([]raster.Span, 0, total)
-	}
-	for _, p := range dests {
-		segs := w.spans[p]
-		var owned []raster.Span
-		if len(segs) > 0 {
-			start := len(backing)
-			backing = append(backing, segs...)
-			owned = backing[start:len(backing):len(backing)]
-		}
-		nodeWork[p][cursors[p]] = engine.TriangleWork{Tex: tex, Map: t.Tex, LOD: lod, Segments: owned}
-		cursors[p]++
-	}
-	w.route = dests[:0]
+	return nil
 }

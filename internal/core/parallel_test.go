@@ -10,18 +10,18 @@ import (
 	"repro/internal/trace"
 )
 
-// runKernelPair simulates s under cfg on the event-driven kernel and on the
-// parallel kernel and fails the test unless the results are byte-identical
-// after JSON encoding (cycles, fragments, texels, cache statistics, FIFO
-// peaks — everything the simulator reports). It returns the parallel machine
-// so callers can inspect which kernel actually ran.
+// runKernelPair simulates s under cfg on the FIFO-coupled driver and under
+// the default dispatch rule and fails the test unless the results are
+// byte-identical after JSON encoding (cycles, fragments, texels, cache
+// statistics, FIFO peaks — everything the simulator reports). It returns the
+// default-dispatch machine so callers can inspect which driver actually ran.
 func runKernelPair(t *testing.T, s *trace.Scene, cfg Config) *Machine {
 	t.Helper()
 	serial, err := NewMachine(s, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial.SetNodeParallelism(1)
+	serial.coupledOnly = true
 	par, err := NewMachine(s, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -37,18 +37,18 @@ func runKernelPair(t *testing.T, s *trace.Scene, cfg Config) *Machine {
 		t.Fatal(err)
 	}
 	if string(wantJS) != string(gotJS) {
-		t.Errorf("kernels disagree\nserial:   %s\nparallel: %s", wantJS, gotJS)
+		t.Errorf("drivers disagree\ncoupled: %s\ndefault: %s", wantJS, gotJS)
 	}
 	if serial.parallelFrames != 0 {
-		t.Error("serial machine ran the parallel kernel")
+		t.Error("coupled reference machine ran the decoupled driver")
 	}
 	return par
 }
 
 // TestParallelKernelEquivalenceMatrix pins the equivalence contract across
 // every Table 1 benchmark scene, every distribution family, and every cache
-// kind: the parallel kernel must be indistinguishable from the event kernel
-// in everything but wall-clock.
+// kind: the decoupled driver must be indistinguishable from the coupled
+// driver in everything but wall-clock.
 func TestParallelKernelEquivalenceMatrix(t *testing.T) {
 	dists := []struct {
 		kind distrib.Kind
@@ -70,7 +70,7 @@ func TestParallelKernelEquivalenceMatrix(t *testing.T) {
 				}
 				m := runKernelPair(t, s, cfg)
 				if m.parallelFrames == 0 {
-					t.Errorf("%s/%s%d/%s: parallel kernel never engaged",
+					t.Errorf("%s/%s%d/%s: decoupled driver never engaged",
 						name, d.kind, d.tile, ck)
 				}
 			}
@@ -91,7 +91,7 @@ func TestParallelKernelRandomScenes(t *testing.T) {
 					Bus: memory.BusConfig{TexelsPerCycle: 1},
 				})
 				if m.parallelFrames == 0 {
-					t.Errorf("seed%d/p%d/t%d: parallel kernel never engaged",
+					t.Errorf("seed%d/p%d/t%d: decoupled driver never engaged",
 						seed, procs, tile)
 				}
 			}
@@ -109,39 +109,40 @@ func TestParallelKernelL2(t *testing.T) {
 		MainBus: memory.BusConfig{TexelsPerCycle: 1},
 	})
 	if m.parallelFrames == 0 {
-		t.Error("parallel kernel never engaged")
+		t.Error("decoupled driver never engaged")
 	}
 }
 
 // TestParallelKernelSequence checks frame sequences: per-frame snapshots and
-// the inter-frame cache state they depend on must match the event kernel.
+// the inter-frame cache state they depend on must match the coupled driver.
 func TestParallelKernelSequence(t *testing.T) {
 	base := benchSceneFor(t, "room3", 0.1)
 	frames := scene.PanSequence(base, 4, 3, 1)
 	cfg := Config{Procs: 8, TileSize: 8}
 
-	run := func(nodePar int) ([]*Result, *Machine) {
+	run := func(coupled bool) ([]*Result, *Machine) {
 		m, err := NewMachine(frames[0], cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.SetNodeParallelism(nodePar)
+		m.coupledOnly = coupled
+		m.SetNodeParallelism(4)
 		rs, err := m.RunSequence(frames)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return rs, m
 	}
-	want, _ := run(1)
-	got, m := run(4)
+	want, _ := run(true)
+	got, m := run(false)
 	if m.parallelFrames != len(frames) {
-		t.Errorf("parallel kernel ran %d of %d frames", m.parallelFrames, len(frames))
+		t.Errorf("decoupled driver ran %d of %d frames", m.parallelFrames, len(frames))
 	}
 	for i := range want {
 		wantJS, _ := json.Marshal(want[i])
 		gotJS, _ := json.Marshal(got[i])
 		if string(wantJS) != string(gotJS) {
-			t.Errorf("frame %d: kernels disagree\nserial:   %s\nparallel: %s",
+			t.Errorf("frame %d: drivers disagree\ncoupled: %s\ndefault: %s",
 				i, wantJS, gotJS)
 		}
 	}
@@ -149,18 +150,19 @@ func TestParallelKernelSequence(t *testing.T) {
 
 // TestParallelKernelSmallBufferFallsBack pins the §8 rule: any TriangleBuffer
 // below the paper default can back-pressure the distributor, so the machine
-// must use the event kernel regardless of the parallelism setting.
+// must use the coupled driver regardless of the parallelism setting.
 func TestParallelKernelSmallBufferFallsBack(t *testing.T) {
 	s := testScene(5, 60, 96)
 	m := runKernelPair(t, s, Config{Procs: 4, TriangleBuffer: 8})
 	if m.parallelFrames != 0 {
-		t.Error("parallel kernel engaged despite a small triangle buffer")
+		t.Error("decoupled driver engaged despite a small triangle buffer")
 	}
 }
 
 // TestParallelKernelOverfullFIFOFallsBack builds a frame with more triangles
-// than one node's FIFO holds: the routing pre-pass must detect the overflow
-// and hand the frame to the event kernel, which models the real stall.
+// than one node's FIFO holds: the frame's per-node counts must reveal the
+// overflow and hand the frame to the coupled driver, which models the real
+// stall.
 func TestParallelKernelOverfullFIFOFallsBack(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a >10000-triangle scene")
@@ -170,13 +172,13 @@ func TestParallelKernelOverfullFIFOFallsBack(t *testing.T) {
 	s := testScene(9, DefaultTriangleBuffer+300, 64)
 	m := runKernelPair(t, s, Config{Procs: 1, CacheKind: CachePerfect})
 	if m.parallelFrames != 0 {
-		t.Error("parallel kernel engaged despite FIFO overflow")
+		t.Error("decoupled driver engaged despite FIFO overflow")
 	}
 }
 
 // TestParallelKernelFlightRecorderFallsBack: the flight recorder's bucket
-// grid is shared across nodes, so recorded runs must stay on the event
-// kernel (and recordings therefore stay deterministic).
+// grid is shared across nodes, so recorded runs must stay on the coupled
+// driver (and recordings therefore stay deterministic).
 func TestParallelKernelFlightRecorderFallsBack(t *testing.T) {
 	s := testScene(13, 40, 96)
 	m, err := NewMachine(s, Config{Procs: 4})
@@ -187,23 +189,25 @@ func TestParallelKernelFlightRecorderFallsBack(t *testing.T) {
 	m.EnableFlightRecorder(64)
 	m.Run()
 	if m.parallelFrames != 0 {
-		t.Error("parallel kernel engaged with a flight recorder attached")
+		t.Error("decoupled driver engaged with a flight recorder attached")
 	}
 }
 
 // TestParallelKernelEmptyFrame: a frame with no routable triangles still
-// reports zeroed per-node FIFO peaks on both kernels.
+// reports zeroed per-node FIFO peaks on both drivers.
 func TestParallelKernelEmptyFrame(t *testing.T) {
 	s := testScene(1, 10, 64)
 	s.Triangles = nil
 	m := runKernelPair(t, s, Config{Procs: 4})
 	if m.parallelFrames == 0 {
-		t.Error("parallel kernel never engaged")
+		t.Error("decoupled driver never engaged")
 	}
 }
 
 // TestSetNodeParallelismDefaults pins the knob semantics: <=0 restores the
-// GOMAXPROCS default and 1 forces the event kernel.
+// GOMAXPROCS default, and 1 means one worker — the decoupled driver still
+// runs when its preconditions hold, because the worker count never picks
+// the driver.
 func TestSetNodeParallelismDefaults(t *testing.T) {
 	s := testScene(2, 10, 64)
 	m, err := NewMachine(s, Config{Procs: 2})
@@ -215,11 +219,11 @@ func TestSetNodeParallelismDefaults(t *testing.T) {
 		t.Errorf("nodeParallelism() = %d after reset", got)
 	}
 	m.SetNodeParallelism(1)
-	if m.parallelEligible() {
-		t.Error("eligible with node parallelism forced to 1")
+	if got := m.nodeParallelism(); got != 1 {
+		t.Errorf("nodeParallelism() = %d, want 1", got)
 	}
-	m.SetNodeParallelism(8)
-	if !m.parallelEligible() {
-		t.Error("not eligible with node parallelism 8")
+	m.Run()
+	if m.parallelFrames != 1 {
+		t.Errorf("one worker: decoupled driver ran %d of 1 frames", m.parallelFrames)
 	}
 }

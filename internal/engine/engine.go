@@ -221,69 +221,86 @@ func (e *Engine) StartTriangle(arrival float64) float64 {
 // ProcessTriangle runs one triangle through the pipeline, beginning no
 // earlier than arrival, and returns the absolute completion time. The
 // triangle holds the pipeline for max(setup, scan) cycles (setup overlaps
-// scanning; a clipped sliver still costs the full setup time).
+// scanning; a clipped sliver still costs the full setup time). Each
+// fragment's trilinear footprint is generated here and timed by
+// scanFragment, the per-fragment body ProcessPrecomputed replays recorded
+// footprints through.
 func (e *Engine) ProcessTriangle(arrival float64, w *TriangleWork) float64 {
 	start := e.StartTriangle(arrival)
 	stall0 := e.stats.StallCycles
-	s := start
 	if e.pureScan {
-		for _, sp := range w.Segments {
-			n := sp.Width()
-			s += float64(n)
-			e.stats.Fragments += uint64(n)
-		}
-		return e.finishTriangle(start, stall0, s)
+		return e.finishTriangle(start, stall0, e.scanPixels(start, w.Segments))
 	}
+	s := start
 	for _, sp := range w.Segments {
 		yc := float64(sp.Y) + 0.5
 		xc := float64(sp.X0) + 0.5
 		u := w.Map.U0 + w.Map.DuDx*xc + w.Map.DuDy*yc
 		v := w.Map.V0 + w.Map.DvDx*xc + w.Map.DvDy*yc
 		for x := sp.X0; x < sp.X1; x++ {
-			s++ // one scan cycle per fragment
 			w.Tex.TrilinearFootprint(u, v, w.LOD, &e.foot)
-			misses, mainMisses := 0, 0
-			for _, a := range e.foot {
-				if !e.cache.Access(a) {
-					misses++
-					if e.l2 != nil && !e.l2.Access(a) {
-						mainMisses++
-					}
-				}
-			}
-			if misses > 0 {
-				// Fetches were issued when this fragment entered the
-				// prefetch FIFO, i.e. when the fragment PrefetchDepth slots
-				// earlier retired — but never before the triangle itself
-				// arrived, since its addresses were unknown until then.
-				issue := e.ring[e.ringPos]
-				if issue < start {
-					issue = start
-				}
-				ready := e.bus.Fetch(issue, misses)
-				if mainMisses > 0 {
-					// L2-missing lines must first cross the main-memory
-					// bus; the fragment waits for the slower of the two.
-					if mainReady := e.mainBus.Fetch(issue, mainMisses); mainReady > ready {
-						ready = mainReady
-					}
-				}
-				if ready > s {
-					e.stats.StallCycles += ready - s
-					s = ready
-				}
-			}
-			e.ring[e.ringPos] = s
-			e.ringPos++
-			if e.ringPos == len(e.ring) {
-				e.ringPos = 0
-			}
+			s = e.scanFragment(start, s, &e.foot)
 			u += w.Map.DuDx
 			v += w.Map.DvDx
-			e.stats.Fragments++
 		}
 	}
 	return e.finishTriangle(start, stall0, s)
+}
+
+// scanPixels is a whole triangle in the pure-scan regime: one cycle per
+// owned pixel, no texel traffic. It returns the scan clock after s.
+func (e *Engine) scanPixels(s float64, segs []raster.Span) float64 {
+	for _, sp := range segs {
+		n := sp.Width()
+		s += float64(n)
+		e.stats.Fragments += uint64(n)
+	}
+	return s
+}
+
+// scanFragment times one fragment with a known footprint — the single
+// per-fragment access/miss/stall/ring body of both ProcessTriangle and
+// ProcessPrecomputed — and returns the scan clock after it retires.
+func (e *Engine) scanFragment(start, s float64, foot *[8]texture.Addr) float64 {
+	s++ // one scan cycle per fragment
+	misses, mainMisses := 0, 0
+	for _, a := range foot {
+		if !e.cache.Access(a) {
+			misses++
+			if e.l2 != nil && !e.l2.Access(a) {
+				mainMisses++
+			}
+		}
+	}
+	if misses > 0 {
+		// Fetches were issued when this fragment entered the prefetch FIFO,
+		// i.e. when the fragment PrefetchDepth slots earlier retired — but
+		// never before the triangle itself arrived, since its addresses
+		// were unknown until then.
+		issue := e.ring[e.ringPos]
+		if issue < start {
+			issue = start
+		}
+		ready := e.bus.Fetch(issue, misses)
+		if mainMisses > 0 {
+			// L2-missing lines must first cross the main-memory bus; the
+			// fragment waits for the slower of the two.
+			if mainReady := e.mainBus.Fetch(issue, mainMisses); mainReady > ready {
+				ready = mainReady
+			}
+		}
+		if ready > s {
+			e.stats.StallCycles += ready - s
+			s = ready
+		}
+	}
+	e.ring[e.ringPos] = s
+	e.ringPos++
+	if e.ringPos == len(e.ring) {
+		e.ringPos = 0
+	}
+	e.stats.Fragments++
+	return s
 }
 
 // finishTriangle applies the setup-cost floor and advances the node clock.

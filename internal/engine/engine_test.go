@@ -212,6 +212,56 @@ func BenchmarkProcessTriangle(b *testing.B) {
 	b.ReportMetric(float64(e.Stats().Fragments)/b.Elapsed().Seconds(), "frags/s")
 }
 
+// BenchmarkProcessPrecomputed times the BenchmarkProcessTriangle triangle
+// replayed from its precomputed footprint stream: the two differ only in
+// where each fragment's footprint comes from.
+func BenchmarkProcessPrecomputed(b *testing.B) {
+	mgr := texture.NewManager()
+	tex := mgr.MustAdd(512, 512)
+	e := New(0, DefaultSetupCycles, cache.New(cache.PaperConfig()),
+		memory.NewBus(memory.BusConfig{TexelsPerCycle: 2}))
+	var spans []raster.Span
+	for y := 0; y < 32; y++ {
+		spans = append(spans, raster.Span{Y: y, X0: 0, X1: 128})
+	}
+	w := identityWork(tex, spans...).Precompute()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.ProcessPrecomputed(e.Time(), &w)
+	}
+	b.ReportMetric(float64(e.Stats().Fragments)/b.Elapsed().Seconds(), "frags/s")
+}
+
+// TestPrecomputedMatchesProcessTriangle: replaying Precompute's stream
+// times every triangle exactly as generating its footprints on the fly.
+func TestPrecomputedMatchesProcessTriangle(t *testing.T) {
+	models := []func() cache.Model{
+		func() cache.Model { return cache.New(cache.PaperConfig()) },
+		func() cache.Model { return cache.NewNone() },
+	}
+	for _, model := range models {
+		direct, tex := newTestEngine(model(), memory.BusConfig{TexelsPerCycle: 1})
+		replay := New(0, DefaultSetupCycles, model(), memory.NewBus(memory.BusConfig{TexelsPerCycle: 1}))
+		for i := 0; i < 4; i++ {
+			w := &TriangleWork{
+				Tex: tex, Map: geom.TexMap{U0: float64(3 * i), DuDx: 0.5, DvDy: 0.75}, LOD: 0.25,
+				Segments: []raster.Span{{Y: i, X0: 0, X1: 40}, {Y: i + 1, X0: 5, X1: 70}},
+			}
+			pw := w.Precompute()
+			if got, want := replay.ProcessPrecomputed(float64(10*i), &pw), direct.ProcessTriangle(float64(10*i), w); got != want {
+				t.Fatalf("triangle %d: replay done %v, direct %v", i, got, want)
+			}
+		}
+		if direct.Stats() != replay.Stats() || direct.CacheStats() != replay.CacheStats() ||
+			direct.BusStats() != replay.BusStats() {
+			t.Errorf("counters differ: direct %+v %+v %+v, replay %+v %+v %+v",
+				direct.Stats(), direct.CacheStats(), direct.BusStats(),
+				replay.Stats(), replay.CacheStats(), replay.BusStats())
+		}
+	}
+}
+
 func TestProcessTriangleAllocFree(t *testing.T) {
 	// The per-triangle fast path must not allocate: the texel-footprint
 	// scratch lives on the engine and spans are caller-owned.

@@ -7,11 +7,10 @@
 // ProcessPrecomputed replays it into any cache/bus configuration with
 // byte-identical timing and counters.
 //
-// Equivalence contract: for the same arrival and the same triangle,
-// ProcessPrecomputed performs the same floating-point operations in the same
-// order as ProcessTriangle — per-fragment scan increments, miss/stall
-// arithmetic and prefetch-ring updates are replicated verbatim. A run's
-// repeated fragments re-access a footprint the previous fragment just
+// Equivalence contract: ProcessTriangle and ProcessPrecomputed time every
+// fragment through the one scanFragment body, so for the same arrival and
+// the same triangle they differ only in where the footprint comes from. A
+// run's repeated fragments re-access a footprint the previous fragment just
 // touched; when the cache model guarantees such repeats hit without
 // disturbing replacement state (cache.Model.RepeatHits), the replay accounts
 // them in bulk and skips the lookups — the fast path that makes replay
@@ -20,6 +19,8 @@
 package engine
 
 import (
+	"math"
+
 	"repro/internal/raster"
 	"repro/internal/texture"
 )
@@ -40,6 +41,34 @@ type PrecomputedWork struct {
 	Reps []int32
 }
 
+// Precompute returns w's replayable counterpart: the same segments, with
+// every fragment's trilinear footprint generated by the u/v arithmetic of
+// ProcessTriangle — recomputed at each span start, stepped per pixel — and
+// run-length encoded over consecutive identical footprints.
+func (w *TriangleWork) Precompute() PrecomputedWork {
+	pw := PrecomputedWork{Segments: w.Segments}
+	var foot, prev [8]texture.Addr
+	for _, sp := range w.Segments {
+		yc := float64(sp.Y) + 0.5
+		xc := float64(sp.X0) + 0.5
+		u := w.Map.U0 + w.Map.DuDx*xc + w.Map.DuDy*yc
+		v := w.Map.V0 + w.Map.DvDx*xc + w.Map.DvDy*yc
+		for x := sp.X0; x < sp.X1; x++ {
+			w.Tex.TrilinearFootprint(u, v, w.LOD, &foot)
+			if n := len(pw.Reps); n > 0 && foot == prev && pw.Reps[n-1] < math.MaxInt32 {
+				pw.Reps[n-1]++
+			} else {
+				pw.Addrs = append(pw.Addrs, foot[:]...)
+				pw.Reps = append(pw.Reps, 1)
+				prev = foot
+			}
+			u += w.Map.DuDx
+			v += w.Map.DvDx
+		}
+	}
+	return pw
+}
+
 // Frags returns the total fragment count of the owned segments.
 func (w *PrecomputedWork) Frags() int {
 	n := 0
@@ -57,18 +86,13 @@ func (w *PrecomputedWork) Frags() int {
 func (e *Engine) ProcessPrecomputed(arrival float64, w *PrecomputedWork) float64 {
 	start := e.StartTriangle(arrival)
 	stall0 := e.stats.StallCycles
-	s := start
 	if e.pureScan {
-		for _, sp := range w.Segments {
-			n := sp.Width()
-			s += float64(n)
-			e.stats.Fragments += uint64(n)
-		}
-		return e.finishTriangle(start, stall0, s)
+		return e.finishTriangle(start, stall0, e.scanPixels(start, w.Segments))
 	}
+	s := start
 	repeatFast := e.cache.RepeatHits()
 	for r := range w.Reps {
-		foot := w.Addrs[r*8 : r*8+8 : r*8+8]
+		foot := (*[8]texture.Addr)(w.Addrs[r*8:])
 		reps := int(w.Reps[r])
 		if repeatFast {
 			s = e.scanFragment(start, s, foot)
@@ -95,44 +119,6 @@ func (e *Engine) ProcessPrecomputed(arrival float64, w *PrecomputedWork) float64
 		}
 	}
 	return e.finishTriangle(start, stall0, s)
-}
-
-// scanFragment times one fragment with a known footprint: the per-fragment
-// access/miss/stall/ring body of ProcessTriangle, verbatim.
-func (e *Engine) scanFragment(start, s float64, foot []texture.Addr) float64 {
-	s++ // one scan cycle per fragment
-	misses, mainMisses := 0, 0
-	for _, a := range foot {
-		if !e.cache.Access(a) {
-			misses++
-			if e.l2 != nil && !e.l2.Access(a) {
-				mainMisses++
-			}
-		}
-	}
-	if misses > 0 {
-		issue := e.ring[e.ringPos]
-		if issue < start {
-			issue = start
-		}
-		ready := e.bus.Fetch(issue, misses)
-		if mainMisses > 0 {
-			if mainReady := e.mainBus.Fetch(issue, mainMisses); mainReady > ready {
-				ready = mainReady
-			}
-		}
-		if ready > s {
-			e.stats.StallCycles += ready - s
-			s = ready
-		}
-	}
-	e.ring[e.ringPos] = s
-	e.ringPos++
-	if e.ringPos == len(e.ring) {
-		e.ringPos = 0
-	}
-	e.stats.Fragments++
-	return s
 }
 
 // PureScan reports whether this engine is in the pure-scan regime (perfect

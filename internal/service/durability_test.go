@@ -367,6 +367,60 @@ func TestJournalResume(t *testing.T) {
 	}
 }
 
+// TestJournalAtMostOnceInstantJobs pins the journal's ordering against
+// workers that finish a job the moment it is poppable: the entry is written
+// before the job can be popped and removed before its terminal status is
+// published, so a finished job is never journaled — not even briefly, and
+// not left behind to rerun on the next resume.
+func TestJournalAtMostOnceInstantJobs(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := New(context.Background(), Config{
+		Workers:       2,
+		QueueDepth:    16,
+		CheckpointDir: dir,
+		runOverride: func(ctx context.Context, req *Request) ([]byte, error) {
+			return []byte(`{}`), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	const jobs = 8
+	for i := 0; i < jobs; i++ {
+		req := tinySweep()
+		req.Sweep.Buffer = i + 1
+		if _, err := srv.Submit(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	journaled := func(id string) bool {
+		_, err := os.Stat(filepath.Join(dir, "jobs", id+".json"))
+		return err == nil
+	}
+	waitFor(t, func() bool {
+		done := 0
+		for _, j := range srv.list() {
+			if j.status != StatusDone {
+				continue
+			}
+			if journaled(j.id) {
+				t.Fatalf("%s is done but still journaled", j.id)
+			}
+			done++
+		}
+		return done == jobs
+	}, "instant jobs to finish")
+	entries, err := os.ReadDir(filepath.Join(dir, "jobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("journal holds %d entries after every job finished", len(entries))
+	}
+}
+
 // A server without Resume must leave the journal alone (rows checkpoints
 // still work), so an operator can opt out of replay without losing the
 // entries.

@@ -46,9 +46,9 @@ type Config struct {
 	// Parallelism bounds concurrent simulations inside one job (0 = 1:
 	// cross-job parallelism comes from the worker pool).
 	Parallelism int
-	// NodeParallelism bounds each simulation's parallel node kernel
-	// (0 = share the job's Parallelism budget, 1 = force the event-driven
-	// kernel; see sweep.RunOpts). Results are identical at every setting.
+	// NodeParallelism bounds the workers each simulation uses to build and
+	// replay its frames (0 = share the job's Parallelism budget, 1 = one
+	// worker; see sweep.RunOpts). Results are identical at every setting.
 	NodeParallelism int
 	// NoMemo disables the sweep planner's raster-artifact memoization for
 	// every sweep job (see sweep.RunOpts.NoMemo). Results are identical
@@ -526,7 +526,6 @@ func (s *Server) submit(ctx context.Context, req *Request, routed, exempt bool) 
 	}
 
 	s.mSubmitted.With(req.Type).Inc()
-	s.journalAdd(j)
 	s.logger.LogAttrs(j.ctx, slog.LevelInfo, "job queued",
 		slog.String("type", req.Type), slog.String("tenant", tenant),
 		slog.String("class", j.class.String()), slog.String("cache_key", key[:12]))
@@ -534,11 +533,12 @@ func (s *Server) submit(ctx context.Context, req *Request, routed, exempt bool) 
 }
 
 // register creates and records a job for a normalized request. With
-// enqueue it also pushes the job onto the worker queue, reporting a full
-// queue through enqueued=false (in which case the job is NOT registered
-// and its ID is reused). Without enqueue the job is registered but owned
-// by the caller — the cluster forwarding paths, which supervise it
-// instead of a local worker.
+// enqueue it also journals the job and pushes it onto the worker queue,
+// reporting a full queue through enqueued=false (in which case the job is
+// NOT registered, its journal entry is removed and its ID is reused when no
+// later ID was handed out). Without enqueue the job is registered but owned
+// by the caller — the cluster forwarding paths, which supervise it instead
+// of a local worker.
 func (s *Server) register(ctx context.Context, req *Request, key string, enqueue bool) (j *job, enqueued bool, err error) {
 	jctx, cancel := context.WithCancel(s.baseCtx)
 	s.mu.Lock()
@@ -548,8 +548,10 @@ func (s *Server) register(ctx context.Context, req *Request, key string, enqueue
 		return nil, false, &submitError{code: 503, err: fmt.Errorf("service is draining")}
 	}
 	s.seq++
+	seq := s.seq
+	s.mu.Unlock()
 	j = &job{
-		id:        fmt.Sprintf("job-%06d", s.seq),
+		id:        fmt.Sprintf("job-%06d", seq),
 		req:       req,
 		tenant:    tenantOrDefault(req.Tenant),
 		class:     classify(req, s.cfg.InteractiveMaxPoints),
@@ -575,22 +577,35 @@ func (s *Server) register(ctx context.Context, req *Request, key string, enqueue
 	}
 	j.ctx = logging.WithAttrs(jctx, attrs...)
 	if enqueue {
-		// The push happens under s.mu so it cannot race with Drain flipping
-		// the draining flag; it is non-blocking, so the lock is never held
-		// for long. (A push after close is answered with closed=true rather
-		// than panicking, unlike the old channel queue.)
-		ok, closed := s.q.push(j, false)
-		if closed {
-			s.mu.Unlock()
-			cancel()
-			return nil, false, &submitError{code: 503, err: fmt.Errorf("service is draining")}
-		}
-		if !ok {
+		// Journal before the job becomes poppable: a worker may finish it
+		// at once, and an entry written after its removal would outlive the
+		// job and rerun it on the next resume.
+		s.journalAdd(j)
+	}
+	s.mu.Lock()
+	// The push happens under s.mu so it cannot race with Drain flipping the
+	// draining flag and closing the queue; it is non-blocking, so the lock
+	// is never held for long.
+	full := false
+	if !s.draining && enqueue {
+		ok, _ := s.q.push(j, false)
+		full = !ok
+	}
+	if s.draining || full {
+		if full && s.seq == seq {
 			s.seq-- // unused ID
-			s.mu.Unlock()
-			cancel()
+		}
+		s.mu.Unlock()
+		cancel()
+		if enqueue {
+			s.journalRemove(j.id)
+		}
+		if full {
 			return nil, false, nil
 		}
+		return nil, false, &submitError{code: 503, err: fmt.Errorf("service is draining")}
+	}
+	if enqueue {
 		s.enqueuedJob(j)
 	}
 	s.jobs[j.id] = j
@@ -717,6 +732,9 @@ func (s *Server) runJob(j *job) {
 	wall := now.Sub(j.started).Seconds()
 	s.mDuration.With(j.req.scene()).Observe(wall)
 
+	// The entry goes before the terminal status is published, so a client
+	// that sees the job finished never finds it still journaled.
+	s.journalRemove(j.id)
 	s.mu.Lock()
 	j.finished = now
 	j.fromCache = fromCache
@@ -737,7 +755,6 @@ func (s *Server) runJob(j *job) {
 	j.cancel()
 	s.mu.Unlock()
 
-	s.journalRemove(j.id)
 	s.progress.End(j.id, string(final), errMsg)
 	s.mCompleted.With(string(final)).Inc()
 	if err == nil && !fromCache && j.req.Type == "sweep" {

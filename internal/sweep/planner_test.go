@@ -110,8 +110,8 @@ func TestPlannerPerfectCacheSpansOnly(t *testing.T) {
 	}
 }
 
-// TestPlannerFlightSweepMemoizes: the flight recorder forces the event
-// kernel, whose replay path must also be byte-identical, recordings
+// TestPlannerFlightSweepMemoizes: the flight recorder forces the
+// FIFO-coupled driver, whose replay must also be byte-identical, recordings
 // included.
 func TestPlannerFlightSweepMemoizes(t *testing.T) {
 	spec := Spec{

@@ -374,13 +374,15 @@ type RunOpts struct {
 	// Parallelism bounds how many configurations simulate concurrently
 	// (<=0 = sequential). It is also the sweep's total worker budget.
 	Parallelism int
-	// NodeParallelism bounds each simulation's parallel node kernel (see
-	// core.Machine.SetNodeParallelism): 1 forces the event-driven kernel,
-	// 0 shares the worker budget — when fewer configurations than budget
-	// run concurrently, the spare workers go to each machine's node kernel
-	// (budget / concurrent configurations, at least 1). A sweep of many
+	// NodeParallelism bounds the workers each simulation uses to build its
+	// frames and replay its node pipelines (see
+	// core.Machine.SetNodeParallelism): 1 is one worker, and 0 shares the
+	// worker budget — when fewer configurations than budget run
+	// concurrently, the spare workers go to each machine (budget /
+	// concurrent configurations, at least 1). A sweep of many
 	// configurations therefore parallelizes across configurations; a sweep
-	// of one big configuration parallelizes across its nodes.
+	// of one big configuration parallelizes across its nodes. The setting
+	// never changes which frame driver runs, nor any result.
 	NodeParallelism int
 	// Progress, when non-nil, observes each configuration's lifecycle (see
 	// ProgressSink). Off costs one nil check per row; rows and results are

@@ -142,7 +142,7 @@ func TestRunOptsNodeParallelism(t *testing.T) {
 		{RunOpts{Parallelism: 8}, 20, 1},                     // jobs soak the budget
 		{RunOpts{Parallelism: 8}, 2, 4},                      // spare budget goes to nodes
 		{RunOpts{Parallelism: 16}, 1, 16},                    // one big config gets it all
-		{RunOpts{Parallelism: 8, NodeParallelism: 1}, 2, 1},  // explicit force-serial
+		{RunOpts{Parallelism: 8, NodeParallelism: 1}, 2, 1},  // explicit one worker
 		{RunOpts{Parallelism: 8, NodeParallelism: 3}, 20, 3}, // explicit bound wins
 	}
 	for i, c := range cases {
@@ -153,7 +153,7 @@ func TestRunOptsNodeParallelism(t *testing.T) {
 }
 
 func TestRunWithNodeParallelismMatchesRun(t *testing.T) {
-	// The node-parallel kernel must not change a single row: RunWith at any
+	// Node parallelism must not change a single row: RunWith at any
 	// NodeParallelism is byte-identical to the sequential Run.
 	want, err := Run(context.Background(), tinySpec, 0)
 	if err != nil {
