@@ -11,6 +11,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/texture"
 )
@@ -29,13 +30,18 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-// Model is the cache contract the engine drives: one call per texel access,
-// returning whether the texel was already resident. A miss implies the
-// containing line is fetched (and inserted, for a real cache).
+// Model is the cache contract the engine drives: one call per fragment's
+// trilinear footprint (or per texel access), reporting which texels were
+// already resident. A miss implies the containing line is fetched (and
+// inserted, for a real cache).
 type Model interface {
 	// Access looks up the texel at byte address addr, updating replacement
 	// state, and reports a hit.
 	Access(addr texture.Addr) bool
+	// AccessFootprint looks up a fragment's 8 texel addresses in order,
+	// leaving the model exactly as 8 Access calls would, and returns a mask
+	// with bit i set when foot[i] missed.
+	AccessFootprint(foot *[8]texture.Addr) (missMask uint8)
 	// RepeatHits reports whether re-accessing a trilinear footprint (at most
 	// 8 addresses, at most 2 distinct lines per set and mip level) that the
 	// immediately preceding accesses fully touched is guaranteed to hit on
@@ -132,26 +138,70 @@ func (c *SetAssoc) Config() Config { return c.cfg }
 // Access implements Model.
 func (c *SetAssoc) Access(addr texture.Addr) bool {
 	c.stats.Accesses++
-	line := uint32(addr) >> c.lineBits
-	set := line & c.setMask
-	base := int(set) * c.ways
-	ways := c.tags[base : base+c.ways]
-	if ways[0] == line { // fast path: repeated texel
+	if c.lookup(uint32(addr) >> c.lineBits) {
 		return true
 	}
-	for i := 1; i < len(ways); i++ {
-		if ways[i] == line {
-			// Hit: rotate to MRU position.
-			copy(ways[1:i+1], ways[:i])
-			ways[0] = line
-			return true
-		}
-	}
-	// Miss: evict LRU (last), insert at MRU.
 	c.stats.Misses++
-	copy(ways[1:], ways[:len(ways)-1])
-	ways[0] = line
 	return false
+}
+
+// AccessFootprint implements Model. An address in the same line as the one
+// before it is a hit that changes nothing (that line was just made MRU of
+// its set), so only line changes probe a set. The probe is lookup's body
+// inlined by hand: an out-of-line call per line costs the engine about 15%
+// of its per-fragment time. TestAccessFootprintMatchesAccess pins the two
+// to the same results and replacement state.
+func (c *SetAssoc) AccessFootprint(foot *[8]texture.Addr) (missMask uint8) {
+	c.stats.Accesses += 8
+	prev := invalidTag
+	for i, a := range foot {
+		line := uint32(a) >> c.lineBits
+		if line == prev {
+			continue
+		}
+		prev = line
+		ways := c.tags[int(line&c.setMask)*c.ways:][:c.ways]
+		if ways[0] == line {
+			continue
+		}
+		w := 1
+		for w < len(ways) && ways[w] != line {
+			w++
+		}
+		if w == len(ways) {
+			missMask |= 1 << i
+			w--
+		}
+		for ; w > 0; w-- {
+			ways[w] = ways[w-1]
+		}
+		ways[0] = line
+	}
+	c.stats.Misses += uint64(bits.OnesCount8(missMask))
+	return missMask
+}
+
+// lookup probes line's set and moves the line to the MRU position: a hit
+// rotates it forward, a miss evicts the LRU (last) way and inserts it. It
+// reports a hit.
+func (c *SetAssoc) lookup(line uint32) bool {
+	ways := c.tags[int(line&c.setMask)*c.ways:][:c.ways]
+	if ways[0] == line { // fast path: repeated line
+		return true
+	}
+	w := 1
+	for w < len(ways) && ways[w] != line {
+		w++
+	}
+	hit := w < len(ways)
+	if !hit {
+		w--
+	}
+	for ; w > 0; w-- {
+		ways[w] = ways[w-1]
+	}
+	ways[0] = line
+	return hit
 }
 
 // Stats implements Model.
@@ -195,6 +245,12 @@ func (c *Perfect) Access(texture.Addr) bool {
 	return true
 }
 
+// AccessFootprint implements Model: 8 hits.
+func (c *Perfect) AccessFootprint(*[8]texture.Addr) uint8 {
+	c.stats.Accesses += 8
+	return 0
+}
+
 // Stats implements Model.
 func (c *Perfect) Stats() Stats { return c.stats }
 
@@ -221,6 +277,13 @@ func (c *None) Access(texture.Addr) bool {
 	c.stats.Accesses++
 	c.stats.Misses++
 	return false
+}
+
+// AccessFootprint implements Model: 8 misses.
+func (c *None) AccessFootprint(*[8]texture.Addr) uint8 {
+	c.stats.Accesses += 8
+	c.stats.Misses += 8
+	return 0xff
 }
 
 // Stats implements Model.

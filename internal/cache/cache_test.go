@@ -233,3 +233,88 @@ func BenchmarkSetAssocAccess(b *testing.B) {
 		c.Access(addrs[i&4095])
 	}
 }
+
+// randomFootprint draws a fragment footprint: usually a real trilinear
+// footprint of one of a few textures (same-line neighbors, two mip levels),
+// sometimes 8 addresses from a small pool of lines (arbitrary set clashes
+// and repeats).
+func randomFootprint(rng *rand.Rand, texs []*texture.Texture) [8]texture.Addr {
+	var foot [8]texture.Addr
+	if rng.Intn(4) == 0 {
+		for i := range foot {
+			foot[i] = texture.Addr(rng.Intn(64) * texture.LineBytes)
+		}
+		return foot
+	}
+	tex := texs[rng.Intn(len(texs))]
+	s := tex.Sampler(rng.Float64()*4 - 1)
+	s.Footprint(rng.Float64()*300-50, rng.Float64()*300-50, &foot)
+	return foot
+}
+
+// TestAccessFootprintMatchesAccess: on twin caches, one AccessFootprint
+// call and 8 sequential Access calls give the same miss mask and Stats
+// after every footprint, and leave the same contents and replacement
+// order, which a follow-up random Access stream compares hit for hit.
+func TestAccessFootprintMatchesAccess(t *testing.T) {
+	mgr := texture.NewManager()
+	texs := []*texture.Texture{mgr.MustAdd(64, 64), mgr.MustAdd(256, 8), mgr.MustAdd(1, 128)}
+	models := []struct {
+		name string
+		make func() Model
+	}{
+		{"paper 16KB 4-way", func() Model { return New(PaperConfig()) }},
+		{"1-set 8-way", func() Model { return New(Config{SizeBytes: 8 * 64, Ways: 8, LineBytes: 64}) }},
+		{"2KB 2-way", func() Model { return New(Config{SizeBytes: 2048, Ways: 2, LineBytes: 64}) }},
+		{"64KB 4-way", func() Model { return New(Config{SizeBytes: 64 * 1024, Ways: 4, LineBytes: 64}) }},
+		{"perfect", func() Model { return NewPerfect() }},
+		{"none", func() Model { return NewNone() }},
+	}
+	for _, m := range models {
+		t.Run(m.name, func(t *testing.T) {
+			seq, batch := m.make(), m.make()
+			rng := rand.New(rand.NewSource(7))
+			for i := 0; i < 20000; i++ {
+				foot := randomFootprint(rng, texs)
+				var want uint8
+				for j, a := range foot {
+					if !seq.Access(a) {
+						want |= 1 << j
+					}
+				}
+				if got := batch.AccessFootprint(&foot); got != want {
+					t.Fatalf("footprint %d %v: miss mask %08b, sequential %08b", i, foot, got, want)
+				}
+				if seq.Stats() != batch.Stats() {
+					t.Fatalf("footprint %d: stats %+v, sequential %+v", i, batch.Stats(), seq.Stats())
+				}
+			}
+			for i := 0; i < 20000; i++ {
+				a := texture.Addr(rng.Intn(mgr.TotalBytes()))
+				if got, want := batch.Access(a), seq.Access(a); got != want {
+					t.Fatalf("follow-up access %d addr %d: hit=%v, sequential hit=%v", i, a, got, want)
+				}
+			}
+			if seq.Stats() != batch.Stats() {
+				t.Errorf("final stats %+v, sequential %+v", batch.Stats(), seq.Stats())
+			}
+		})
+	}
+}
+
+// BenchmarkSetAssocAccessFootprint probes real trilinear footprints of a
+// scan across a texture, one call per fragment.
+func BenchmarkSetAssocAccessFootprint(b *testing.B) {
+	c := New(PaperConfig())
+	tex := texture.NewManager().MustAdd(512, 512)
+	s := tex.Sampler(0.5)
+	foots := make([][8]texture.Addr, 4096)
+	for i := range foots {
+		s.Footprint(float64(i%512)*0.7, float64(i/512)*0.7, &foots[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.AccessFootprint(&foots[i&4095])
+	}
+}

@@ -25,6 +25,8 @@
 package engine
 
 import (
+	"math/bits"
+
 	"repro/internal/cache"
 	"repro/internal/geom"
 	"repro/internal/memory"
@@ -222,9 +224,11 @@ func (e *Engine) StartTriangle(arrival float64) float64 {
 // earlier than arrival, and returns the absolute completion time. The
 // triangle holds the pipeline for max(setup, scan) cycles (setup overlaps
 // scanning; a clipped sliver still costs the full setup time). Each
-// fragment's trilinear footprint is generated here and timed by
-// scanFragment, the per-fragment body ProcessPrecomputed replays recorded
-// footprints through.
+// fragment's trilinear footprint is generated here, from the mip pair
+// resolved once for the triangle, and timed by scanFragment — or, when it
+// repeats the previous fragment's footprint and the cache guarantees such
+// repeats hit, by repeatFragments: the same two bodies ProcessPrecomputed
+// replays recorded footprint runs through.
 func (e *Engine) ProcessTriangle(arrival float64, w *TriangleWork) float64 {
 	start := e.StartTriangle(arrival)
 	stall0 := e.stats.StallCycles
@@ -232,14 +236,23 @@ func (e *Engine) ProcessTriangle(arrival float64, w *TriangleWork) float64 {
 		return e.finishTriangle(start, stall0, e.scanPixels(start, w.Segments))
 	}
 	s := start
+	smp := w.Tex.Sampler(w.LOD)
+	repeatFast := e.cache.RepeatHits()
+	var prev [8]texture.Addr
+	first := true
 	for _, sp := range w.Segments {
 		yc := float64(sp.Y) + 0.5
 		xc := float64(sp.X0) + 0.5
 		u := w.Map.U0 + w.Map.DuDx*xc + w.Map.DuDy*yc
 		v := w.Map.V0 + w.Map.DvDx*xc + w.Map.DvDy*yc
 		for x := sp.X0; x < sp.X1; x++ {
-			w.Tex.TrilinearFootprint(u, v, w.LOD, &e.foot)
-			s = e.scanFragment(start, s, &e.foot)
+			smp.Footprint(u, v, &e.foot)
+			if repeatFast && !first && sameFootprint(&e.foot, &prev) {
+				s = e.repeatFragments(s, 1)
+			} else {
+				s = e.scanFragment(start, s, &e.foot)
+				prev, first = e.foot, false
+			}
 			u += w.Map.DuDx
 			v += w.Map.DvDx
 		}
@@ -260,19 +273,21 @@ func (e *Engine) scanPixels(s float64, segs []raster.Span) float64 {
 
 // scanFragment times one fragment with a known footprint — the single
 // per-fragment access/miss/stall/ring body of both ProcessTriangle and
-// ProcessPrecomputed — and returns the scan clock after it retires.
+// ProcessPrecomputed — and returns the scan clock after it retires. The L1
+// is probed with the whole footprint in one call; each L1 miss then probes
+// the L2, in footprint order (the two levels are independent models, so
+// the interleaving does not matter).
 func (e *Engine) scanFragment(start, s float64, foot *[8]texture.Addr) float64 {
 	s++ // one scan cycle per fragment
-	misses, mainMisses := 0, 0
-	for _, a := range foot {
-		if !e.cache.Access(a) {
-			misses++
-			if e.l2 != nil && !e.l2.Access(a) {
-				mainMisses++
+	if missMask := e.cache.AccessFootprint(foot); missMask != 0 {
+		mainMisses := 0
+		if e.l2 != nil {
+			for m := missMask; m != 0; m &= m - 1 {
+				if !e.l2.Access(foot[bits.TrailingZeros8(m)]) {
+					mainMisses++
+				}
 			}
 		}
-	}
-	if misses > 0 {
 		// Fetches were issued when this fragment entered the prefetch FIFO,
 		// i.e. when the fragment PrefetchDepth slots earlier retired — but
 		// never before the triangle itself arrived, since its addresses
@@ -281,7 +296,7 @@ func (e *Engine) scanFragment(start, s float64, foot *[8]texture.Addr) float64 {
 		if issue < start {
 			issue = start
 		}
-		ready := e.bus.Fetch(issue, misses)
+		ready := e.bus.Fetch(issue, bits.OnesCount8(missMask))
 		if mainMisses > 0 {
 			// L2-missing lines must first cross the main-memory bus; the
 			// fragment waits for the slower of the two.
@@ -294,13 +309,45 @@ func (e *Engine) scanFragment(start, s float64, foot *[8]texture.Addr) float64 {
 			s = ready
 		}
 	}
+	e.retire(s)
+	e.stats.Fragments++
+	return s
+}
+
+// repeatFragments times n fragments that each re-access the footprint the
+// fragment before them just touched, on a cache whose RepeatHits holds:
+// guaranteed hits that leave the cache state untouched, so no misses and no
+// stalls. Only the hit count, the scan clock, the prefetch ring and the
+// fragment count move. It returns the scan clock after the last one.
+func (e *Engine) repeatFragments(s float64, n int) float64 {
+	e.cache.AddHits(uint64(n) * 8)
+	for j := 0; j < n; j++ {
+		s++
+		e.retire(s)
+	}
+	e.stats.Fragments += uint64(n)
+	return s
+}
+
+// sameFootprint reports a == b, element by element: the compiler turns a
+// whole-array comparison into a memequal call, which costs more than the
+// early exit this loop usually takes.
+func sameFootprint(a, b *[8]texture.Addr) bool {
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// retire records a fragment retiring at s in the prefetch ring.
+func (e *Engine) retire(s float64) {
 	e.ring[e.ringPos] = s
 	e.ringPos++
 	if e.ringPos == len(e.ring) {
 		e.ringPos = 0
 	}
-	e.stats.Fragments++
-	return s
 }
 
 // finishTriangle applies the setup-cost floor and advances the node clock.

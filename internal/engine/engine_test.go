@@ -212,6 +212,27 @@ func BenchmarkProcessTriangle(b *testing.B) {
 	b.ReportMetric(float64(e.Stats().Fragments)/b.Elapsed().Seconds(), "frags/s")
 }
 
+// BenchmarkProcessTriangleMagnified times a magnified triangle (one texel
+// spans 8 pixels, lod < 0): consecutive fragments repeat a footprint in runs
+// of about 8, which the live path skips.
+func BenchmarkProcessTriangleMagnified(b *testing.B) {
+	mgr := texture.NewManager()
+	tex := mgr.MustAdd(512, 512)
+	e := New(0, DefaultSetupCycles, cache.New(cache.PaperConfig()),
+		memory.NewBus(memory.BusConfig{TexelsPerCycle: 2}))
+	var spans []raster.Span
+	for y := 0; y < 32; y++ {
+		spans = append(spans, raster.Span{Y: y, X0: 0, X1: 128})
+	}
+	w := &TriangleWork{Tex: tex, Map: geom.TexMap{DuDx: 0.125, DvDy: 0.125}, LOD: -3, Segments: spans}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.ProcessTriangle(e.Time(), w)
+	}
+	b.ReportMetric(float64(e.Stats().Fragments)/b.Elapsed().Seconds(), "frags/s")
+}
+
 // BenchmarkProcessPrecomputed times the BenchmarkProcessTriangle triangle
 // replayed from its precomputed footprint stream: the two differ only in
 // where each fragment's footprint comes from.
@@ -233,31 +254,127 @@ func BenchmarkProcessPrecomputed(b *testing.B) {
 	b.ReportMetric(float64(e.Stats().Fragments)/b.Elapsed().Seconds(), "frags/s")
 }
 
+// noRepeat hides a cache model's repeat-hit guarantee, so an engine driving
+// it looks up every fragment's footprint: the reference the repeat-skipping
+// paths must match.
+type noRepeat struct{ cache.Model }
+
+func (noRepeat) RepeatHits() bool { return false }
+
 // TestPrecomputedMatchesProcessTriangle: replaying Precompute's stream
-// times every triangle exactly as generating its footprints on the fly.
+// times every triangle exactly as generating its footprints on the fly, and
+// both match an engine that skips no repeated footprint — on a real cache,
+// on the cacheless model (no repeat skipping), with an L2 behind each, and
+// on a magnified triangle whose fragments repeat footprints in long runs.
 func TestPrecomputedMatchesProcessTriangle(t *testing.T) {
-	models := []func() cache.Model{
-		func() cache.Model { return cache.New(cache.PaperConfig()) },
-		func() cache.Model { return cache.NewNone() },
+	cases := []struct {
+		name    string
+		model   func() cache.Model
+		l2      bool
+		magnify bool
+	}{
+		{"paper", func() cache.Model { return cache.New(cache.PaperConfig()) }, false, false},
+		{"none", func() cache.Model { return cache.NewNone() }, false, false},
+		{"paper+l2", func() cache.Model { return cache.New(cache.Config{SizeBytes: 2048, Ways: 4, LineBytes: 64}) }, true, false},
+		{"none+l2", func() cache.Model { return cache.NewNone() }, true, false},
+		{"paper magnified", func() cache.Model { return cache.New(cache.PaperConfig()) }, false, true},
+		{"paper+l2 magnified", func() cache.Model { return cache.New(cache.Config{SizeBytes: 2048, Ways: 4, LineBytes: 64}) }, true, true},
 	}
-	for _, model := range models {
-		direct, tex := newTestEngine(model(), memory.BusConfig{TexelsPerCycle: 1})
-		replay := New(0, DefaultSetupCycles, model(), memory.NewBus(memory.BusConfig{TexelsPerCycle: 1}))
-		for i := 0; i < 4; i++ {
-			w := &TriangleWork{
-				Tex: tex, Map: geom.TexMap{U0: float64(3 * i), DuDx: 0.5, DvDy: 0.75}, LOD: 0.25,
-				Segments: []raster.Span{{Y: i, X0: 0, X1: 40}, {Y: i + 1, X0: 5, X1: 70}},
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tex := texture.NewManager().MustAdd(256, 256)
+			newEngine := func(c cache.Model) *Engine {
+				e := New(0, DefaultSetupCycles, c, memory.NewBus(memory.BusConfig{TexelsPerCycle: 1}))
+				if tc.l2 {
+					e.AttachL2(cache.New(cache.Config{SizeBytes: 16 * 1024, Ways: 8, LineBytes: 64}),
+						memory.NewBus(memory.BusConfig{TexelsPerCycle: 0.5}))
+				}
+				return e
 			}
-			pw := w.Precompute()
-			if got, want := replay.ProcessPrecomputed(float64(10*i), &pw), direct.ProcessTriangle(float64(10*i), w); got != want {
-				t.Fatalf("triangle %d: replay done %v, direct %v", i, got, want)
+			direct, replay, ref := newEngine(tc.model()), newEngine(tc.model()), newEngine(noRepeat{tc.model()})
+			frags, runs := 0, 0
+			for i := 0; i < 6; i++ {
+				w := &TriangleWork{
+					Tex: tex, Map: geom.TexMap{U0: float64(3 * i), DuDx: 0.5, DvDy: 0.75}, LOD: 0.25,
+					Segments: []raster.Span{{Y: i, X0: 0, X1: 40}, {Y: i + 1, X0: 5, X1: 70}},
+				}
+				if tc.magnify {
+					w.Map = geom.TexMap{U0: float64(5 * i), V0: 2, DuDx: 0.1, DvDx: 0.02, DvDy: 0.1}
+					w.LOD = -2
+				}
+				pw := w.Precompute()
+				frags += pw.Frags()
+				runs += len(pw.Reps)
+				arrival := float64(10 * i)
+				want := ref.ProcessTriangle(arrival, w)
+				if got := direct.ProcessTriangle(arrival, w); got != want {
+					t.Fatalf("triangle %d: direct done %v, reference %v", i, got, want)
+				}
+				if got := replay.ProcessPrecomputed(arrival, &pw); got != want {
+					t.Fatalf("triangle %d: replay done %v, reference %v", i, got, want)
+				}
 			}
+			if tc.magnify && runs*4 > frags {
+				t.Fatalf("magnified triangles: %d runs over %d fragments, want long repeat runs", runs, frags)
+			}
+			type counters struct {
+				Time      float64
+				Stats     Stats
+				Cache, L2 cache.Stats
+				Bus, Main memory.BusStats
+			}
+			snap := func(e *Engine) counters {
+				return counters{e.Time(), e.Stats(), e.CacheStats(), e.L2Stats(), e.BusStats(), e.MainBusStats()}
+			}
+			want := snap(ref)
+			if got := snap(direct); got != want {
+				t.Errorf("direct counters %+v, reference %+v", got, want)
+			}
+			if got := snap(replay); got != want {
+				t.Errorf("replay counters %+v, reference %+v", got, want)
+			}
+			if tc.l2 && want.L2.Accesses == 0 {
+				t.Error("L2 never probed (test premise broken)")
+			}
+		})
+	}
+}
+
+// countingCache counts AccessFootprint calls: the fragments a cache model
+// actually looked up.
+type countingCache struct {
+	cache.Model
+	lookups int
+}
+
+func (c *countingCache) AccessFootprint(foot *[8]texture.Addr) uint8 {
+	c.lookups++
+	return c.Model.AccessFootprint(foot)
+}
+
+// TestProcessTriangleSkipsRepeatedFootprints: the live path looks up one
+// footprint per run Precompute would record, when the cache guarantees
+// repeat hits, and every fragment's otherwise.
+func TestProcessTriangleSkipsRepeatedFootprints(t *testing.T) {
+	tex := texture.NewManager().MustAdd(256, 256)
+	w := &TriangleWork{
+		Tex: tex, Map: geom.TexMap{U0: 1, DuDx: 0.1, DvDy: 0.1}, LOD: -1,
+		Segments: []raster.Span{{Y: 0, X0: 0, X1: 100}, {Y: 1, X0: 0, X1: 100}},
+	}
+	pw := w.Precompute()
+	if len(pw.Reps)*2 > pw.Frags() {
+		t.Fatalf("%d runs over %d fragments, want long repeat runs", len(pw.Reps), pw.Frags())
+	}
+	for _, c := range []*countingCache{{Model: cache.New(cache.PaperConfig())}, {Model: cache.NewNone()}} {
+		e := New(0, DefaultSetupCycles, c, memory.NewBus(memory.BusConfig{TexelsPerCycle: 1}))
+		e.ProcessTriangle(0, w)
+		want := len(pw.Reps)
+		if !c.RepeatHits() {
+			want = pw.Frags()
 		}
-		if direct.Stats() != replay.Stats() || direct.CacheStats() != replay.CacheStats() ||
-			direct.BusStats() != replay.BusStats() {
-			t.Errorf("counters differ: direct %+v %+v %+v, replay %+v %+v %+v",
-				direct.Stats(), direct.CacheStats(), direct.BusStats(),
-				replay.Stats(), replay.CacheStats(), replay.BusStats())
+		if c.lookups != want {
+			t.Errorf("%T: %d footprint lookups, want %d (%d runs over %d fragments)",
+				c.Model, c.lookups, want, len(pw.Reps), pw.Frags())
 		}
 	}
 }

@@ -1,9 +1,11 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/geom"
 	"repro/internal/memory"
 	"repro/internal/raster"
 	"repro/internal/texture"
@@ -109,5 +111,51 @@ func TestAdvanceTo(t *testing.T) {
 	done := e.ProcessTriangle(0, identityWork(tex, raster.Span{Y: 1, X0: 0, X1: 50}))
 	if done != 250 {
 		t.Errorf("post-barrier triangle finished at %v, want 250", done)
+	}
+}
+
+// recordingL2 records every address the engine probes its L2 with.
+type recordingL2 struct {
+	cache.Model
+	addrs []texture.Addr
+}
+
+func (r *recordingL2) Access(a texture.Addr) bool {
+	r.addrs = append(r.addrs, a)
+	return r.Model.Access(a)
+}
+
+// TestL2ProbesL1MissesInOrder: the L2 sees exactly the addresses that miss
+// in the L1, in footprint order — the sequence a twin L1 probed one address
+// at a time, fragment by fragment, reports as misses.
+func TestL2ProbesL1MissesInOrder(t *testing.T) {
+	tex := texture.NewManager().MustAdd(128, 128)
+	w := &TriangleWork{
+		Tex: tex, Map: geom.TexMap{U0: 3, DuDx: 0.7, DvDx: 0.1, DvDy: 0.6}, LOD: 0.4,
+		Segments: []raster.Span{{Y: 0, X0: 0, X1: 90}, {Y: 1, X0: 3, X1: 80}, {Y: 2, X0: 0, X1: 60}},
+	}
+	pw := w.Precompute()
+	for _, l1 := range []func() cache.Model{
+		func() cache.Model { return cache.New(cache.Config{SizeBytes: 1024, Ways: 4, LineBytes: 64}) },
+		func() cache.Model { return cache.NewNone() },
+	} {
+		twin := l1()
+		var want []texture.Addr
+		for r, reps := range pw.Reps {
+			for j := int32(0); j < reps; j++ {
+				for _, a := range pw.Addrs[8*r : 8*r+8] {
+					if !twin.Access(a) {
+						want = append(want, a)
+					}
+				}
+			}
+		}
+		l2 := &recordingL2{Model: cache.New(cache.Config{SizeBytes: 8192, Ways: 8, LineBytes: 64})}
+		e := New(0, DefaultSetupCycles, l1(), memory.NewBus(memory.BusConfig{TexelsPerCycle: 1}))
+		e.AttachL2(l2, memory.NewBus(memory.BusConfig{TexelsPerCycle: 1}))
+		e.ProcessTriangle(0, w)
+		if !slices.Equal(l2.addrs, want) {
+			t.Errorf("%T L1: L2 probed %d addresses, want the %d L1 misses in order", twin, len(l2.addrs), len(want))
+		}
 	}
 }

@@ -31,12 +31,42 @@ const (
 type Addr = uint32
 
 type level struct {
-	base      Addr
-	w, h      uint32 // texel dimensions (powers of two)
-	maskU     uint32 // w-1, for wrap
-	maskV     uint32 // h-1
-	blockRowW uint32 // blocks per row
+	base    Addr
+	w, h    uint32 // texel dimensions (powers of two)
+	maskU   uint32 // w-1, for wrap
+	maskV   uint32 // h-1
+	rowSize uint32 // bytes per row of blocks
 }
+
+// rowAddr is the address of column 0 of texel row vv (already wrapped): the
+// block row's base plus the row's offset within its 4×4 blocks.
+func (lv *level) rowAddr(vv uint32) Addr {
+	return lv.base + (vv/BlockW)*lv.rowSize + (vv%BlockW)*BlockW*TexelBytes
+}
+
+// colOffset is the offset of texel column uu (already wrapped) from its
+// row's address. rowAddr(vv)+colOffset(uu) is the one address formula.
+func colOffset(uu uint32) Addr {
+	return (uu/BlockW)*LineBytes + (uu%BlockW)*TexelBytes
+}
+
+// bilinear returns the 4 texel addresses of a bilinear sample of base-level
+// coordinates (u, v) on this level, inv being 1/2^level: the 2×2
+// neighborhood around texel-center coordinates (u*inv - 0.5, v*inv - 0.5),
+// built from two row addresses and two column offsets.
+func (lv *level) bilinear(inv, u, v float64) (a0, a1, a2, a3 Addr) {
+	u0 := int32(math.Floor(u*inv - 0.5))
+	v0 := int32(math.Floor(v*inv - 0.5))
+	c0 := colOffset(uint32(u0) & lv.maskU)
+	c1 := colOffset(uint32(u0+1) & lv.maskU)
+	r0 := lv.rowAddr(uint32(v0) & lv.maskV)
+	r1 := lv.rowAddr(uint32(v0+1) & lv.maskV)
+	return r0 + c0, r0 + c1, r1 + c0, r1 + c1
+}
+
+// levelScale is 1/2^l, the factor from base-level to level-l coordinates.
+// It is an exact power of two, so u*levelScale(l) is exact.
+func levelScale(l int) float64 { return 1.0 / float64(uint32(1)<<uint(l)) }
 
 // Texture is one mipmapped texture resident in texture memory.
 type Texture struct {
@@ -71,11 +101,7 @@ func (t *Texture) LevelSize(l int) (w, h int) {
 // Manager, so they can be fed directly to the cache simulator.
 func (t *Texture) AddressOf(l int, u, v int32) Addr {
 	lv := &t.levels[l]
-	uu := uint32(u) & lv.maskU
-	vv := uint32(v) & lv.maskV
-	block := (vv/BlockW)*lv.blockRowW + uu/BlockW
-	within := (vv%BlockW)*BlockW + uu%BlockW
-	return lv.base + block*LineBytes + within*TexelBytes
+	return lv.rowAddr(uint32(v)&lv.maskV) + colOffset(uint32(u)&lv.maskU)
 }
 
 // clampLevel limits l to the texture's mip chain.
@@ -90,35 +116,48 @@ func (t *Texture) clampLevel(l int) int {
 }
 
 // BilinearFootprint writes the 4 texel addresses of a bilinear sample of
-// (u, v) — base-level texel coordinates — at mip level l into out.
+// (u, v) — base-level texel coordinates — at mip level l into out, which
+// must hold at least 4 addresses.
 func (t *Texture) BilinearFootprint(l int, u, v float64, out []Addr) {
 	l = t.clampLevel(l)
-	// Convert base-level coordinates to this level's grid, sampling at texel
-	// centers: the 2×2 neighborhood around (u/2^l - 0.5, v/2^l - 0.5).
-	inv := 1.0 / float64(uint32(1)<<uint(l))
-	lu := u*inv - 0.5
-	lvv := v*inv - 0.5
-	u0 := int32(math.Floor(lu))
-	v0 := int32(math.Floor(lvv))
-	out[0] = t.AddressOf(l, u0, v0)
-	out[1] = t.AddressOf(l, u0+1, v0)
-	out[2] = t.AddressOf(l, u0, v0+1)
-	out[3] = t.AddressOf(l, u0+1, v0+1)
+	out[0], out[1], out[2], out[3] = t.levels[l].bilinear(levelScale(l), u, v)
 }
 
-// TrilinearFootprint writes the 8 texel addresses a trilinear filter touches
-// for base-level coordinates (u, v) at level-of-detail lod: a 2×2 bilinear
-// footprint in each of the two bracketing mip levels. This is the "8 texels
-// per pixel" cost the paper's bandwidth analysis is built on.
-func (t *Texture) TrilinearFootprint(u, v, lod float64, out *[8]Addr) {
+// Sampler generates the trilinear footprints of one texture at one level of
+// detail: the two bracketing mip levels and their coordinate scales,
+// resolved once (per triangle) instead of once per fragment.
+type Sampler struct {
+	l0, l1     level
+	inv0, inv1 float64
+}
+
+// Sampler resolves the mip pair a trilinear filter at level-of-detail lod
+// reads: level ⌊lod⌋ and the next one, both clamped to the mip chain (a
+// negative lod magnifies the base level).
+func (t *Texture) Sampler(lod float64) Sampler {
 	l0 := int(lod)
 	if lod < 0 {
 		l0 = 0
 	}
 	l0 = t.clampLevel(l0)
 	l1 := t.clampLevel(l0 + 1)
-	t.BilinearFootprint(l0, u, v, out[0:4])
-	t.BilinearFootprint(l1, u, v, out[4:8])
+	return Sampler{l0: t.levels[l0], l1: t.levels[l1], inv0: levelScale(l0), inv1: levelScale(l1)}
+}
+
+// Footprint writes the 8 texel addresses a trilinear filter touches for
+// base-level coordinates (u, v): a 2×2 bilinear footprint in each of the
+// two bracketing mip levels. This is the "8 texels per pixel" cost the
+// paper's bandwidth analysis is built on.
+func (s *Sampler) Footprint(u, v float64, out *[8]Addr) {
+	out[0], out[1], out[2], out[3] = s.l0.bilinear(s.inv0, u, v)
+	out[4], out[5], out[6], out[7] = s.l1.bilinear(s.inv1, u, v)
+}
+
+// TrilinearFootprint is Sampler(lod).Footprint(u, v, out), for callers
+// sampling a single fragment.
+func (t *Texture) TrilinearFootprint(u, v, lod float64, out *[8]Addr) {
+	s := t.Sampler(lod)
+	s.Footprint(u, v, out)
 }
 
 // Manager allocates textures in a single flat texture-memory address space,
@@ -149,12 +188,12 @@ func (m *Manager) Add(w, h int) (*Texture, error) {
 		blocksX := (lw + BlockW - 1) / BlockW
 		blocksY := (lh + BlockW - 1) / BlockW
 		t.levels = append(t.levels, level{
-			base:      base,
-			w:         lw,
-			h:         lh,
-			maskU:     lw - 1,
-			maskV:     lh - 1,
-			blockRowW: blocksX,
+			base:    base,
+			w:       lw,
+			h:       lh,
+			maskU:   lw - 1,
+			maskV:   lh - 1,
+			rowSize: blocksX * LineBytes,
 		})
 		base += blocksX * blocksY * LineBytes
 		if lw == 1 && lh == 1 {

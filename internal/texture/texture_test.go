@@ -252,3 +252,16 @@ func BenchmarkTrilinearFootprint(b *testing.B) {
 		tex.TrilinearFootprint(float64(i%256), float64((i*7)%256), 0.5, &out)
 	}
 }
+
+// BenchmarkSamplerFootprint is BenchmarkTrilinearFootprint with the mip pair
+// resolved once, as the engine does per triangle.
+func BenchmarkSamplerFootprint(b *testing.B) {
+	m := NewManager()
+	tex := m.MustAdd(256, 256)
+	s := tex.Sampler(0.5)
+	var out [8]Addr
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.Footprint(float64(i%256), float64((i*7)%256), &out)
+	}
+}

@@ -45,8 +45,7 @@ func Measure(s *Scene) (SceneStats, error) {
 	var foot [8]texture.Addr
 	for i := range s.Triangles {
 		t := &s.Triangles[i]
-		tex := mgr.Texture(t.TexID)
-		lod := t.Tex.LOD()
+		smp := mgr.Texture(t.TexID).Sampler(t.Tex.LOD())
 		r.ForEachSpan(*t, s.Screen, func(sp raster.Span) {
 			st.PixelsRendered += uint64(sp.Width())
 			xc := float64(sp.X0) + 0.5
@@ -54,7 +53,7 @@ func Measure(s *Scene) (SceneStats, error) {
 			u := t.Tex.U0 + t.Tex.DuDx*xc + t.Tex.DuDy*yc
 			v := t.Tex.V0 + t.Tex.DvDx*xc + t.Tex.DvDy*yc
 			for x := sp.X0; x < sp.X1; x++ {
-				tex.TrilinearFootprint(u, v, lod, &foot)
+				smp.Footprint(u, v, &foot)
 				for _, a := range foot {
 					seen.set(uint(a) / texture.TexelBytes)
 				}
