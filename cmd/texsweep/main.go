@@ -44,6 +44,24 @@ type writeOnlyRows struct {
 
 func (writeOnlyRows) Get(string) ([]byte, bool) { return nil, false }
 
+// flightFileName names one configuration's trace file after its scene,
+// distribution, tile size and processor count, plus the row's non-zero
+// cache size, bus ratio and buffer depth, so every configuration of an axis
+// sweep gets its own file.
+func flightFileName(spec sweep.Spec, f sweep.Flight, row sweep.Row) string {
+	name := fmt.Sprintf("%s_%s%d_p%d", spec.Scene, spec.Dist, f.Size, f.Procs)
+	if row.CacheKB != 0 {
+		name += fmt.Sprintf("_c%dkb", row.CacheKB)
+	}
+	if row.Bus != 0 {
+		name += fmt.Sprintf("_bus%g", row.Bus)
+	}
+	if row.Buffer != 0 {
+		name += fmt.Sprintf("_buf%d", row.Buffer)
+	}
+	return name + ".trace.json"
+}
+
 func main() {
 	var (
 		sceneName = flag.String("scene", "truc640", "benchmark scene")
@@ -210,9 +228,8 @@ func main() {
 
 	if *flightDir != "" {
 		cliutil.Check("texsweep", os.MkdirAll(*flightDir, 0o755))
-		for _, f := range res.Flights {
-			name := fmt.Sprintf("%s_%s%d_p%d.trace.json", spec.Scene, spec.Dist, f.Size, f.Procs)
-			path := filepath.Join(*flightDir, name)
+		for i, f := range res.Flights {
+			path := filepath.Join(*flightDir, flightFileName(spec, f, res.Rows[i]))
 			cliutil.Check("texsweep", os.WriteFile(path, f.Trace, 0o644))
 			var busy float64
 			for _, n := range f.Summary {

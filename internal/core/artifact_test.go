@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,20 +15,22 @@ import (
 	"repro/internal/trace"
 )
 
-// runArtifactPair simulates frames under cfg on the FIFO-coupled driver,
-// building each frame in memory, as the reference. It then replays a
-// prebuilt raster artifact of the same frames on the coupled driver and,
-// with the given node parallelism, under the default dispatch rule, and
-// fails unless every per-frame result is byte-identical after JSON encoding.
-// It returns the default-dispatch replaying machine.
+// runArtifactPair simulates frames under cfg on the event-driven reference,
+// building each frame in memory. It then replays a prebuilt raster artifact
+// of the same frames on the forced FIFO-coupled driver and, with the given
+// node parallelism, under the default dispatch rule, and fails unless every
+// per-frame result is byte-identical after JSON encoding. It returns the
+// default-dispatch replaying machine.
 func runArtifactPair(t *testing.T, frames []*trace.Scene, cfg Config, nodePar int, opts ArtifactOpts) *Machine {
 	t.Helper()
-	run := func(a *RasterArtifact, coupled bool) ([]*Result, *Machine) {
+	run := func(a *RasterArtifact, force func(*Machine)) ([]*Result, *Machine) {
 		m, err := NewMachine(frames[0], cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.coupledOnly = coupled
+		if force != nil {
+			force(m)
+		}
 		m.SetNodeParallelism(nodePar)
 		if err := m.SetRasterArtifact(a); err != nil {
 			t.Fatal(err)
@@ -38,7 +41,7 @@ func runArtifactPair(t *testing.T, frames []*trace.Scene, cfg Config, nodePar in
 		}
 		return rs, m
 	}
-	want, _ := run(nil, true)
+	want, _ := run(nil, forceOracle)
 
 	cfgd := cfg.withDefaults()
 	a, err := BuildRasterArtifact(context.Background(), frames, cfgd.Procs,
@@ -46,8 +49,8 @@ func runArtifactPair(t *testing.T, frames []*trace.Scene, cfg Config, nodePar in
 	if err != nil {
 		t.Fatal(err)
 	}
-	coupled, _ := run(a, true)
-	got, replay := run(a, false)
+	coupled, _ := run(a, forceCoupled)
+	got, replay := run(a, nil)
 	for name, rs := range map[string][]*Result{"coupled": coupled, "default": got} {
 		for i := range want {
 			wantJS, err := json.Marshal(want[i])
@@ -59,7 +62,7 @@ func runArtifactPair(t *testing.T, frames []*trace.Scene, cfg Config, nodePar in
 				t.Fatal(err)
 			}
 			if string(wantJS) != string(gotJS) {
-				t.Errorf("frame %d: %s replay diverged\ndirect: %s\nreplay: %s", i, name, wantJS, gotJS)
+				t.Errorf("frame %d: %s replay diverged\nreference: %s\nreplay: %s", i, name, wantJS, gotJS)
 			}
 		}
 	}
@@ -138,14 +141,27 @@ func TestArtifactReplaySequence(t *testing.T) {
 	}
 }
 
-// TestArtifactReplayEventKernel sends the default dispatch to the coupled
-// event driver with a small triangle buffer: the replay distributor must
-// model the same back-pressure, FIFO peaks included.
-func TestArtifactReplayEventKernel(t *testing.T) {
+// TestArtifactReplayCoupled pins the dispatch rule on replay: with a
+// triangle buffer below the paper default that no node overfills, the
+// artifact replays decoupled with FIFO peaks equal to the node counts; with
+// one some node overfills, it replays on the coupled driver, which must
+// model the same back-pressure as the reference, FIFO peaks included.
+func TestArtifactReplayCoupled(t *testing.T) {
 	s := testScene(5, 60, 96)
-	m := runArtifactPair(t, []*trace.Scene{s}, Config{Procs: 4, TriangleBuffer: 8}, 4, ArtifactOpts{})
+	counts := frameCounts(t, s, 4)
+	most := slices.Max(counts)
+	m := runArtifactPair(t, []*trace.Scene{s}, Config{Procs: 4, TriangleBuffer: most}, 4, ArtifactOpts{})
+	if m.parallelFrames != 1 {
+		t.Errorf("buffer %d that no node overfills: decoupled driver ran %d of 1 frames", most, m.parallelFrames)
+	}
+	for i, n := range m.Run().Nodes {
+		if n.FIFOPeak != counts[i] {
+			t.Errorf("node %d: FIFO peak %d, want its count %d", i, n.FIFOPeak, counts[i])
+		}
+	}
+	m = runArtifactPair(t, []*trace.Scene{s}, Config{Procs: 4, TriangleBuffer: 8}, 4, ArtifactOpts{})
 	if m.parallelFrames != 0 {
-		t.Error("decoupled driver engaged despite a small triangle buffer")
+		t.Error("decoupled driver engaged despite an overfilled triangle buffer")
 	}
 }
 

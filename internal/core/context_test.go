@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"repro/internal/distrib"
+	"repro/internal/trace"
 )
 
 func TestSimulateContextCancelled(t *testing.T) {
@@ -23,8 +26,8 @@ func TestSimulateContextMatchesSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A cancellable (but never-cancelled) context takes the stepped run
-	// path; results must be bit-identical to the drain-the-queue path.
+	// A cancellable (but never-cancelled) context makes the drivers poll
+	// it; polling must not change a single bit of the result.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	stepped, err := SimulateContext(ctx, s, cfg)
@@ -34,6 +37,39 @@ func TestSimulateContextMatchesSimulate(t *testing.T) {
 	if plain.Cycles != stepped.Cycles || plain.Fragments != stepped.Fragments ||
 		plain.TrianglesRouted != stepped.TrianglesRouted {
 		t.Fatalf("stepped run diverged: %+v vs %+v", plain, stepped)
+	}
+}
+
+// TestReplayContextCancelled: with an artifact attached nothing is built,
+// so cancellation rests on the drivers' own polls. A pre-cancelled context
+// must return context.Canceled on both drivers, even for a frame far
+// smaller than the poll interval.
+func TestReplayContextCancelled(t *testing.T) {
+	s := testScene(6, 40, 96)
+	frames := []*trace.Scene{s}
+	a, err := BuildRasterArtifact(context.Background(), frames, 4, distrib.BlockKind, 16, ArtifactOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []struct {
+		name   string
+		buffer int
+	}{{"decoupled", 0}, {"coupled", 1}} {
+		m, err := NewMachine(s, Config{Procs: 4, TriangleBuffer: c.buffer})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SetRasterArtifact(a); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.RunContext(ctx); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", c.name, err)
+		}
+		if got := m.decoupled(a.Frames[0]); got != (c.name == "decoupled") {
+			t.Errorf("%s: dispatch rule picked decoupled = %v", c.name, got)
+		}
 	}
 }
 

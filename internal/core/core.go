@@ -14,12 +14,15 @@
 // demultiplexed once into the frame's work list (artifact.go), in memory or
 // from a prebuilt raster artifact. Replay: one dispatch rule hands the list
 // to one of two drivers, with the node-internal pixel pipeline timed by
-// internal/engine. The FIFO-coupled driver is event-driven on the sim
-// kernel, one event per (triangle, node); its distributor back-pressures on
-// full FIFOs, which is what couples nodes together and makes the
-// triangle-buffer-size experiment (paper §8) meaningful. When no FIFO can
-// ever fill, the nodes are independent and the decoupled driver
-// (parallel.go) times each node's list on its own, byte-identically.
+// internal/engine. The FIFO-coupled driver (replayCoupled) is one pass over
+// the frame's (triangle, node) work items in submission order: a direct
+// recurrence on the distributor's cycle, where a push into a full FIFO
+// waits for that FIFO's oldest item to pop. That back-pressure is what
+// couples nodes together and makes the triangle-buffer-size experiment
+// (paper §8) meaningful. When no FIFO can overfill, the nodes are
+// independent and the decoupled driver (parallel.go) times each node's list
+// on its own, concurrently. Both drivers give byte-identical results
+// wherever the rule allows either.
 package core
 
 import (
@@ -32,7 +35,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/memory"
 	"repro/internal/raster"
-	"repro/internal/sim"
 	"repro/internal/telemetry/flight"
 	"repro/internal/texture"
 	"repro/internal/trace"
@@ -278,9 +280,9 @@ type Machine struct {
 	// parallelFrames counts frames timed by the decoupled driver, so tests
 	// can assert which driver actually ran.
 	parallelFrames int
-	// coupledOnly sends every frame to the FIFO-coupled driver. Only tests
-	// set it, to take their reference results from that driver.
-	coupledOnly bool
+	// replay, when non-nil, times every frame in place of the dispatch
+	// rule. Only tests set it, to force one driver or the reference.
+	replay func(*Machine, context.Context, *FrameArtifact) error
 }
 
 // NewMachine builds a machine for the scene. The scene's texture table is
@@ -302,14 +304,21 @@ func NewMachine(scene *trace.Scene, cfg Config) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{
-		cfg:   cfg,
-		scene: scene,
-		dist:  d,
-		rast:  raster.New(scene.Screen),
-		mgr:   mgr,
-	}
-	for i := 0; i < cfg.Procs; i++ {
+	return &Machine{
+		cfg:     cfg,
+		scene:   scene,
+		dist:    d,
+		rast:    raster.New(scene.Screen),
+		mgr:     mgr,
+		engines: newEngines(cfg),
+	}, nil
+}
+
+// newEngines builds cfg's node engines, each with its own cache, bus and
+// optional L2: the one engine constructor every machine model shares.
+func newEngines(cfg Config) []*engine.Engine {
+	engines := make([]*engine.Engine, cfg.Procs)
+	for i := range engines {
 		var c cache.Model
 		switch cfg.CacheKind {
 		case CachePerfect:
@@ -319,14 +328,13 @@ func NewMachine(scene *trace.Scene, cfg Config) (*Machine, error) {
 		default:
 			c = cache.New(cfg.CacheConfig)
 		}
-		bus := memory.NewBus(cfg.Bus)
-		e := engine.NewWithPrefetch(i, cfg.SetupCycles, cfg.PrefetchDepth, c, bus)
+		e := engine.NewWithPrefetch(i, cfg.SetupCycles, cfg.PrefetchDepth, c, memory.NewBus(cfg.Bus))
 		if cfg.HasL2() {
 			e.AttachL2(cache.New(cfg.L2Config), memory.NewBus(cfg.MainBus))
 		}
-		m.engines = append(m.engines, e)
+		engines[i] = e
 	}
-	return m, nil
+	return engines
 }
 
 // EnableFlightRecorder attaches a flight recorder to every node and returns
@@ -355,7 +363,7 @@ func (m *Machine) Run() *Result {
 }
 
 // RunContext is Run with cancellation: the simulation polls ctx between
-// event batches and returns ctx.Err() mid-frame when it fires.
+// batches of work items and returns ctx.Err() mid-frame when it fires.
 func (m *Machine) RunContext(ctx context.Context) (*Result, error) {
 	results, err := m.RunSequenceContext(ctx, []*trace.Scene{m.scene})
 	if err != nil {
@@ -410,18 +418,12 @@ func (m *Machine) RunSequenceContext(ctx context.Context, frames []*trace.Scene)
 			return nil, err
 		}
 		res := &Result{Config: m.cfg, Scene: f.Name}
-		frameEnd := frameStart
 		for i, e := range m.engines {
-			cum := m.snapshot(i)
-			nr := cum.sub(prev[i])
+			cum := nodeResult(e, m.lastFIFOPeaks[i])
+			res.add(cum.sub(prev[i]))
 			prev[i] = cum
-			res.Nodes = append(res.Nodes, nr)
-			res.Fragments += nr.Fragments
-			res.TrianglesRouted += nr.Triangles
-			if e.Time() > frameEnd {
-				frameEnd = e.Time()
-			}
 		}
+		frameEnd := math.Max(frameStart, res.Cycles)
 		res.Cycles = frameEnd - frameStart
 		results = append(results, res)
 		// End-of-frame barrier: all nodes wait for the buffer swap.
@@ -438,16 +440,11 @@ func (m *Machine) RunSequenceContext(ctx context.Context, frames []*trace.Scene)
 	return results, nil
 }
 
-// cancelCheckEvents is how many simulation events fire between context
-// polls: frequent enough that cancellation lands within microseconds of real
-// time, rare enough to stay invisible in profiles.
-const cancelCheckEvents = 1 << 14
-
 // runFrame simulates frame fi: it takes the frame's work list from the
 // attached artifact, or builds it in memory without footprint streams and
 // drops it after the frame, then replays it on the driver the dispatch rule
-// (decoupled, parallel.go) picks. The coupled driver is the reference the
-// decoupled one matches byte for byte wherever the rule allows it.
+// (decoupled, parallel.go) picks. The two drivers agree byte for byte
+// wherever the rule allows either.
 func (m *Machine) runFrame(ctx context.Context, fi int, f *trace.Scene) error {
 	var fa *FrameArtifact
 	if m.artifact != nil {
@@ -460,45 +457,19 @@ func (m *Machine) runFrame(ctx context.Context, fi int, f *trace.Scene) error {
 		}
 		fa.finalize(m.cfg.Procs)
 	}
-	if m.decoupled(fa) {
+	switch {
+	case m.replay != nil:
+		return m.replay(m, ctx, fa)
+	case m.decoupled(fa):
 		return m.replayParallel(ctx, fa)
 	}
-	return m.replayEvents(ctx, fa)
+	return m.replayCoupled(ctx, fa)
 }
 
-// runSim drives an event simulation to completion, polling ctx between
-// batches of cancelCheckEvents events; an uncancellable context runs the
-// tight loop.
-func runSim(ctx context.Context, s *sim.Simulator) error {
-	if ctx.Done() == nil {
-		s.Run()
-		return nil
-	}
-	for {
-		ran := false
-		for i := 0; i < cancelCheckEvents; i++ {
-			if !s.Step() {
-				break
-			}
-			ran = true
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if !ran {
-			return nil
-		}
-	}
-}
-
-// snapshot captures node i's cumulative counters.
-func (m *Machine) snapshot(i int) NodeResult {
-	e := m.engines[i]
+// nodeResult snapshots engine e's cumulative counters, with fifoPeak as
+// its triangle-FIFO peak.
+func nodeResult(e *engine.Engine, fifoPeak int) NodeResult {
 	st := e.Stats()
-	peak := 0
-	if i < len(m.lastFIFOPeaks) {
-		peak = m.lastFIFOPeaks[i]
-	}
 	return NodeResult{
 		Fragments:   st.Fragments,
 		Triangles:   st.Triangles,
@@ -510,8 +481,17 @@ func (m *Machine) snapshot(i int) NodeResult {
 		Bus:         e.BusStats(),
 		L2:          e.L2Stats(),
 		MainBus:     e.MainBusStats(),
-		FIFOPeak:    peak,
+		FIFOPeak:    fifoPeak,
 	}
+}
+
+// add appends node n to the result, summing its fragments and routings and
+// raising Cycles to n's finish time.
+func (r *Result) add(n NodeResult) {
+	r.Nodes = append(r.Nodes, n)
+	r.Fragments += n.Fragments
+	r.TrianglesRouted += n.Triangles
+	r.Cycles = math.Max(r.Cycles, n.FinishTime)
 }
 
 // Simulate is the one-call convenience: build a machine and run the scene.
@@ -554,79 +534,83 @@ func SpeedupContext(ctx context.Context, scene *trace.Scene, cfg Config) (speedu
 	return single.Cycles / parallel.Cycles, single, parallel, nil
 }
 
-// replayEvents is the FIFO-coupled event driver: the distributor pushes
-// each triangle's work to its destinations' bounded FIFOs in submission
-// order, blocking while any destination FIFO is full, and every node pops
-// and times its work as the sim kernel schedules it. Any frame may run here;
-// the §8 buffering study and overfull FIFOs must. A cancelled context
-// abandons the frame mid-flight and leaves the machine in an undefined (but
-// safely reusable-after-Reset) state.
-func (m *Machine) replayEvents(ctx context.Context, fa *FrameArtifact) error {
-	s := sim.New()
-	d := &artifactDistributor{fa: fa}
-	for i := 0; i < m.cfg.Procs; i++ {
-		d.fifos = append(d.fifos, sim.NewFIFO[*ArtifactDest](s, m.cfg.TriangleBuffer))
-	}
-	s.At(0, d.step)
-	for i := 0; i < m.cfg.Procs; i++ {
-		n := &artifactNode{sim: s, engine: m.engines[i], mgr: m.mgr, fifo: d.fifos[i]}
-		s.At(0, n.step)
-	}
-	if err := runSim(ctx, s); err != nil {
+// replayCoupled is the FIFO-coupled driver: one pass over the frame's
+// destinations in submission order, with the distributor's clock as a
+// direct recurrence. Destination k of node d is pushed at the distributor's
+// cycle t and pops at max(t, ready), where ready is the ceiling of the
+// node's previous completion. A push into a full FIFO first blocks: the
+// distributor starts a new step at the cycle the FIFO's oldest item pops.
+// Any frame may run here; the §8 buffering study with overfull FIFOs and
+// flight-recorded runs must. See DESIGN.md §8 for why this reproduces the
+// event-driven machine exactly, same-cycle ordering included.
+func (m *Machine) replayCoupled(ctx context.Context, fa *FrameArtifact) error {
+	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if d.next != len(fa.Tris) {
-		panic(fmt.Sprintf("core: simulation deadlock: distributed %d of %d triangles",
-			d.next, len(fa.Tris)))
+	b := m.cfg.TriangleBuffer
+	fifos := make([]coupledFIFO, m.cfg.Procs)
+	for d := range fifos {
+		fifos[d].ring = make([]fifoItem, min(b, fa.counts[d]))
+	}
+	t, s, n := 0.0, 0, 0 // distributor cycle, step, destinations pushed
+	for i := range fa.Tris {
+		for j := range fa.Tris[i].Dests {
+			if n++; n%ctxPollTriangles == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			dst := &fa.Tris[i].Dests[j]
+			q := &fifos[dst.Node]
+			q.drain(t, s)
+			if q.pushed-q.popped == b {
+				// Full: block until the oldest item pops.
+				t, s = q.ring[q.popped%len(q.ring)].pop, s+1
+				q.drain(t, s)
+			}
+			pop := math.Max(t, q.ready)
+			q.ready = math.Ceil(dst.process(m.engines[dst.Node], m.mgr, pop))
+			q.ring[q.pushed%len(q.ring)] = fifoItem{pop: pop, step: s}
+			q.pushed++
+			q.peak = max(q.peak, q.pushed-q.popped)
+		}
 	}
 	m.lastFIFOPeaks = m.lastFIFOPeaks[:0]
-	for _, fifo := range d.fifos {
-		m.lastFIFOPeaks = append(m.lastFIFOPeaks, fifo.Peak)
+	for d := range fifos {
+		m.lastFIFOPeaks = append(m.lastFIFOPeaks, fifos[d].peak)
 	}
 	return nil
 }
 
-// artifactDistributor feeds a frame's triangles in submission order to the
-// routed nodes' FIFOs, blocking while any destination FIFO is full.
-// Distribution is instantaneous in simulated time (ideal geometry stage and
-// network), so all pushes happen at the stall-free front of the machine.
-type artifactDistributor struct {
-	fa    *FrameArtifact
-	fifos []*sim.FIFO[*ArtifactDest]
-
-	next int // next triangle to distribute
-	dest int // next destination of triangle next
+// coupledFIFO is one node's triangle FIFO on the coupled driver: its ring
+// holds the timing of the items pushed but not yet known to have popped,
+// never more than the FIFO's capacity.
+type coupledFIFO struct {
+	ring           []fifoItem
+	pushed, popped int     // items pushed; items known to have popped
+	ready          float64 // cycle the node is next free to pop
+	peak           int
 }
 
-// step distributes triangles until a FIFO back-pressures, then re-arms on
-// that FIFO's space event.
-func (d *artifactDistributor) step(now sim.Time) {
-	for ; d.next < len(d.fa.Tris); d.next, d.dest = d.next+1, 0 {
-		dests := d.fa.Tris[d.next].Dests
-		for ; d.dest < len(dests); d.dest++ {
-			dst := &dests[d.dest]
-			if !d.fifos[dst.Node].TryPush(dst) {
-				d.fifos[dst.Node].WaitSpace(d.step)
-				return
-			}
+// fifoItem is one pushed destination: the cycle the node pops it and the
+// distributor step that pushed it.
+type fifoItem struct {
+	pop  float64
+	step int
+}
+
+// drain advances q.popped past every item that has popped by the time the
+// distributor's step s runs at cycle t: items popped at an earlier cycle,
+// and those popped at cycle t that an earlier step pushed. An item pushed
+// before cycle t pops at t on the node's re-arm, scheduled before t; one
+// pushed at t wakes the node, which pops after the whole step that fed it
+// and before the next. Either way it was pushed in an earlier step.
+func (q *coupledFIFO) drain(t float64, s int) {
+	for q.popped < q.pushed {
+		it := &q.ring[q.popped%len(q.ring)]
+		if it.pop > t || it.pop == t && it.step == s {
+			return
 		}
+		q.popped++
 	}
-}
-
-// artifactNode is one node's consumer loop on the sim kernel.
-type artifactNode struct {
-	sim    *sim.Simulator
-	engine *engine.Engine
-	mgr    *texture.Manager
-	fifo   *sim.FIFO[*ArtifactDest]
-}
-
-func (n *artifactNode) step(now sim.Time) {
-	d, ok := n.fifo.TryPop()
-	if !ok {
-		n.fifo.WaitItem(n.step)
-		return
-	}
-	done := d.process(n.engine, n.mgr, float64(now))
-	n.sim.At(sim.Time(math.Ceil(done)), n.step)
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/cache"
 	"repro/internal/distrib"
 	"repro/internal/engine"
-	"repro/internal/memory"
 	"repro/internal/raster"
 	"repro/internal/trace"
 )
@@ -151,23 +149,7 @@ func SimulateDynamic(scene *trace.Scene, cfg Config, order DynamicOrder) (*Resul
 	}
 
 	// Greedy dispatch: each tile goes to the processor that frees first.
-	engines := make([]*engine.Engine, cfg.Procs)
-	for i := range engines {
-		var c cache.Model
-		switch cfg.CacheKind {
-		case CachePerfect:
-			c = cache.NewPerfect()
-		case CacheNone:
-			c = cache.NewNone()
-		default:
-			c = cache.New(cfg.CacheConfig)
-		}
-		e := engine.NewWithPrefetch(i, cfg.SetupCycles, cfg.PrefetchDepth, c, memory.NewBus(cfg.Bus))
-		if cfg.HasL2() {
-			e.AttachL2(cache.New(cfg.L2Config), memory.NewBus(cfg.MainBus))
-		}
-		engines[i] = e
-	}
+	engines := newEngines(cfg)
 	for _, tb := range queue {
 		best := 0
 		for i := 1; i < len(engines); i++ {
@@ -183,25 +165,7 @@ func SimulateDynamic(scene *trace.Scene, cfg Config, order DynamicOrder) (*Resul
 
 	res := &Result{Config: cfg, Scene: scene.Name}
 	for _, e := range engines {
-		st := e.Stats()
-		nr := NodeResult{
-			Fragments:   st.Fragments,
-			Triangles:   st.Triangles,
-			SetupBound:  st.SetupBound,
-			StallCycles: st.StallCycles,
-			BusyCycles:  st.BusyCycles,
-			FinishTime:  e.Time(),
-			Cache:       e.CacheStats(),
-			Bus:         e.BusStats(),
-			L2:          e.L2Stats(),
-			MainBus:     e.MainBusStats(),
-		}
-		res.Nodes = append(res.Nodes, nr)
-		res.Fragments += st.Fragments
-		res.TrianglesRouted += st.Triangles
-		if e.Time() > res.Cycles {
-			res.Cycles = e.Time()
-		}
+		res.add(nodeResult(e, 0))
 	}
 	return res, nil
 }

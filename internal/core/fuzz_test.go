@@ -8,21 +8,24 @@ import (
 
 	"repro/internal/distrib"
 	"repro/internal/memory"
+	"repro/internal/telemetry/flight"
 	"repro/internal/trace"
 )
 
 // FuzzFrameDrivers is the cross-driver differential oracle: a random small
-// scene on a random machine must give byte-identical results on the forced
-// FIFO-coupled driver, under the default dispatch rule, replaying a
-// memoized artifact with footprint streams, and replaying that artifact
-// after a TXRA encode→decode round trip. Every run must also conserve the
+// scene on a random machine must give the event-driven reference's results,
+// byte for byte, on the forced FIFO-coupled driver, under the default
+// dispatch rule, replaying a memoized artifact with footprint streams, and
+// replaying that artifact after a TXRA encode→decode round trip. With
+// record set, every run also records an auto-interval flight trace, which
+// must match the reference's byte for byte too. Every run must conserve the
 // fragments a single node draws.
 func FuzzFrameDrivers(f *testing.F) {
-	f.Add(int64(1), uint8(40), uint8(4), uint8(0), uint8(16), uint8(0), uint8(1), uint16(9999), false)
-	f.Add(int64(2), uint8(60), uint8(8), uint8(1), uint8(2), uint8(1), uint8(2), uint16(7), false)
-	f.Add(int64(3), uint8(30), uint8(16), uint8(2), uint8(8), uint8(2), uint8(3), uint16(0), true)
-	f.Add(int64(4), uint8(80), uint8(5), uint8(0), uint8(1), uint8(0), uint8(0), uint16(2), true)
-	f.Fuzz(func(t *testing.T, seed int64, nTri, procs, dist, tile, cacheKind, bus uint8, buffer uint16, l2 bool) {
+	f.Add(int64(1), uint8(40), uint8(4), uint8(0), uint8(16), uint8(0), uint8(1), uint16(9999), false, false)
+	f.Add(int64(2), uint8(60), uint8(8), uint8(1), uint8(2), uint8(1), uint8(2), uint16(7), false, true)
+	f.Add(int64(3), uint8(30), uint8(16), uint8(2), uint8(8), uint8(2), uint8(3), uint16(0), true, false)
+	f.Add(int64(4), uint8(80), uint8(5), uint8(0), uint8(1), uint8(0), uint8(0), uint16(2), true, false)
+	f.Fuzz(func(t *testing.T, seed int64, nTri, procs, dist, tile, cacheKind, bus uint8, buffer uint16, l2, record bool) {
 		s := testScene(seed, 1+int(nTri)%96, 96)
 		cfg := Config{
 			Procs:          1 + int(procs)%16,
@@ -37,13 +40,20 @@ func FuzzFrameDrivers(f *testing.F) {
 			cfg.MainBus = memory.BusConfig{TexelsPerCycle: 1}
 		}
 		frames := []*trace.Scene{s}
-		run := func(cfg Config, a *RasterArtifact, coupled bool) *Result {
+		// run returns the frame's result and, with record set, its trace.
+		run := func(cfg Config, a *RasterArtifact, force func(*Machine)) (*Result, string) {
 			t.Helper()
 			m, err := NewMachine(s, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.coupledOnly = coupled
+			if force != nil {
+				force(m)
+			}
+			var rec *flight.Recorder
+			if record {
+				rec = m.EnableFlightRecorder(0)
+			}
 			if err := m.SetRasterArtifact(a); err != nil {
 				t.Fatal(err)
 			}
@@ -51,7 +61,14 @@ func FuzzFrameDrivers(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return rs[0]
+			if rec == nil {
+				return rs[0], ""
+			}
+			tr, err := rec.Trace()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rs[0], string(tr)
 		}
 		encode := func(r *Result) string {
 			js, err := json.Marshal(r)
@@ -61,7 +78,7 @@ func FuzzFrameDrivers(f *testing.F) {
 			return string(js)
 		}
 
-		ref := run(cfg, nil, true)
+		ref, wantTrace := run(cfg, nil, forceOracle)
 		want := encode(ref)
 		cfgd := cfg.withDefaults()
 		a, err := BuildRasterArtifact(context.Background(), frames, cfgd.Procs,
@@ -78,17 +95,27 @@ func FuzzFrameDrivers(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, p := range []struct {
-			name string
-			a    *RasterArtifact
-		}{{"default dispatch", nil}, {"memoized artifact", a}, {"TXRA round trip", decoded}} {
-			if got := encode(run(cfg, p.a, false)); got != want {
-				t.Errorf("%s diverged from the coupled driver\ncoupled: %s\n%s: %s", p.name, want, p.name, got)
+			name  string
+			a     *RasterArtifact
+			force func(*Machine)
+		}{
+			{"forced coupled", nil, forceCoupled},
+			{"default dispatch", nil, nil},
+			{"memoized artifact", a, nil},
+			{"TXRA round trip", decoded, nil},
+		} {
+			res, tr := run(cfg, p.a, p.force)
+			if got := encode(res); got != want {
+				t.Errorf("%s diverged from the reference\nreference: %s\n%s: %s", p.name, want, p.name, got)
+			}
+			if tr != wantTrace {
+				t.Errorf("%s: flight trace diverged from the reference (%d vs %d bytes)", p.name, len(tr), len(wantTrace))
 			}
 		}
 
 		single := cfg
 		single.Procs = 1
-		one := run(single, nil, false)
+		one, _ := run(single, nil, nil)
 		var frags uint64
 		for _, n := range ref.Nodes {
 			frags += n.Fragments

@@ -1,29 +1,26 @@
-// The decoupled driver: when triangle FIFOs are provably big enough to never
-// back-pressure the distributor, the machine's nodes are fully independent —
-// the distributor pushes every triangle at simulated time zero and each node
-// drains its own queue with no cross-node coupling. In that regime (the
-// paper's "big enough" buffer assumption, used by every experiment except the
-// §8 buffering study) the event kernel's global heap is pure overhead: this
+// The decoupled driver: when no triangle FIFO can overfill, the distributor
+// never blocks, so it pushes every triangle at simulated cycle zero and the
+// machine's nodes are fully independent — each drains its own queue with no
+// cross-node coupling. In that regime (the paper's "big enough" buffer
+// assumption, used by every experiment except the §8 buffering study) this
 // file times every node's work list on its own, the nodes concurrently via
 // internal/par.
 //
 // Equivalence contract: the decoupled driver produces byte-identical results
-// (cycles, counters, cache statistics, FIFO peaks) to the FIFO-coupled event
-// driver. That holds because, with no backpressure, a node's k-th triangle
-// arrival in the event driver is exactly ceil(completion of triangle k−1)
-// (the node re-arms its step event at that cycle), and the engine's timing is
-// a deterministic function of its own arrival sequence only. The one dispatch
-// rule (decoupled) therefore sends a frame to the event driver whenever
-// coupling could matter:
+// (cycles, counters, cache statistics, FIFO peaks) to the FIFO-coupled
+// driver (replayCoupled). With no push ever blocking, that driver's
+// recurrence reduces to this file's arithmetic: every push at cycle 0, a
+// node's k-th pop at the ceiling of its (k−1)-th completion, and a FIFO peak
+// equal to the node's count. The one dispatch rule (decoupled) therefore
+// sends a frame to the coupled driver only when
 //
-//   - the configured TriangleBuffer is below the paper default (§8 regime);
 //   - some node is routed more triangles than its FIFO holds, so the
-//     distributor would actually block (the frame's per-node counts);
-//   - a flight recorder is attached (its shared auto-rescaling bucket grid is
-//     written by every node and is deliberately not synchronized).
+//     distributor would actually block (the frame's per-node counts); or
+//   - a flight recorder is attached (its shared auto-rescaling bucket grid
+//     is written by every node and is deliberately not synchronized).
 //
 // The worker count never gates the choice: on one worker the decoupled
-// driver is still cheaper than the event heap.
+// driver is still the cheaper one.
 package core
 
 import (
@@ -32,7 +29,6 @@ import (
 	"runtime"
 
 	"repro/internal/par"
-	"repro/internal/sim"
 )
 
 // SetNodeParallelism bounds how many concurrent workers the machine may use
@@ -53,14 +49,16 @@ func (m *Machine) nodeParallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ctxPollTriangles is how many triangles a worker processes between context
-// polls, mirroring the event driver's cancelCheckEvents granularity.
+// ctxPollTriangles is how many work items a driver processes between
+// context polls: frequent enough that cancellation lands within
+// microseconds, rare enough to stay invisible in profiles.
 const ctxPollTriangles = 1 << 10
 
 // decoupled is the dispatch rule: it reports whether frame fa may run on the
-// decoupled driver, i.e. whether no triangle FIFO can ever back-pressure.
+// decoupled driver, i.e. whether no recorder is attached and no triangle FIFO
+// can ever back-pressure.
 func (m *Machine) decoupled(fa *FrameArtifact) bool {
-	if m.coupledOnly || m.cfg.TriangleBuffer < DefaultTriangleBuffer || m.flight != nil {
+	if m.flight != nil {
 		return false
 	}
 	for _, n := range fa.counts {
@@ -72,8 +70,9 @@ func (m *Machine) decoupled(fa *FrameArtifact) bool {
 }
 
 // replayParallel is the decoupled driver: every node pipeline times its own
-// work list with the event driver's exact arrival arithmetic — the first pop
-// at cycle 0, each later pop at the integer cycle the node re-arms on.
+// work list with the coupled driver's arithmetic for a FIFO that never
+// fills — the first pop at cycle 0, each later pop at the ceiling of the
+// previous completion.
 func (m *Machine) replayParallel(ctx context.Context, fa *FrameArtifact) error {
 	procs := m.cfg.Procs
 	workers := m.nodeParallelism()
@@ -90,7 +89,7 @@ func (m *Machine) replayParallel(ctx context.Context, fa *FrameArtifact) error {
 				}
 			}
 			done := d.process(e, m.mgr, arrival)
-			arrival = float64(sim.Time(math.Ceil(done)))
+			arrival = math.Ceil(done)
 		}
 		return nil
 	})

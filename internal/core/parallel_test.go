@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"repro/internal/distrib"
@@ -10,39 +12,41 @@ import (
 	"repro/internal/trace"
 )
 
-// runKernelPair simulates s under cfg on the FIFO-coupled driver and under
-// the default dispatch rule and fails the test unless the results are
-// byte-identical after JSON encoding (cycles, fragments, texels, cache
-// statistics, FIFO peaks — everything the simulator reports). It returns the
-// default-dispatch machine so callers can inspect which driver actually ran.
+// runKernelPair simulates s under cfg on the event-driven reference, on the
+// forced FIFO-coupled driver and under the default dispatch rule, and fails
+// the test unless the results are byte-identical after JSON encoding
+// (cycles, fragments, texels, cache statistics, FIFO peaks — everything the
+// simulator reports). It returns the default-dispatch machine so callers can
+// inspect which driver actually ran.
 func runKernelPair(t *testing.T, s *trace.Scene, cfg Config) *Machine {
 	t.Helper()
-	serial, err := NewMachine(s, cfg)
-	if err != nil {
-		t.Fatal(err)
+	run := func(force func(*Machine)) (string, *Machine) {
+		m, err := NewMachine(s, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if force != nil {
+			force(m)
+		}
+		m.SetNodeParallelism(4)
+		js, err := json.Marshal(m.Run())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(js), m
 	}
-	serial.coupledOnly = true
-	par, err := NewMachine(s, cfg)
-	if err != nil {
-		t.Fatal(err)
+	want, oracle := run(forceOracle)
+	if oracle.parallelFrames != 0 {
+		t.Error("reference machine ran the decoupled driver")
 	}
-	par.SetNodeParallelism(4)
-	want, got := serial.Run(), par.Run()
-	wantJS, err := json.Marshal(want)
-	if err != nil {
-		t.Fatal(err)
+	if got, _ := run(forceCoupled); got != want {
+		t.Errorf("coupled driver disagrees with the reference\nreference: %s\ncoupled: %s", want, got)
 	}
-	gotJS, err := json.Marshal(got)
-	if err != nil {
-		t.Fatal(err)
+	got, m := run(nil)
+	if got != want {
+		t.Errorf("default dispatch disagrees with the reference\nreference: %s\ndefault: %s", want, got)
 	}
-	if string(wantJS) != string(gotJS) {
-		t.Errorf("drivers disagree\ncoupled: %s\ndefault: %s", wantJS, gotJS)
-	}
-	if serial.parallelFrames != 0 {
-		t.Error("coupled reference machine ran the decoupled driver")
-	}
-	return par
+	return m
 }
 
 // TestParallelKernelEquivalenceMatrix pins the equivalence contract across
@@ -114,18 +118,20 @@ func TestParallelKernelL2(t *testing.T) {
 }
 
 // TestParallelKernelSequence checks frame sequences: per-frame snapshots and
-// the inter-frame cache state they depend on must match the coupled driver.
+// the inter-frame cache state they depend on must match the reference.
 func TestParallelKernelSequence(t *testing.T) {
 	base := benchSceneFor(t, "room3", 0.1)
 	frames := scene.PanSequence(base, 4, 3, 1)
 	cfg := Config{Procs: 8, TileSize: 8}
 
-	run := func(coupled bool) ([]*Result, *Machine) {
+	run := func(force func(*Machine)) ([]*Result, *Machine) {
 		m, err := NewMachine(frames[0], cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.coupledOnly = coupled
+		if force != nil {
+			force(m)
+		}
 		m.SetNodeParallelism(4)
 		rs, err := m.RunSequence(frames)
 		if err != nil {
@@ -133,8 +139,8 @@ func TestParallelKernelSequence(t *testing.T) {
 		}
 		return rs, m
 	}
-	want, _ := run(true)
-	got, m := run(false)
+	want, _ := run(forceOracle)
+	got, m := run(nil)
 	if m.parallelFrames != len(frames) {
 		t.Errorf("decoupled driver ran %d of %d frames", m.parallelFrames, len(frames))
 	}
@@ -142,21 +148,47 @@ func TestParallelKernelSequence(t *testing.T) {
 		wantJS, _ := json.Marshal(want[i])
 		gotJS, _ := json.Marshal(got[i])
 		if string(wantJS) != string(gotJS) {
-			t.Errorf("frame %d: drivers disagree\ncoupled: %s\ndefault: %s",
+			t.Errorf("frame %d: drivers disagree\nreference: %s\ndefault: %s",
 				i, wantJS, gotJS)
 		}
 	}
 }
 
-// TestParallelKernelSmallBufferFallsBack pins the §8 rule: any TriangleBuffer
-// below the paper default can back-pressure the distributor, so the machine
-// must use the coupled driver regardless of the parallelism setting.
-func TestParallelKernelSmallBufferFallsBack(t *testing.T) {
+// TestParallelKernelSmallBufferDecoupled pins the dispatch rule in the §8
+// regime: a buffer below the paper default that no node overfills never
+// back-pressures the distributor, so the frame runs decoupled with every
+// FIFO peak equal to the node's count; a buffer some node overfills runs
+// the coupled driver. Both must match the event-driven reference.
+func TestParallelKernelSmallBufferDecoupled(t *testing.T) {
 	s := testScene(5, 60, 96)
-	m := runKernelPair(t, s, Config{Procs: 4, TriangleBuffer: 8})
-	if m.parallelFrames != 0 {
-		t.Error("decoupled driver engaged despite a small triangle buffer")
+	counts := frameCounts(t, s, 4)
+	most := slices.Max(counts)
+	m := runKernelPair(t, s, Config{Procs: 4, TriangleBuffer: most})
+	if m.parallelFrames != 1 {
+		t.Errorf("buffer %d < default that no node overfills: decoupled driver ran %d of 1 frames",
+			most, m.parallelFrames)
 	}
+	for i, n := range m.Run().Nodes {
+		if n.FIFOPeak != counts[i] {
+			t.Errorf("node %d: FIFO peak %d, want its count %d", i, n.FIFOPeak, counts[i])
+		}
+	}
+	m = runKernelPair(t, s, Config{Procs: 4, TriangleBuffer: most - 1})
+	if m.parallelFrames != 0 {
+		t.Errorf("buffer %d overfilled by a %d-triangle node: decoupled driver engaged", most-1, most)
+	}
+}
+
+// frameCounts returns each node's routed triangle count for s on a procs-node
+// machine with the default block distribution.
+func frameCounts(t *testing.T, s *trace.Scene, procs int) []int {
+	t.Helper()
+	a, err := BuildRasterArtifact(context.Background(), []*trace.Scene{s}, procs,
+		distrib.BlockKind, 16, ArtifactOpts{SpansOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a.Counts(0)
 }
 
 // TestParallelKernelOverfullFIFOFallsBack builds a frame with more triangles
@@ -177,8 +209,9 @@ func TestParallelKernelOverfullFIFOFallsBack(t *testing.T) {
 }
 
 // TestParallelKernelFlightRecorderFallsBack: the flight recorder's bucket
-// grid is shared across nodes, so recorded runs must stay on the coupled
-// driver (and recordings therefore stay deterministic).
+// grid is shared across nodes, so recorded runs must stay on the
+// single-threaded coupled driver (and recordings therefore stay
+// deterministic).
 func TestParallelKernelFlightRecorderFallsBack(t *testing.T) {
 	s := testScene(13, 40, 96)
 	m, err := NewMachine(s, Config{Procs: 4})

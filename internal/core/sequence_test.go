@@ -15,7 +15,7 @@ func l2Config() cache.Config {
 	return cache.Config{SizeBytes: 1 << 20, Ways: 8, LineBytes: 64}
 }
 
-func benchSceneFor(t *testing.T, name string, scale float64) *trace.Scene {
+func benchSceneFor(t testing.TB, name string, scale float64) *trace.Scene {
 	t.Helper()
 	b, err := scene.ByName(name, scale)
 	if err != nil {

@@ -3,9 +3,7 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/engine"
-	"repro/internal/memory"
 	"repro/internal/raster"
 	"repro/internal/trace"
 )
@@ -64,23 +62,7 @@ func SimulateSortLast(scene *trace.Scene, cfg Config, assign SortLastAssignment)
 		return nil, err
 	}
 
-	engines := make([]*engine.Engine, cfg.Procs)
-	for i := range engines {
-		var c cache.Model
-		switch cfg.CacheKind {
-		case CachePerfect:
-			c = cache.NewPerfect()
-		case CacheNone:
-			c = cache.NewNone()
-		default:
-			c = cache.New(cfg.CacheConfig)
-		}
-		e := engine.NewWithPrefetch(i, cfg.SetupCycles, cfg.PrefetchDepth, c, memory.NewBus(cfg.Bus))
-		if cfg.HasL2() {
-			e.AttachL2(cache.New(cfg.L2Config), memory.NewBus(cfg.MainBus))
-		}
-		engines[i] = e
-	}
+	engines := newEngines(cfg)
 
 	rast := raster.New(scene.Screen)
 	var spans []raster.Span
@@ -112,25 +94,7 @@ func SimulateSortLast(scene *trace.Scene, cfg Config, assign SortLastAssignment)
 
 	res := &Result{Config: cfg, Scene: scene.Name}
 	for _, e := range engines {
-		st := e.Stats()
-		nr := NodeResult{
-			Fragments:   st.Fragments,
-			Triangles:   st.Triangles,
-			SetupBound:  st.SetupBound,
-			StallCycles: st.StallCycles,
-			BusyCycles:  st.BusyCycles,
-			FinishTime:  e.Time(),
-			Cache:       e.CacheStats(),
-			Bus:         e.BusStats(),
-			L2:          e.L2Stats(),
-			MainBus:     e.MainBusStats(),
-		}
-		res.Nodes = append(res.Nodes, nr)
-		res.Fragments += st.Fragments
-		res.TrianglesRouted += st.Triangles
-		if e.Time() > res.Cycles {
-			res.Cycles = e.Time()
-		}
+		res.add(nodeResult(e, 0))
 	}
 	return res, nil
 }

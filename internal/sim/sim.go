@@ -7,6 +7,11 @@
 // The kernel is deliberately minimal: a binary-heap event queue keyed on
 // (time, sequence) so that simultaneous events fire in schedule order, which
 // keeps runs fully deterministic.
+//
+// Only tests import this package. The machine in internal/core times its
+// FIFO-coupled regime with a direct recurrence; its tests run the same
+// frames through an event-driven reference built on this kernel and require
+// byte-identical results.
 package sim
 
 import (
