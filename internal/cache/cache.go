@@ -107,6 +107,7 @@ type SetAssoc struct {
 	// an empty way.
 	tags  []uint32
 	stats Stats
+	_     [64]byte // no other node's state on these lines; see TestModelsArePadded
 }
 
 const invalidTag = ^uint32(0)
@@ -234,6 +235,7 @@ func (c *SetAssoc) Reset() {
 // load balancing from texture locality.
 type Perfect struct {
 	stats Stats
+	_     [64]byte // no other node's state on these lines; see TestModelsArePadded
 }
 
 // NewPerfect returns a perfect cache.
@@ -267,6 +269,7 @@ func (c *Perfect) Reset() { c.stats = Stats{} }
 // fragment external bandwidth of the paper's "machine without a cache".
 type None struct {
 	stats Stats
+	_     [64]byte // no other node's state on these lines; see TestModelsArePadded
 }
 
 // NewNone returns a cacheless model.

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -316,5 +317,19 @@ func BenchmarkSetAssocAccessFootprint(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.AccessFootprint(&foots[i&4095])
+	}
+}
+
+// TestModelsArePadded: node pipelines replay on concurrent workers, and a
+// machine allocates node p's cache right before node p+1's. Every model's
+// counters are written on each fragment, so each model must end in a blank
+// pad of at least one 64-byte line, or the workers contend for the line.
+func TestModelsArePadded(t *testing.T) {
+	for _, m := range []Model{&SetAssoc{}, &Perfect{}, &None{}} {
+		typ := reflect.TypeOf(m).Elem()
+		last := typ.Field(typ.NumField() - 1)
+		if last.Name != "_" || last.Type.Kind() != reflect.Array || last.Type.Size() < 64 {
+			t.Errorf("%s ends in field %s %s, want a blank array of at least 64 bytes", typ, last.Name, last.Type)
+		}
 	}
 }

@@ -21,6 +21,14 @@
 //
 // The worker count never gates the choice: on one worker the decoupled
 // driver is still the cheaper one.
+//
+// Concurrent node timing scales only if node state shares no CPU cache
+// line: par.ForEach hands consecutive nodes to different workers, and
+// newEngines allocates node p's engine, cache and bus right before node
+// p+1's. Each of those types ends in a 64-byte pad, and the prefetch ring is
+// allocated in whole lines plus one, so no two workers write one line; the
+// layout tests in internal/engine, internal/cache and internal/memory guard
+// this.
 package core
 
 import (

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"slices"
 	"testing"
+	"time"
 
+	"repro/internal/cache"
 	"repro/internal/distrib"
 	"repro/internal/memory"
 	"repro/internal/scene"
@@ -259,4 +261,35 @@ func TestSetNodeParallelismDefaults(t *testing.T) {
 	if m.parallelFrames != 1 {
 		t.Errorf("one worker: decoupled driver ran %d of 1 frames", m.parallelFrames)
 	}
+}
+
+// BenchmarkNodeScaling times one paper-scale frame (truc640 at scale 0.5, 64
+// nodes, block-16, 16 KB caches, ratio-1 bus) built and replayed on one
+// worker and then on two, on the same machine, and reports the ratio as the
+// "x" metric. It has no threshold: the ratio is what the host gives, and a
+// shared host is noisy. Below ~2x on an idle 2-core host, look for node
+// state that shares a cache line between nodes first (TestNodeStateIsPadded
+// and its siblings guard the known objects).
+func BenchmarkNodeScaling(b *testing.B) {
+	s := benchSceneFor(b, "truc640", 0.5)
+	m, err := NewMachine(s, Config{
+		Procs: 64, Distribution: distrib.BlockKind, TileSize: 16,
+		CacheKind: CacheReal, CacheConfig: cache.PaperConfig(),
+		Bus: memory.BusConfig{TexelsPerCycle: 1},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func(workers int) time.Duration {
+		m.SetNodeParallelism(workers)
+		start := b.Elapsed()
+		m.Run()
+		return b.Elapsed() - start
+	}
+	var one, two time.Duration
+	for i := 0; i < b.N; i++ {
+		one += run(1)
+		two += run(2)
+	}
+	b.ReportMetric(one.Seconds()/two.Seconds(), "x")
 }

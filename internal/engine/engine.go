@@ -102,6 +102,7 @@ type Engine struct {
 	ringPos int
 	// rec, when non-nil, receives one phase attribution per triangle.
 	rec PhaseRecorder
+	_   [64]byte // no other node's state on these lines; see TestNodeStateIsPadded
 }
 
 // New returns an idle engine with the given cache model and bus and the
@@ -124,7 +125,7 @@ func NewWithPrefetch(id, setupCycles, prefetchDepth int, c cache.Model, bus *mem
 		setupCycles: float64(setupCycles),
 		cache:       c,
 		bus:         bus,
-		ring:        make([]float64, prefetchDepth),
+		ring:        newRing(prefetchDepth),
 	}
 	// A perfect cache on an infinite bus never stalls and fetches nothing:
 	// scanning is then pure pixel counting, so skip texel address generation
@@ -134,6 +135,14 @@ func NewWithPrefetch(id, setupCycles, prefetchDepth int, c cache.Model, bus *mem
 		e.pureScan = true
 	}
 	return e
+}
+
+// newRing allocates a prefetch ring of depth slots in a backing array
+// rounded up to whole 64-byte lines plus one, so the slots never share a line
+// with the next allocation (TestRingsShareNoLine).
+func newRing(depth int) []float64 {
+	const lineSlots = 64 / 8
+	return make([]float64, depth, (depth+lineSlots-1)/lineSlots*lineSlots+lineSlots)
 }
 
 // SetRecorder attaches (or, with nil, detaches) the flight-recorder hook.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
@@ -389,5 +390,37 @@ func TestProcessTriangleAllocFree(t *testing.T) {
 		arrival = e.ProcessTriangle(arrival, w)
 	}); n != 0 {
 		t.Errorf("ProcessTriangle allocates %.1f per call", n)
+	}
+}
+
+// TestNodeStateIsPadded: node pipelines replay on concurrent workers, and a
+// machine allocates node p's engine right before node p+1's. The engine's
+// clock and counters are written on every fragment, so it must end in a
+// blank pad of at least one 64-byte line, or the workers contend for the
+// line.
+func TestNodeStateIsPadded(t *testing.T) {
+	typ := reflect.TypeOf(Engine{})
+	last := typ.Field(typ.NumField() - 1)
+	if last.Name != "_" || last.Type.Kind() != reflect.Array || last.Type.Size() < 64 {
+		t.Errorf("%s ends in field %s %s, want a blank array of at least 64 bytes", typ, last.Name, last.Type)
+	}
+}
+
+// TestRingsShareNoLine: the prefetch ring is written on every fragment too,
+// and at depth 1 it is a single 8-byte slot, which unrounded would pack
+// several nodes' rings into one line.
+func TestRingsShareNoLine(t *testing.T) {
+	engines := make([]*Engine, 64)
+	owner := map[uintptr]int{}
+	for i := range engines {
+		engines[i] = NewWithPrefetch(i, DefaultSetupCycles, 1, cache.NewPerfect(), memory.NewBus(memory.BusConfig{TexelsPerCycle: 1}))
+		first := reflect.ValueOf(engines[i].ring).Pointer()
+		last := first + uintptr(len(engines[i].ring))*8 - 1
+		for line := first / 64; line <= last/64; line++ {
+			if j, ok := owner[line]; ok {
+				t.Fatalf("prefetch rings of engines %d and %d share the line at %#x", j, i, line*64)
+			}
+			owner[line] = i
+		}
 	}
 }

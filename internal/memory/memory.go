@@ -69,6 +69,7 @@ type Bus struct {
 	lineCycles float64
 	freeAt     float64
 	stats      BusStats
+	_          [64]byte // no other node's state on these lines; see TestBusIsPadded
 }
 
 // NewBus returns an idle bus. It panics on an invalid configuration; callers

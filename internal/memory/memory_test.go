@@ -2,6 +2,7 @@ package memory
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -145,5 +146,17 @@ func TestThroughputBound(t *testing.T) {
 	}
 	if ready < 16*n-64 || ready > 16*n+64 {
 		t.Errorf("saturated completion = %v, want ≈ %d", ready, 16*n)
+	}
+}
+
+// TestBusIsPadded: node pipelines replay on concurrent workers, and a machine
+// allocates node p's bus right before node p+1's. A bus is written on every
+// miss, so it must end in a blank pad of at least one 64-byte line, or the
+// workers contend for the line.
+func TestBusIsPadded(t *testing.T) {
+	typ := reflect.TypeOf(Bus{})
+	last := typ.Field(typ.NumField() - 1)
+	if last.Name != "_" || last.Type.Kind() != reflect.Array || last.Type.Size() < 64 {
+		t.Errorf("%s ends in field %s %s, want a blank array of at least 64 bytes", typ, last.Name, last.Type)
 	}
 }

@@ -465,6 +465,27 @@ func (o RunOpts) nodeParallelism(nJobs int) int {
 	return nodePar
 }
 
+// shares resolves the per-machine worker bounds of the baseline phase and
+// the point phase from the simulations each phase actually runs: a baseline
+// runs when some surviving point needs it and it was not checkpointed, a
+// point when it was not restored. Counting restored or skipped work would
+// shrink the share of what is left (a resumed sweep's last point on one
+// worker of four).
+func (o RunOpts) shares(needBase, haveBase, done []bool) (basePar, pointPar int) {
+	bases, points := 0, 0
+	for ci := range needBase {
+		if needBase[ci] && !haveBase[ci] {
+			bases++
+		}
+	}
+	for _, d := range done {
+		if !d {
+			points++
+		}
+	}
+	return o.nodeParallelism(bases), o.nodeParallelism(points)
+}
+
 // Run executes the sweep on up to parallelism concurrent simulations
 // (<=0 = sequential).
 //
@@ -703,8 +724,9 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 	// Baselines share the worker budget the same way points do: with one
 	// combo (the axis-free sweep) the single baseline gets the whole budget.
 	// Checkpointed or unneeded baselines are skipped (baseCycles already
-	// holds their denominator, or no surviving row divides by them).
-	basePar := opts.nodeParallelism(len(combos))
+	// holds their denominator, or no surviving row divides by them), and
+	// neither they nor restored points count against a share.
+	basePar, nodePar := opts.shares(needBase, haveBase, done)
 	err = par.ForEach(ctx, opts.Parallelism, len(combos), func(ci int) error {
 		if !needBase[ci] || haveBase[ci] {
 			return nil
@@ -727,7 +749,6 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 		return nil, err
 	}
 
-	nodePar := opts.nodeParallelism(len(points))
 	var flights []Flight
 	if spec.Flight {
 		flights = make([]Flight, len(points))

@@ -152,6 +152,28 @@ func TestRunOptsNodeParallelism(t *testing.T) {
 	}
 }
 
+func TestRunOptsSharesCountOnlyRunningSimulations(t *testing.T) {
+	opts := RunOpts{Parallelism: 4}
+	// 72 points, 71 restored: the last point gets the whole budget.
+	done := make([]bool, 72)
+	for i := 1; i < len(done); i++ {
+		done[i] = true
+	}
+	// Three combos: one unneeded, one checkpointed, one left to run.
+	needBase := []bool{false, true, true}
+	haveBase := []bool{false, true, false}
+	if base, pt := opts.shares(needBase, haveBase, done); base != 4 || pt != 4 {
+		t.Errorf("shares = (%d, %d), want (4, 4)", base, pt)
+	}
+	// Nothing restored: 72 points soak the budget at one worker each, and
+	// two baselines split it two and two.
+	needBase = []bool{true, true, false}
+	haveBase = []bool{false, false, false}
+	if base, pt := opts.shares(needBase, haveBase, make([]bool, 72)); base != 2 || pt != 1 {
+		t.Errorf("fresh shares = (%d, %d), want (2, 1)", base, pt)
+	}
+}
+
 func TestRunWithNodeParallelismMatchesRun(t *testing.T) {
 	// Node parallelism must not change a single row: RunWith at any
 	// NodeParallelism is byte-identical to the sequential Run.
