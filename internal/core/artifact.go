@@ -2,7 +2,8 @@
 // demultiplexing and, optionally, per-fragment texel address generation —
 // as a first-class value. Every frame the machine simulates is first built
 // into a FrameArtifact by buildFrameArtifact, the one rasterize→demux loop,
-// and then replayed by one of the two frame drivers (parallel.go, core.go).
+// and then replayed by one of the two frame drivers (parallel.go, core.go)
+// or by the dynamic or sort-last machine's own (dynamic.go, sortlast.go).
 //
 // A frame built for one run only is kept in memory without footprint
 // streams: each destination points at its source triangle, whose texture

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"testing"
 
@@ -79,5 +80,43 @@ func TestSpeedupContextCancelled(t *testing.T) {
 	cancel()
 	if _, _, _, err := SpeedupContext(ctx, s, Config{Procs: 4}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestExtensionContext: the dynamic tile queue and sort-last honour a
+// pre-cancelled context, and a cancellable context that never fires leaves
+// their results unchanged.
+func TestExtensionContext(t *testing.T) {
+	s := testScene(7, 120, 128)
+	cfg := Config{Procs: 4, TileSize: 16}
+	machines := map[string]func(context.Context) (*Result, error){
+		"dynamic": func(ctx context.Context) (*Result, error) {
+			return SimulateDynamicContext(ctx, s, cfg, DynamicLPT)
+		},
+		"sort-last": func(ctx context.Context) (*Result, error) {
+			return SimulateSortLastContext(ctx, s, cfg, SortLastChunked)
+		},
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	for name, run := range machines {
+		if _, err := run(cancelled); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", name, err)
+		}
+		plain, err := run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		stepped, err := run(live)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(plain)
+		got, _ := json.Marshal(stepped)
+		if string(got) != string(want) {
+			t.Errorf("%s: cancellable run diverged\nplain:       %s\ncancellable: %s", name, want, got)
+		}
 	}
 }

@@ -23,6 +23,18 @@
 // independent and the decoupled driver (parallel.go) times each node's list
 // on its own, concurrently. Both drivers give byte-identical results
 // wherever the rule allows either.
+//
+// The package models three machines, each a routing plus a driver over the
+// one build:
+//
+//   - sort-middle, the paper's machine: routed by the configured
+//     distribution, timed by the dispatch rule's driver;
+//   - the dynamic tile queue of the paper's §9 (dynamic.go): routed one node
+//     per tile, each tile's list then timed whole on the engine that frees
+//     first;
+//   - sort-last, the paper's [13]/[14] contrast (sortlast.go): routed to one
+//     node owning the whole screen, each triangle then timed on the engine
+//     its submission index selects.
 package core
 
 import (
@@ -280,15 +292,28 @@ type Machine struct {
 	// parallelFrames counts frames timed by the decoupled driver, so tests
 	// can assert which driver actually ran.
 	parallelFrames int
-	// replay, when non-nil, times every frame in place of the dispatch
-	// rule. Only tests set it, to force one driver or the reference.
+	// replay is the machine model's driver: when non-nil, it times every
+	// frame in place of the dispatch rule. The dynamic tile queue and
+	// sort-last set it; tests set it to force one driver or the reference.
 	replay func(*Machine, context.Context, *FrameArtifact) error
 }
 
-// NewMachine builds a machine for the scene. The scene's texture table is
+// NewMachine builds a sort-middle machine for the scene, its screen
+// statically partitioned by cfg's distribution. The scene's texture table is
 // replicated into every node's private texture memory (the paper's model:
 // each node holds all textures).
 func NewMachine(scene *trace.Scene, cfg Config) (*Machine, error) {
+	route := func(c Config) (distrib.Distribution, error) {
+		return distrib.New(c.Distribution, scene.Screen, c.Procs, c.TileSize)
+	}
+	return newMachine(scene, cfg, route, nil)
+}
+
+// newMachine builds the machine every model shares: cfg.Procs engines, fed
+// frames built with the distribution route returns for the defaulted cfg
+// (its node count need not be cfg.Procs) and timed by replay, or by the
+// dispatch rule when replay is nil.
+func newMachine(scene *trace.Scene, cfg Config, route func(Config) (distrib.Distribution, error), replay func(*Machine, context.Context, *FrameArtifact) error) (*Machine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -296,7 +321,7 @@ func NewMachine(scene *trace.Scene, cfg Config) (*Machine, error) {
 	if err := scene.Validate(); err != nil {
 		return nil, err
 	}
-	d, err := distrib.New(cfg.Distribution, scene.Screen, cfg.Procs, cfg.TileSize)
+	d, err := route(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -311,6 +336,7 @@ func NewMachine(scene *trace.Scene, cfg Config) (*Machine, error) {
 		rast:    raster.New(scene.Screen),
 		mgr:     mgr,
 		engines: newEngines(cfg),
+		replay:  replay,
 	}, nil
 }
 
@@ -455,7 +481,7 @@ func (m *Machine) runFrame(ctx context.Context, fi int, f *trace.Scene) error {
 		if err != nil {
 			return err
 		}
-		fa.finalize(m.cfg.Procs)
+		fa.finalize(m.dist.NumProcs())
 	}
 	switch {
 	case m.replay != nil:

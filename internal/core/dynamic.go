@@ -1,12 +1,12 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/distrib"
-	"repro/internal/engine"
-	"repro/internal/raster"
 	"repro/internal/trace"
 )
 
@@ -47,125 +47,78 @@ func (o DynamicOrder) String() string {
 // which is exactly why the paper's machines are static). Only block tiles
 // are supported; cfg.Distribution must be BlockKind.
 func SimulateDynamic(scene *trace.Scene, cfg Config, order DynamicOrder) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	return SimulateDynamicContext(context.Background(), scene, cfg, order) //texlint:ignore ctxfirst SimulateDynamic is the documented uncancellable shim over SimulateDynamicContext
+}
+
+// SimulateDynamicContext is SimulateDynamic with cancellation.
+//
+// The machine builds its frame with one node per tile: a block distribution
+// over tilesX*tilesY nodes has row stride tilesX, so node k owns exactly
+// tile k, and the frame's per-node work lists are the tile queue's entries.
+func SimulateDynamicContext(ctx context.Context, scene *trace.Scene, cfg Config, order DynamicOrder) (*Result, error) {
+	route := func(c Config) (distrib.Distribution, error) {
+		if c.Distribution != distrib.BlockKind {
+			return nil, fmt.Errorf("core: dynamic scheduling supports block tiles only")
+		}
+		w := c.TileSize
+		tiles := ((scene.Screen.Width() + w - 1) / w) * ((scene.Screen.Height() + w - 1) / w)
+		return distrib.NewBlock(scene.Screen, tiles, w)
 	}
-	if cfg.Distribution != distrib.BlockKind {
-		return nil, fmt.Errorf("core: dynamic scheduling supports block tiles only")
+	replay := func(m *Machine, ctx context.Context, fa *FrameArtifact) error {
+		return m.replayDynamic(ctx, fa, order)
 	}
-	if err := scene.Validate(); err != nil {
-		return nil, err
-	}
-	mgr, err := scene.BuildTextures()
+	m, err := newMachine(scene, cfg, route, replay)
 	if err != nil {
 		return nil, err
 	}
+	return m.RunContext(ctx)
+}
 
-	// Bin the frame into tiles: per tile, the triangle work in submission
-	// order plus a work estimate for LPT.
-	w := cfg.TileSize
-	tilesX := (scene.Screen.Width() + w - 1) / w
-	tilesY := (scene.Screen.Height() + w - 1) / w
-	nTiles := tilesX * tilesY
-	type tileBin struct {
-		id    int
-		work  []engine.TriangleWork
-		est   float64
-		first int // submission index of first triangle, for stable ties
+// replayDynamic is the tile queue's driver. Tiles with work join the queue
+// in screen order, or for LPT in descending order of their estimated work,
+// Σ max(pixels, setup) over the tile's triangles. Each tile in turn goes
+// whole to the engine that frees first (the lowest index on ties), which
+// times the tile's triangles back to back.
+func (m *Machine) replayDynamic(ctx context.Context, fa *FrameArtifact, order DynamicOrder) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	bins := make([]tileBin, nTiles)
-	for i := range bins {
-		bins[i] = tileBin{id: i, first: len(scene.Triangles)}
+	type tile struct {
+		work []*ArtifactDest
+		est  float64
 	}
-	rast := raster.New(scene.Screen)
-	segs := make(map[int][]raster.Span) // per-tile scratch for one triangle
-	for ti := range scene.Triangles {
-		t := &scene.Triangles[ti]
-		bb := t.BBox().Intersect(scene.Screen)
-		if bb.Empty() {
-			continue
-		}
-		for k := range segs {
-			delete(segs, k)
-		}
-		rast.ForEachSpan(*t, scene.Screen, func(sp raster.Span) {
-			ty := (sp.Y - scene.Screen.Y0) / w
-			for x := sp.X0; x < sp.X1; {
-				tx := (x - scene.Screen.X0) / w
-				end := scene.Screen.X0 + (tx+1)*w
-				if end > sp.X1 {
-					end = sp.X1
-				}
-				id := ty*tilesX + tx
-				segs[id] = append(segs[id], raster.Span{Y: sp.Y, X0: x, X1: end})
-				x = end
-			}
-		})
-		// Route by bbox: tiles the bbox touches receive the triangle even
-		// with zero owned pixels (setup cost), as in the static machine.
-		tx0 := (bb.X0 - scene.Screen.X0) / w
-		tx1 := (bb.X1 - 1 - scene.Screen.X0) / w
-		ty0 := (bb.Y0 - scene.Screen.Y0) / w
-		ty1 := (bb.Y1 - 1 - scene.Screen.Y0) / w
-		tex := mgr.Texture(t.TexID)
-		lod := t.Tex.LOD()
-		for ty := ty0; ty <= ty1; ty++ {
-			for tx := tx0; tx <= tx1; tx++ {
-				id := ty*tilesX + tx
-				var owned []raster.Span
-				if s := segs[id]; len(s) > 0 {
-					owned = append(owned, s...)
-				}
-				b := &bins[id]
-				b.work = append(b.work, engine.TriangleWork{
-					Tex: tex, Map: t.Tex, LOD: lod, Segments: owned,
-				})
-				px := 0
-				for _, sp := range owned {
-					px += sp.Width()
-				}
-				est := float64(px)
-				if est < float64(cfg.SetupCycles) {
-					est = float64(cfg.SetupCycles)
-				}
-				b.est += est
-				if ti < b.first {
-					b.first = ti
-				}
-			}
-		}
-	}
-
-	// Queue order.
-	queue := make([]*tileBin, 0, nTiles)
-	for i := range bins {
-		if len(bins[i].work) > 0 {
-			queue = append(queue, &bins[i])
+	var queue []tile
+	for _, work := range fa.perNode {
+		if len(work) > 0 {
+			queue = append(queue, tile{work: work})
 		}
 	}
 	if order == DynamicLPT {
-		sort.SliceStable(queue, func(i, j int) bool { return queue[i].est > queue[j].est })
-	}
-
-	// Greedy dispatch: each tile goes to the processor that frees first.
-	engines := newEngines(cfg)
-	for _, tb := range queue {
-		best := 0
-		for i := 1; i < len(engines); i++ {
-			if engines[i].Time() < engines[best].Time() {
-				best = i
+		setup := float64(m.cfg.SetupCycles)
+		for i := range queue {
+			for _, d := range queue[i].work {
+				queue[i].est += math.Max(float64(d.Work.Frags()), setup)
 			}
 		}
-		e := engines[best]
-		for k := range tb.work {
-			e.ProcessTriangle(e.Time(), &tb.work[k])
+		sort.SliceStable(queue, func(i, j int) bool { return queue[i].est > queue[j].est })
+	}
+	n := 0
+	for _, t := range queue {
+		e := m.engines[0]
+		for _, c := range m.engines[1:] {
+			if c.Time() < e.Time() {
+				e = c
+			}
+		}
+		for _, d := range t.work {
+			if n++; n%ctxPollTriangles == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			d.process(e, m.mgr, e.Time())
 		}
 	}
-
-	res := &Result{Config: cfg, Scene: scene.Name}
-	for _, e := range engines {
-		res.add(nodeResult(e, 0))
-	}
-	return res, nil
+	m.lastFIFOPeaks = make([]int, m.cfg.Procs)
+	return nil
 }

@@ -19,7 +19,10 @@ import (
 // replaying that artifact after a TXRA encode→decode round trip. With
 // record set, every run also records an auto-interval flight trace, which
 // must match the reference's byte for byte too. Every run must conserve the
-// fragments a single node draws.
+// fragments a single node draws. The same input, with degenerate and
+// off-screen triangles mixed into the scene, also holds sort-last in both
+// assignments and, on block inputs, the dynamic tile queue in both orders to
+// their hand-written references.
 func FuzzFrameDrivers(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(4), uint8(0), uint8(16), uint8(0), uint8(1), uint16(9999), false, false)
 	f.Add(int64(2), uint8(60), uint8(8), uint8(1), uint8(2), uint8(1), uint8(2), uint16(7), false, true)
@@ -124,5 +127,7 @@ func FuzzFrameDrivers(f *testing.F) {
 			t.Errorf("fragments not conserved: nodes sum %d, result %d, one node %d",
 				frags, ref.Fragments, one.Fragments)
 		}
+
+		extensionCheck(t, withDrawless(s), cfg)
 	})
 }

@@ -4,10 +4,14 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 
+	"repro/internal/distrib"
 	"repro/internal/engine"
+	"repro/internal/raster"
 	"repro/internal/sim"
 	"repro/internal/texture"
+	"repro/internal/trace"
 )
 
 // The event-driven reference for the FIFO-coupled driver. It models the
@@ -108,4 +112,191 @@ func (n *oracleNode) step(now sim.Time) {
 	}
 	done := d.process(n.engine, n.mgr, float64(now))
 	n.sim.At(sim.Time(math.Ceil(done)), n.step)
+}
+
+// The hand-written references for the two extension machines: the dynamic
+// tile queue and sort-last each rasterize, route and time the scene in one
+// loop of their own. Production builds both through buildFrameArtifact and
+// times them with replayDynamic and replaySortLast;
+// TestExtensionMachinesMatchOracle and FuzzFrameDrivers hold the two to
+// these loops byte for byte.
+
+// dynamicOracle is the reference for SimulateDynamic: it bins every
+// triangle's spans into tiles by bounding box, then hands whole tiles to
+// the engine that frees first.
+func dynamicOracle(scene *trace.Scene, cfg Config, order DynamicOrder) (*Result, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if cfg.Distribution != distrib.BlockKind {
+		return nil, fmt.Errorf("core: dynamic scheduling supports block tiles only")
+	}
+	if err := scene.Validate(); err != nil {
+		return nil, err
+	}
+	mgr, err := scene.BuildTextures()
+	if err != nil {
+		return nil, err
+	}
+
+	// Bin the frame into tiles: per tile, the triangle work in submission
+	// order plus a work estimate for LPT.
+	w := cfg.TileSize
+	tilesX := (scene.Screen.Width() + w - 1) / w
+	tilesY := (scene.Screen.Height() + w - 1) / w
+	nTiles := tilesX * tilesY
+	type tileBin struct {
+		id    int
+		work  []engine.TriangleWork
+		est   float64
+		first int // submission index of first triangle, for stable ties
+	}
+	bins := make([]tileBin, nTiles)
+	for i := range bins {
+		bins[i] = tileBin{id: i, first: len(scene.Triangles)}
+	}
+	rast := raster.New(scene.Screen)
+	segs := make(map[int][]raster.Span) // per-tile scratch for one triangle
+	for ti := range scene.Triangles {
+		t := &scene.Triangles[ti]
+		bb := t.BBox().Intersect(scene.Screen)
+		if bb.Empty() {
+			continue
+		}
+		for k := range segs {
+			delete(segs, k)
+		}
+		rast.ForEachSpan(*t, scene.Screen, func(sp raster.Span) {
+			ty := (sp.Y - scene.Screen.Y0) / w
+			for x := sp.X0; x < sp.X1; {
+				tx := (x - scene.Screen.X0) / w
+				end := scene.Screen.X0 + (tx+1)*w
+				if end > sp.X1 {
+					end = sp.X1
+				}
+				id := ty*tilesX + tx
+				segs[id] = append(segs[id], raster.Span{Y: sp.Y, X0: x, X1: end})
+				x = end
+			}
+		})
+		// Route by bbox: tiles the bbox touches receive the triangle even
+		// with zero owned pixels (setup cost), as in the static machine.
+		tx0 := (bb.X0 - scene.Screen.X0) / w
+		tx1 := (bb.X1 - 1 - scene.Screen.X0) / w
+		ty0 := (bb.Y0 - scene.Screen.Y0) / w
+		ty1 := (bb.Y1 - 1 - scene.Screen.Y0) / w
+		tex := mgr.Texture(t.TexID)
+		lod := t.Tex.LOD()
+		for ty := ty0; ty <= ty1; ty++ {
+			for tx := tx0; tx <= tx1; tx++ {
+				id := ty*tilesX + tx
+				var owned []raster.Span
+				if s := segs[id]; len(s) > 0 {
+					owned = append(owned, s...)
+				}
+				b := &bins[id]
+				b.work = append(b.work, engine.TriangleWork{
+					Tex: tex, Map: t.Tex, LOD: lod, Segments: owned,
+				})
+				px := 0
+				for _, sp := range owned {
+					px += sp.Width()
+				}
+				est := float64(px)
+				if est < float64(cfg.SetupCycles) {
+					est = float64(cfg.SetupCycles)
+				}
+				b.est += est
+				if ti < b.first {
+					b.first = ti
+				}
+			}
+		}
+	}
+
+	// Queue order.
+	queue := make([]*tileBin, 0, nTiles)
+	for i := range bins {
+		if len(bins[i].work) > 0 {
+			queue = append(queue, &bins[i])
+		}
+	}
+	if order == DynamicLPT {
+		sort.SliceStable(queue, func(i, j int) bool { return queue[i].est > queue[j].est })
+	}
+
+	// Greedy dispatch: each tile goes to the processor that frees first.
+	engines := newEngines(cfg)
+	for _, tb := range queue {
+		best := 0
+		for i := 1; i < len(engines); i++ {
+			if engines[i].Time() < engines[best].Time() {
+				best = i
+			}
+		}
+		e := engines[best]
+		for k := range tb.work {
+			e.ProcessTriangle(e.Time(), &tb.work[k])
+		}
+	}
+
+	res := &Result{Config: cfg, Scene: scene.Name}
+	for _, e := range engines {
+		res.add(nodeResult(e, 0))
+	}
+	return res, nil
+}
+
+// sortLastOracle is the reference for SimulateSortLast: every drawable
+// triangle goes, with all its spans, to the node its submission index
+// assigns.
+func sortLastOracle(scene *trace.Scene, cfg Config, assign SortLastAssignment) (*Result, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if err := scene.Validate(); err != nil {
+		return nil, err
+	}
+	mgr, err := scene.BuildTextures()
+	if err != nil {
+		return nil, err
+	}
+
+	engines := newEngines(cfg)
+
+	rast := raster.New(scene.Screen)
+	var spans []raster.Span
+	for ti := range scene.Triangles {
+		t := &scene.Triangles[ti]
+		if t.BBox().Intersect(scene.Screen).Empty() || t.Degenerate() {
+			continue
+		}
+		var node int
+		switch assign {
+		case SortLastChunked:
+			node = (ti / SortLastChunkSize) % cfg.Procs
+		default:
+			node = ti % cfg.Procs
+		}
+		spans = spans[:0]
+		rast.ForEachSpan(*t, scene.Screen, func(sp raster.Span) {
+			spans = append(spans, sp)
+		})
+		w := engine.TriangleWork{
+			Tex:      mgr.Texture(t.TexID),
+			Map:      t.Tex,
+			LOD:      t.Tex.LOD(),
+			Segments: spans,
+		}
+		e := engines[node]
+		e.ProcessTriangle(e.Time(), &w)
+	}
+
+	res := &Result{Config: cfg, Scene: scene.Name}
+	for _, e := range engines {
+		res.add(nodeResult(e, 0))
+	}
+	return res, nil
 }

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
-	"repro/internal/engine"
-	"repro/internal/raster"
+	"repro/internal/distrib"
 	"repro/internal/trace"
 )
 
@@ -50,51 +50,60 @@ const SortLastChunkSize = 32
 // TileSize and TriangleBuffer in cfg are ignored; the composition network
 // and frame buffer are ideal, as the paper's geometry network is.
 func SimulateSortLast(scene *trace.Scene, cfg Config, assign SortLastAssignment) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	return SimulateSortLastContext(context.Background(), scene, cfg, assign) //texlint:ignore ctxfirst SimulateSortLast is the documented uncancellable shim over SimulateSortLastContext
+}
+
+// SimulateSortLastContext is SimulateSortLast with cancellation.
+//
+// The machine builds its frame for a single node that owns the whole
+// screen, so every on-screen triangle is routed once with all its spans;
+// the driver then deals the triangles to the engines.
+func SimulateSortLastContext(ctx context.Context, scene *trace.Scene, cfg Config, assign SortLastAssignment) (*Result, error) {
+	route := func(Config) (distrib.Distribution, error) {
+		return distrib.NewSLI(scene.Screen, 1, 1)
 	}
-	if err := scene.Validate(); err != nil {
-		return nil, err
+	replay := func(m *Machine, ctx context.Context, fa *FrameArtifact) error {
+		return m.replaySortLast(ctx, fa, assign)
 	}
-	mgr, err := scene.BuildTextures()
+	m, err := newMachine(scene, cfg, route, replay)
 	if err != nil {
 		return nil, err
 	}
+	return m.RunContext(ctx)
+}
 
-	engines := newEngines(cfg)
-
-	rast := raster.New(scene.Screen)
-	var spans []raster.Span
-	for ti := range scene.Triangles {
-		t := &scene.Triangles[ti]
-		if t.BBox().Intersect(scene.Screen).Empty() || t.Degenerate() {
+// replaySortLast is the sort-last driver: it times each routed triangle on
+// the engine its submission index assigns, as soon as that engine is free.
+// Degenerate triangles draw nothing and are skipped, though the build
+// routes them. The build drops off-screen triangles, so the driver recovers
+// each triangle's submission index by walking the machine's scene in step:
+// an in-memory build points every destination at its source triangle.
+func (m *Machine) replaySortLast(ctx context.Context, fa *FrameArtifact, assign SortLastAssignment) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	tris := m.scene.Triangles
+	ti := 0
+	for i := range fa.Tris {
+		if i%ctxPollTriangles == 0 && i > 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		d := &fa.Tris[i].Dests[0]
+		for &tris[ti] != d.src {
+			ti++
+		}
+		if d.src.Degenerate() {
 			continue
 		}
-		var node int
-		switch assign {
-		case SortLastChunked:
-			node = (ti / SortLastChunkSize) % cfg.Procs
-		default:
-			node = ti % cfg.Procs
+		node := ti % m.cfg.Procs
+		if assign == SortLastChunked {
+			node = (ti / SortLastChunkSize) % m.cfg.Procs
 		}
-		spans = spans[:0]
-		rast.ForEachSpan(*t, scene.Screen, func(sp raster.Span) {
-			spans = append(spans, sp)
-		})
-		w := engine.TriangleWork{
-			Tex:      mgr.Texture(t.TexID),
-			Map:      t.Tex,
-			LOD:      t.Tex.LOD(),
-			Segments: spans,
-		}
-		e := engines[node]
-		e.ProcessTriangle(e.Time(), &w)
+		e := m.engines[node]
+		d.process(e, m.mgr, e.Time())
 	}
-
-	res := &Result{Config: cfg, Scene: scene.Name}
-	for _, e := range engines {
-		res.add(nodeResult(e, 0))
-	}
-	return res, nil
+	m.lastFIFOPeaks = make([]int, m.cfg.Procs)
+	return nil
 }

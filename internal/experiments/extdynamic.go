@@ -46,11 +46,11 @@ func RunExtDynamic(ctx context.Context, opt Options) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		dScreen, err := core.SimulateDynamic(s, cfg, core.DynamicScreenOrder)
+		dScreen, err := core.SimulateDynamicContext(ctx, s, cfg, core.DynamicScreenOrder)
 		if err != nil {
 			return err
 		}
-		dLPT, err := core.SimulateDynamic(s, cfg, core.DynamicLPT)
+		dLPT, err := core.SimulateDynamicContext(ctx, s, cfg, core.DynamicLPT)
 		if err != nil {
 			return err
 		}

@@ -48,7 +48,7 @@ func RunExtSortLast(ctx context.Context, opt Options) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		last, err := core.SimulateSortLast(s, core.Config{
+		last, err := core.SimulateSortLastContext(ctx, s, core.Config{
 			Procs: procs, CacheKind: core.CacheReal, Bus: bus,
 		}, core.SortLastChunked)
 		if err != nil {

@@ -1,6 +1,8 @@
 package texsim
 
 import (
+	"context"
+
 	"repro/internal/core"
 	"repro/internal/gl"
 	"repro/internal/scene"
@@ -26,6 +28,12 @@ func SimulateDynamic(s *Scene, cfg Config, order DynamicOrder) (*Result, error) 
 	return core.SimulateDynamic(s, cfg, order)
 }
 
+// SimulateDynamicContext is SimulateDynamic with cancellation; see
+// SimulateContext.
+func SimulateDynamicContext(ctx context.Context, s *Scene, cfg Config, order DynamicOrder) (*Result, error) {
+	return core.SimulateDynamicContext(ctx, s, cfg, order)
+}
+
 // SortLastAssignment selects triangle distribution for SimulateSortLast.
 type SortLastAssignment = core.SortLastAssignment
 
@@ -44,6 +52,12 @@ const (
 // TriangleBuffer are ignored.
 func SimulateSortLast(s *Scene, cfg Config, assign SortLastAssignment) (*Result, error) {
 	return core.SimulateSortLast(s, cfg, assign)
+}
+
+// SimulateSortLastContext is SimulateSortLast with cancellation; see
+// SimulateContext.
+func SimulateSortLastContext(ctx context.Context, s *Scene, cfg Config, assign SortLastAssignment) (*Result, error) {
+	return core.SimulateSortLastContext(ctx, s, cfg, assign)
 }
 
 // Translate returns a copy of the scene panned by (dx, dy) pixels with

@@ -1,6 +1,8 @@
 package texsim_test
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/texsim"
@@ -25,6 +27,19 @@ func TestDynamicFacade(t *testing.T) {
 		Procs: 4, Distribution: texsim.SLI, TileSize: 2, CacheKind: texsim.CachePerfect,
 	}, texsim.DynamicScreenOrder); err == nil {
 		t.Error("dynamic SLI accepted")
+	}
+}
+
+func TestExtensionContextFacade(t *testing.T) {
+	sc := texsim.Benchmark("blowout775", 0.2)
+	cfg := texsim.Config{Procs: 4, TileSize: 16, CacheKind: texsim.CachePerfect}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := texsim.SimulateDynamicContext(ctx, sc, cfg, texsim.DynamicLPT); !errors.Is(err, context.Canceled) {
+		t.Errorf("dynamic: err = %v, want context.Canceled", err)
+	}
+	if _, err := texsim.SimulateSortLastContext(ctx, sc, cfg, texsim.SortLastChunked); !errors.Is(err, context.Canceled) {
+		t.Errorf("sort-last: err = %v, want context.Canceled", err)
 	}
 }
 
