@@ -220,8 +220,8 @@ func main() {
 
 	// One machine-parseable planner line per run: CI greps it to assert the
 	// memoized path really rasterized less.
-	fmt.Fprintf(os.Stderr, "texsweep: plan points=%d baselines=%d classes=%d rasterized=%d saved=%d checkpointed=%d memoized=%t\n",
-		plan.Points, plan.Baselines, plan.Classes, plan.Rasterizations, plan.Saved, plan.Checkpointed, plan.Memoized)
+	fmt.Fprintf(os.Stderr, "texsweep: plan points=%d baselines=%d classes=%d rasterized=%d saved=%d probes=%d checkpointed=%d memoized=%t\n",
+		plan.Points, plan.Baselines, plan.Classes, plan.Rasterizations, plan.Saved, plan.Probes, plan.Checkpointed, plan.Memoized)
 	if *asJSON {
 		res.Plan = &plan
 	}

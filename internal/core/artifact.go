@@ -22,8 +22,9 @@
 // byte-identical results (cycles, counters, cache statistics, FIFO peaks) to
 // the same machine building its frames in memory, on both drivers: the
 // footprint streams come from engine.TriangleWork.Precompute, which steps
-// u/v exactly as engine.ProcessTriangle does, and both engine paths time
-// every fragment through the same per-fragment body.
+// u/v exactly as engine.ProcessTriangle does; the machine probes them once
+// per cache geometry into miss streams (missstream.go); and every engine
+// path times each fragment through the same per-fragment timing body.
 package core
 
 import (
@@ -100,13 +101,10 @@ type ArtifactDest struct {
 	src *geom.Triangle
 }
 
-// process times d on engine e, arriving at arrival, and returns the
-// completion time: the one step both frame drivers take per work item. mgr
-// resolves the source triangle's texture.
+// process times d live on engine e, arriving at arrival, and returns the
+// completion time: the step every driver takes per work item of a frame
+// built in memory. mgr resolves the source triangle's texture.
 func (d *ArtifactDest) process(e *engine.Engine, mgr *texture.Manager, arrival float64) float64 {
-	if d.src == nil {
-		return e.ProcessPrecomputed(arrival, &d.Work)
-	}
 	w := engine.TriangleWork{Tex: mgr.Texture(d.src.TexID), Map: d.src.Tex, LOD: d.src.Tex.LOD(), Segments: d.Work.Segments}
 	return e.ProcessTriangle(arrival, &w)
 }
@@ -344,7 +342,7 @@ func buildTriangle(w *artifactScratch, d distrib.Distribution, rast *raster.Rast
 // screen and triangle count. Pass nil to detach.
 func (m *Machine) SetRasterArtifact(a *RasterArtifact) error {
 	if a == nil {
-		m.artifact = nil
+		m.artifact, m.streams = nil, nil
 		return nil
 	}
 	if a.Procs != m.cfg.Procs || a.Dist != m.cfg.Distribution || a.TileSize != m.cfg.TileSize {
@@ -368,7 +366,9 @@ func (m *Machine) SetRasterArtifact(a *RasterArtifact) error {
 		return fmt.Errorf("core: spans-only artifact cannot replay on a %s-cache machine (footprint streams required)",
 			m.cfg.CacheKind)
 	}
-	m.artifact = a
+	if a != m.artifact {
+		m.artifact, m.streams = a, nil
+	}
 	return nil
 }
 

@@ -163,6 +163,12 @@ func (a *RasterArtifact) validateDecoded() error {
 					return fmt.Errorf("core: artifact frame %d triangle %d routes to node %d of %d",
 						fi, ti, dest.Node, a.Procs)
 				}
+				for _, sp := range dest.Work.Segments {
+					if sp.Y < a.Screen.Y0 || sp.Y >= a.Screen.Y1 || sp.X0 < a.Screen.X0 || sp.X1 > a.Screen.X1 || sp.X1 < sp.X0 {
+						return fmt.Errorf("core: artifact frame %d triangle %d: segment %+v is not a span of screen %v",
+							fi, ti, sp, a.Screen)
+					}
+				}
 				if len(dest.Work.Addrs) != 8*len(dest.Work.Reps) {
 					return fmt.Errorf("core: artifact frame %d triangle %d: %d addresses for %d runs",
 						fi, ti, len(dest.Work.Addrs), len(dest.Work.Reps))
@@ -170,6 +176,10 @@ func (a *RasterArtifact) validateDecoded() error {
 				if a.HasFootprints {
 					frags := 0
 					for _, r := range dest.Work.Reps {
+						if r < 1 {
+							return fmt.Errorf("core: artifact frame %d triangle %d: footprint run of %d fragments (a run covers at least one)",
+								fi, ti, r)
+						}
 						frags += int(r)
 					}
 					if frags != dest.Work.Frags() {

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro/internal/distrib"
+	"repro/internal/raster"
 	"repro/internal/scene"
+	"repro/internal/texture"
 	"repro/internal/trace"
 )
 
@@ -80,5 +83,55 @@ func TestArtifactDecodeRejects(t *testing.T) {
 	}
 	if _, err := DecodeRasterArtifact(bytes.NewReader(good[:len(good)/2])); err == nil {
 		t.Error("truncated stream accepted")
+	}
+}
+
+// TestArtifactDecodeRejectsZeroRun: a footprint run must cover at least one
+// fragment. A run of 0 used to decode, and the replay then drew a phantom
+// fragment for it: one fragment and 8 cache accesses more than the segments
+// hold.
+func TestArtifactDecodeRejectsZeroRun(t *testing.T) {
+	a, err := BuildRasterArtifact(context.Background(), []*trace.Scene{testScene(3, 20, 64)}, 2,
+		distrib.BlockKind, 16, ArtifactOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d *ArtifactDest
+	for i := range a.Frames[0].Tris {
+		for j := range a.Frames[0].Tris[i].Dests {
+			if dd := &a.Frames[0].Tris[i].Dests[j]; d == nil && len(dd.Work.Reps) > 0 {
+				d = dd
+			}
+		}
+	}
+	d.Work.Reps = append([]int32{0}, d.Work.Reps...)
+	d.Work.Addrs = append(append([]texture.Addr(nil), d.Work.Addrs[:8]...), d.Work.Addrs...)
+	var buf bytes.Buffer
+	if err := EncodeRasterArtifact(&buf, a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeRasterArtifact(&buf); err == nil || !strings.Contains(err.Error(), "run of 0 fragments") {
+		t.Errorf("decoding a zero-length footprint run: %v, want a run-length error", err)
+	}
+}
+
+// TestArtifactDecodeRejectsOffScreenSegments: every decoded segment must be
+// a span of the artifact's screen, as every built one is.
+func TestArtifactDecodeRejectsOffScreenSegments(t *testing.T) {
+	for _, bad := range []raster.Span{{Y: -1, X0: 0, X1: 4}, {Y: 64, X0: 0, X1: 4}, {Y: 3, X0: -2, X1: 4}, {Y: 3, X0: 0, X1: 65}, {Y: 3, X0: 9, X1: 4}} {
+		a, err := BuildRasterArtifact(context.Background(), []*trace.Scene{testScene(3, 20, 64)}, 2,
+			distrib.BlockKind, 16, ArtifactOpts{SpansOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := &a.Frames[0].Tris[0].Dests[0]
+		d.Work.Segments = append([]raster.Span{bad}, d.Work.Segments...)
+		var buf bytes.Buffer
+		if err := EncodeRasterArtifact(&buf, a); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeRasterArtifact(&buf); err == nil || !strings.Contains(err.Error(), "not a span of screen") {
+			t.Errorf("decoding segment %+v: %v, want a segment error", bad, err)
+		}
 	}
 }

@@ -289,6 +289,12 @@ type Machine struct {
 	// artifact, when non-nil, supplies every frame's prebuilt work list in
 	// place of an in-memory build (see SetRasterArtifact).
 	artifact *RasterArtifact
+	// streams holds the artifact's miss streams for this machine's cache
+	// geometry (see SetMissStreams); a run with an artifact attached builds
+	// them when nil.
+	streams *MissStreams
+	// frame is the index of the frame being timed.
+	frame int
 	// parallelFrames counts frames timed by the decoupled driver, so tests
 	// can assert which driver actually ran.
 	parallelFrames int
@@ -345,22 +351,24 @@ func newMachine(scene *trace.Scene, cfg Config, route func(Config) (distrib.Dist
 func newEngines(cfg Config) []*engine.Engine {
 	engines := make([]*engine.Engine, cfg.Procs)
 	for i := range engines {
-		var c cache.Model
-		switch cfg.CacheKind {
-		case CachePerfect:
-			c = cache.NewPerfect()
-		case CacheNone:
-			c = cache.NewNone()
-		default:
-			c = cache.New(cfg.CacheConfig)
-		}
-		e := engine.NewWithPrefetch(i, cfg.SetupCycles, cfg.PrefetchDepth, c, memory.NewBus(cfg.Bus))
+		e := engine.NewWithPrefetch(i, cfg.SetupCycles, cfg.PrefetchDepth, newCache(cfg), memory.NewBus(cfg.Bus))
 		if cfg.HasL2() {
 			e.AttachL2(cache.New(cfg.L2Config), memory.NewBus(cfg.MainBus))
 		}
 		engines[i] = e
 	}
 	return engines
+}
+
+// newCache returns a fresh first-level cache model of cfg's kind.
+func newCache(cfg Config) cache.Model {
+	switch cfg.CacheKind {
+	case CachePerfect:
+		return cache.NewPerfect()
+	case CacheNone:
+		return cache.NewNone()
+	}
+	return cache.New(cfg.CacheConfig)
 }
 
 // EnableFlightRecorder attaches a flight recorder to every node and returns
@@ -429,6 +437,13 @@ func (m *Machine) RunSequenceContext(ctx context.Context, frames []*trace.Scene)
 		if err := m.checkArtifactFrames(frames); err != nil {
 			return nil, err
 		}
+		if m.streams == nil {
+			s, err := BuildMissStreams(ctx, m.artifact, m.cfg, m.nodeParallelism())
+			if err != nil {
+				return nil, err
+			}
+			m.streams = s
+		}
 	}
 	for _, e := range m.engines {
 		e.Reset()
@@ -446,6 +461,10 @@ func (m *Machine) RunSequenceContext(ctx context.Context, frames []*trace.Scene)
 		res := &Result{Config: m.cfg, Scene: f.Name}
 		for i, e := range m.engines {
 			cum := nodeResult(e, m.lastFIFOPeaks[i])
+			if m.streams != nil {
+				// The probe pass, not the engine, ran the caches.
+				cum.Cache, cum.L2 = m.streams.stats(i, fi)
+			}
 			res.add(cum.sub(prev[i]))
 			prev[i] = cum
 		}
@@ -467,11 +486,13 @@ func (m *Machine) RunSequenceContext(ctx context.Context, frames []*trace.Scene)
 }
 
 // runFrame simulates frame fi: it takes the frame's work list from the
-// attached artifact, or builds it in memory without footprint streams and
-// drops it after the frame, then replays it on the driver the dispatch rule
+// attached artifact, to be timed from its miss streams, or builds it in
+// memory without footprint streams, to be timed live, and drops it after
+// the frame. It then replays the list on the driver the dispatch rule
 // (decoupled, parallel.go) picks. The two drivers agree byte for byte
 // wherever the rule allows either.
 func (m *Machine) runFrame(ctx context.Context, fi int, f *trace.Scene) error {
+	m.frame = fi
 	var fa *FrameArtifact
 	if m.artifact != nil {
 		fa = m.artifact.Frames[fi]
@@ -595,7 +616,7 @@ func (m *Machine) replayCoupled(ctx context.Context, fa *FrameArtifact) error {
 				q.drain(t, s)
 			}
 			pop := math.Max(t, q.ready)
-			q.ready = math.Ceil(dst.process(m.engines[dst.Node], m.mgr, pop))
+			q.ready = math.Ceil(m.process(dst.Node, q.pushed, dst, pop))
 			q.ring[q.pushed%len(q.ring)] = fifoItem{pop: pop, step: s}
 			q.pushed++
 			q.peak = max(q.peak, q.pushed-q.popped)

@@ -116,6 +116,8 @@ func (m *Machine) replayDynamic(ctx context.Context, fa *FrameArtifact, order Dy
 					return err
 				}
 			}
+			// Timed live: the tile queue never takes an artifact, so it
+			// has no miss streams (missstream.go says why).
 			d.process(e, m.mgr, e.Time())
 		}
 	}

@@ -46,7 +46,8 @@ func withDrawless(s *trace.Scene) *trace.Scene {
 // extensionCheck runs the dynamic tile queue (block configurations only)
 // and sort-last on s under cfg, each in every order or assignment, and
 // fails the test unless production and the hand-written references agree
-// byte for byte after JSON encoding.
+// byte for byte after JSON encoding and production holds the physical
+// invariants.
 func extensionCheck(t *testing.T, s *trace.Scene, cfg Config) {
 	t.Helper()
 	encode := func(r *Result, err error) string {
@@ -54,6 +55,7 @@ func extensionCheck(t *testing.T, s *trace.Scene, cfg Config) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkInvariants(t, cfg, r)
 		js, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)

@@ -10,7 +10,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/raster"
 	"repro/internal/sim"
-	"repro/internal/texture"
 	"repro/internal/trace"
 )
 
@@ -43,7 +42,7 @@ func (m *Machine) replayOracle(ctx context.Context, fa *FrameArtifact) error {
 	}
 	s.At(0, d.step)
 	for i := 0; i < m.cfg.Procs; i++ {
-		n := &oracleNode{sim: s, engine: m.engines[i], mgr: m.mgr, fifo: d.fifos[i]}
+		n := &oracleNode{sim: s, m: m, node: i, fifo: d.fifos[i]}
 		s.At(0, n.step)
 	}
 	for {
@@ -99,8 +98,9 @@ func (d *oracleDistributor) step(sim.Time) {
 // oracleNode is one node's consumer loop on the sim kernel.
 type oracleNode struct {
 	sim    *sim.Simulator
-	engine *engine.Engine
-	mgr    *texture.Manager
+	m      *Machine
+	node   int
+	popped int // work items popped this frame
 	fifo   *sim.FIFO[*ArtifactDest]
 }
 
@@ -110,7 +110,8 @@ func (n *oracleNode) step(now sim.Time) {
 		n.fifo.WaitItem(n.step)
 		return
 	}
-	done := d.process(n.engine, n.mgr, float64(now))
+	done := n.m.process(n.node, n.popped, d, float64(now))
+	n.popped++
 	n.sim.At(sim.Time(math.Ceil(done)), n.step)
 }
 

@@ -88,7 +88,6 @@ func (m *Machine) replayParallel(ctx context.Context, fa *FrameArtifact) error {
 		workers = procs
 	}
 	err := par.ForEach(ctx, workers, procs, func(p int) error {
-		e := m.engines[p]
 		arrival := 0.0
 		for k, d := range fa.perNode[p] {
 			if k%ctxPollTriangles == 0 && k > 0 {
@@ -96,7 +95,7 @@ func (m *Machine) replayParallel(ctx context.Context, fa *FrameArtifact) error {
 					return err
 				}
 			}
-			done := d.process(e, m.mgr, arrival)
+			done := m.process(p, k, d, arrival)
 			arrival = math.Ceil(done)
 		}
 		return nil

@@ -101,6 +101,8 @@ func (m *Machine) replaySortLast(ctx context.Context, fa *FrameArtifact, assign 
 		if assign == SortLastChunked {
 			node = (ti / SortLastChunkSize) % m.cfg.Procs
 		}
+		// Timed live: a sort-last machine never takes an artifact, so it
+		// has no miss streams (missstream.go says why).
 		e := m.engines[node]
 		d.process(e, m.mgr, e.Time())
 	}

@@ -25,8 +25,6 @@
 package engine
 
 import (
-	"math/bits"
-
 	"repro/internal/cache"
 	"repro/internal/geom"
 	"repro/internal/memory"
@@ -82,13 +80,13 @@ type Stats struct {
 type Engine struct {
 	id          int
 	setupCycles float64
-	cache       cache.Model
-	bus         *memory.Bus
-	// Optional second level (the paper's §9 future work, after Cox): the
-	// graphics-card memory acting as an L2 texture cache in front of main
-	// memory. An L1 miss that hits in L2 costs only the L1 bus; an L2 miss
-	// additionally occupies the main-memory bus.
-	l2      cache.Model
+	// probe holds the node's texture cache and, optionally, the second
+	// level (the paper's §9 future work, after Cox): the graphics-card
+	// memory acting as an L2 texture cache in front of main memory. An L1
+	// miss that hits in L2 costs only the L1 bus; an L2 miss additionally
+	// occupies the main-memory bus.
+	probe   Prober
+	bus     *memory.Bus
 	mainBus *memory.Bus
 
 	time     float64 // local pipeline clock: when the node goes idle
@@ -123,7 +121,7 @@ func NewWithPrefetch(id, setupCycles, prefetchDepth int, c cache.Model, bus *mem
 	e := &Engine{
 		id:          id,
 		setupCycles: float64(setupCycles),
-		cache:       c,
+		probe:       Prober{L1: c},
 		bus:         bus,
 		ring:        newRing(prefetchDepth),
 	}
@@ -151,16 +149,16 @@ func (e *Engine) SetRecorder(r PhaseRecorder) { e.rec = r }
 // AttachL2 adds a second-level texture cache backed by a main-memory bus.
 // Must be called before the first triangle is processed.
 func (e *Engine) AttachL2(l2 cache.Model, mainBus *memory.Bus) {
-	e.l2 = l2
+	e.probe.L2 = l2
 	e.mainBus = mainBus
 }
 
 // L2Stats returns the second-level cache counters (zero Stats without an L2).
 func (e *Engine) L2Stats() cache.Stats {
-	if e.l2 == nil {
+	if e.probe.L2 == nil {
 		return cache.Stats{}
 	}
-	return e.l2.Stats()
+	return e.probe.L2.Stats()
 }
 
 // MainBusStats returns the main-memory bus counters (zero without an L2).
@@ -190,7 +188,7 @@ func (e *Engine) Time() float64 { return e.time }
 func (e *Engine) Stats() Stats { return e.stats }
 
 // CacheStats returns the node's texture-cache counters.
-func (e *Engine) CacheStats() cache.Stats { return e.cache.Stats() }
+func (e *Engine) CacheStats() cache.Stats { return e.probe.L1.Stats() }
 
 // BusStats returns the node's texture-bus counters.
 func (e *Engine) BusStats() memory.BusStats { return e.bus.Stats() }
@@ -208,10 +206,10 @@ func (e *Engine) TexelToFragment() float64 {
 func (e *Engine) Reset() {
 	e.time = 0
 	e.stats = Stats{}
-	e.cache.Reset()
+	e.probe.L1.Reset()
 	e.bus.Reset()
-	if e.l2 != nil {
-		e.l2.Reset()
+	if e.probe.L2 != nil {
+		e.probe.L2.Reset()
 		e.mainBus.Reset()
 	}
 	for i := range e.ring {
@@ -234,10 +232,12 @@ func (e *Engine) StartTriangle(arrival float64) float64 {
 // triangle holds the pipeline for max(setup, scan) cycles (setup overlaps
 // scanning; a clipped sliver still costs the full setup time). Each
 // fragment's trilinear footprint is generated here, from the mip pair
-// resolved once for the triangle, and timed by scanFragment — or, when it
-// repeats the previous fragment's footprint and the cache guarantees such
-// repeats hit, by repeatFragments: the same two bodies ProcessPrecomputed
-// replays recorded footprint runs through.
+// resolved once for the triangle, then probed (the L1, and the L2 for what
+// missed: Prober.Fragment's two halves) and timed (missFragment, or
+// hitFragments when nothing missed) — or, when it repeats the previous
+// fragment's footprint and the cache guarantees such repeats hit, timed by
+// repeatFragments: the same bodies ProcessPrecomputed replays recorded
+// footprint runs through.
 func (e *Engine) ProcessTriangle(arrival float64, w *TriangleWork) float64 {
 	start := e.StartTriangle(arrival)
 	stall0 := e.stats.StallCycles
@@ -246,7 +246,7 @@ func (e *Engine) ProcessTriangle(arrival float64, w *TriangleWork) float64 {
 	}
 	s := start
 	smp := w.Tex.Sampler(w.LOD)
-	repeatFast := e.cache.RepeatHits()
+	repeatFast := e.probe.L1.RepeatHits()
 	var prev [8]texture.Addr
 	first := true
 	for _, sp := range w.Segments {
@@ -259,7 +259,12 @@ func (e *Engine) ProcessTriangle(arrival float64, w *TriangleWork) float64 {
 			if repeatFast && !first && sameFootprint(&e.foot, &prev) {
 				s = e.repeatFragments(s, 1)
 			} else {
-				s = e.scanFragment(start, s, &e.foot)
+				if missMask := e.probe.L1.AccessFootprint(&e.foot); missMask == 0 {
+					s = e.hitFragments(s, 1)
+				} else {
+					l1, main := e.probe.misses(missMask, &e.foot)
+					s = e.missFragment(start, s, l1, main)
+				}
 				prev, first = e.foot, false
 			}
 			u += w.Map.DuDx
@@ -280,43 +285,34 @@ func (e *Engine) scanPixels(s float64, segs []raster.Span) float64 {
 	return s
 }
 
-// scanFragment times one fragment with a known footprint — the single
-// per-fragment access/miss/stall/ring body of both ProcessTriangle and
-// ProcessPrecomputed — and returns the scan clock after it retires. The L1
-// is probed with the whole footprint in one call; each L1 miss then probes
-// the L2, in footprint order (the two levels are independent models, so
-// the interleaving does not matter).
-func (e *Engine) scanFragment(start, s float64, foot *[8]texture.Addr) float64 {
+// missFragment is the timing body of a fragment whose probes missed: l1 ≥ 1
+// lines in the L1, main of them in the L2 too. It issues the fetches,
+// stalls the scanner until they arrive, retires the fragment and returns
+// the scan clock after it. A fragment that missed nothing is timed by
+// hitFragments. Neither reads a cache, so the live paths run them right
+// after the fragment's probe body (Prober.Fragment), and ProcessMisses long
+// after.
+func (e *Engine) missFragment(start, s float64, l1, main int) float64 {
 	s++ // one scan cycle per fragment
-	if missMask := e.cache.AccessFootprint(foot); missMask != 0 {
-		mainMisses := 0
-		if e.l2 != nil {
-			for m := missMask; m != 0; m &= m - 1 {
-				if !e.l2.Access(foot[bits.TrailingZeros8(m)]) {
-					mainMisses++
-				}
-			}
+	// Fetches were issued when this fragment entered the prefetch FIFO, i.e.
+	// when the fragment PrefetchDepth slots earlier retired — but never
+	// before the triangle itself arrived, since its addresses were unknown
+	// until then.
+	issue := e.ring[e.ringPos]
+	if issue < start {
+		issue = start
+	}
+	ready := e.bus.Fetch(issue, l1)
+	if main > 0 {
+		// L2-missing lines must first cross the main-memory bus; the
+		// fragment waits for the slower of the two.
+		if mainReady := e.mainBus.Fetch(issue, main); mainReady > ready {
+			ready = mainReady
 		}
-		// Fetches were issued when this fragment entered the prefetch FIFO,
-		// i.e. when the fragment PrefetchDepth slots earlier retired — but
-		// never before the triangle itself arrived, since its addresses
-		// were unknown until then.
-		issue := e.ring[e.ringPos]
-		if issue < start {
-			issue = start
-		}
-		ready := e.bus.Fetch(issue, bits.OnesCount8(missMask))
-		if mainMisses > 0 {
-			// L2-missing lines must first cross the main-memory bus; the
-			// fragment waits for the slower of the two.
-			if mainReady := e.mainBus.Fetch(issue, mainMisses); mainReady > ready {
-				ready = mainReady
-			}
-		}
-		if ready > s {
-			e.stats.StallCycles += ready - s
-			s = ready
-		}
+	}
+	if ready > s {
+		e.stats.StallCycles += ready - s
+		s = ready
 	}
 	e.retire(s)
 	e.stats.Fragments++
@@ -326,15 +322,29 @@ func (e *Engine) scanFragment(start, s float64, foot *[8]texture.Addr) float64 {
 // repeatFragments times n fragments that each re-access the footprint the
 // fragment before them just touched, on a cache whose RepeatHits holds:
 // guaranteed hits that leave the cache state untouched, so no misses and no
-// stalls. Only the hit count, the scan clock, the prefetch ring and the
-// fragment count move. It returns the scan clock after the last one.
+// stalls. Only the hit count and hitFragments' state move. It returns the
+// scan clock after the last one.
 func (e *Engine) repeatFragments(s float64, n int) float64 {
-	e.cache.AddHits(uint64(n) * 8)
-	for j := 0; j < n; j++ {
+	e.probe.L1.AddHits(uint64(n) * 8)
+	return e.hitFragments(s, n)
+}
+
+// hitFragments times n fragments that all hit: only the scan clock, the
+// prefetch ring and the fragment count move. The clock steps one cycle per
+// fragment, never s += n, which differs from n increments once s holds a
+// fraction (a stall on a bus whose line cost is not an integer) and the run
+// crosses a power of two. Only the last len(ring) retire times can still be
+// read, and retiring them fills every slot, oldest first from the ring
+// position, so a longer run leaves the ring alone until then.
+func (e *Engine) hitFragments(s float64, n int) float64 {
+	e.stats.Fragments += uint64(n)
+	for ; n > len(e.ring); n-- {
+		s++
+	}
+	for ; n > 0; n-- {
 		s++
 		e.retire(s)
 	}
-	e.stats.Fragments += uint64(n)
 	return s
 }
 

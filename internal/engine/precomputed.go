@@ -7,15 +7,18 @@
 // configuration with byte-identical timing and counters.
 //
 // Equivalence contract: ProcessTriangle and ProcessPrecomputed time every
-// fragment through the same two bodies, so for the same arrival and the same
+// fragment through the same bodies, so for the same arrival and the same
 // triangle they differ only in where the footprint comes from. A fragment
-// whose footprint differs from the one before it goes through scanFragment.
-// A fragment that repeats it re-accesses lines the previous fragment just
-// touched; when the cache model guarantees such repeats hit without
-// disturbing replacement state (cache.Model.RepeatHits), both paths account
-// it through repeatFragments and skip the lookups — the replay a whole run
-// at a time, the live path one fragment at a time. Models without the
-// guarantee (the cacheless model) time every repeat through scanFragment.
+// whose footprint differs from the one before it is probed (Prober.Fragment's
+// two halves) and then timed (missFragment or hitFragments). A fragment
+// that repeats it re-accesses lines the previous fragment just touched;
+// when the cache model guarantees such repeats hit without disturbing
+// replacement state (cache.Model.RepeatHits), both paths account it
+// through repeatFragments and skip the lookups — the replay a whole run at
+// a time, the live path one fragment at a time. Models without the
+// guarantee (the cacheless model) probe and time every repeat. The
+// miss-stream path (missstream.go) runs the same probes ahead of time and
+// the same timing bodies later.
 package engine
 
 import (
@@ -91,19 +94,24 @@ func (e *Engine) ProcessPrecomputed(arrival float64, w *PrecomputedWork) float64
 		return e.finishTriangle(start, stall0, e.scanPixels(start, w.Segments))
 	}
 	s := start
-	repeatFast := e.cache.RepeatHits()
+	repeatFast := e.probe.L1.RepeatHits()
 	for r := range w.Reps {
 		foot := (*[8]texture.Addr)(w.Addrs[r*8:])
 		reps := int(w.Reps[r])
+		probes := reps
 		if repeatFast {
-			s = e.scanFragment(start, s, foot)
-			if reps > 1 {
-				s = e.repeatFragments(s, reps-1)
+			probes = 1
+		}
+		for j := 0; j < probes; j++ {
+			if missMask := e.probe.L1.AccessFootprint(foot); missMask == 0 {
+				s = e.hitFragments(s, 1)
+			} else {
+				l1, main := e.probe.misses(missMask, foot)
+				s = e.missFragment(start, s, l1, main)
 			}
-		} else {
-			for j := 0; j < reps; j++ {
-				s = e.scanFragment(start, s, foot)
-			}
+		}
+		if repeatFast && reps > 1 {
+			s = e.repeatFragments(s, reps-1)
 		}
 	}
 	return e.finishTriangle(start, stall0, s)

@@ -732,6 +732,18 @@ func (s *Server) runJob(j *job) {
 	wall := now.Sub(j.started).Seconds()
 	s.mDuration.With(j.req.scene()).Observe(wall)
 
+	// The simulated work is accounted before the terminal status is
+	// published, so a client that sees the job finished finds its cycles in
+	// the node's metrics.
+	if err == nil && !fromCache && j.req.Type == "sweep" {
+		var res sweep.Result
+		if json.Unmarshal(payload, &res) == nil {
+			s.mSimCycles.Add(int64(res.SimulatedCycles))
+			if wall > 0 {
+				s.mCPS.Set(res.SimulatedCycles / wall)
+			}
+		}
+	}
 	// The entry goes before the terminal status is published, so a client
 	// that sees the job finished never finds it still journaled.
 	s.journalRemove(j.id)
@@ -757,15 +769,6 @@ func (s *Server) runJob(j *job) {
 
 	s.progress.End(j.id, string(final), errMsg)
 	s.mCompleted.With(string(final)).Inc()
-	if err == nil && !fromCache && j.req.Type == "sweep" {
-		var res sweep.Result
-		if json.Unmarshal(payload, &res) == nil {
-			s.mSimCycles.Add(int64(res.SimulatedCycles))
-			if wall > 0 {
-				s.mCPS.Set(res.SimulatedCycles / wall)
-			}
-		}
-	}
 	span.SetAttr("status", string(final))
 	span.SetAttr("cache_hit", strconv.FormatBool(fromCache))
 	if err != nil {

@@ -4,10 +4,13 @@
 // planner partitions a sweep's simulations — baselines included — into
 // raster-equivalence classes keyed by Spec.RasterClassKey, rasterizes once
 // per multi-member class into a core.RasterArtifact, and fans the artifact
-// out to every member simulation. Replay is byte-identical to rasterizing
-// (core's artifact contract), so memoization changes wall-clock only; the
-// RunOpts.NoMemo escape hatch exists for benchmarking and distrust, never
-// for correctness.
+// out to every member simulation. One layer down, a class's cache probes
+// depend only on its cache geometry (core.MissGeometry): the planner probes
+// the artifact once per geometry into core.MissStreams, and every member
+// with that geometry runs only the timing pass. Replay is byte-identical to
+// rasterizing (core's artifact and miss-stream contracts), so memoization
+// changes wall-clock only; the RunOpts.NoMemo escape hatch exists for
+// benchmarking and distrust, never for correctness.
 package sweep
 
 import (
@@ -39,6 +42,11 @@ type PlanStats struct {
 	// Saved is Points+Baselines-Rasterizations. Checkpoint-restored work
 	// counts toward it: a restored simulation is a rasterization avoided.
 	Saved int `json:"saved"`
+	// Probes is how many miss-stream probe passes actually ran: one per
+	// cache geometry in use in each memoized class. Every other memoized
+	// simulation timed from a stream another member's pass built; a
+	// simulation of an unmemoized class probes inline and counts nowhere.
+	Probes int `json:"probes"`
 	// Checkpointed is how many simulations (rows plus speedup baselines)
 	// were restored from the checkpoint store (RunOpts.Rows) instead of
 	// running. Always 0 without a store.
@@ -48,10 +56,11 @@ type PlanStats struct {
 }
 
 // classState is one raster-equivalence class: its identity, whether it is
-// worth memoizing, and the lazily built shared artifact. The mutex guards
+// worth memoizing, the lazily built shared artifact and, per cache geometry,
+// the lazily built shared miss streams. The mutex guards artifact
 // build-once and the member refcount; members acquire before simulating and
-// release after, so the artifact is dropped as soon as its last member is
-// done.
+// release after, so the artifact and each stream are dropped as soon as the
+// last member using them is done.
 type classState struct {
 	procs, size int
 	// spansOnly is true when every member is a pure-scan machine (perfect
@@ -61,6 +70,8 @@ type classState struct {
 	// memoized is decided once membership is complete (seal): only classes
 	// with at least two members pay for an artifact.
 	memoized bool
+	// streams is filled by plan.add and only read afterwards.
+	streams map[core.MissGeometry]*streamState
 
 	mu        sync.Mutex
 	remaining int
@@ -69,22 +80,52 @@ type classState struct {
 	err       error
 }
 
-// acquire returns the class artifact, building it on first use. Concurrent
-// members block until the build completes; a build failure is remembered and
-// returned to every member.
-func (cs *classState) acquire(ctx context.Context, sc *trace.Scene, dk distrib.Kind, workers int) (*core.RasterArtifact, error) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if !cs.built {
-		cs.art, cs.err = core.BuildRasterArtifact(ctx, []*trace.Scene{sc}, cs.procs, dk,
-			cs.size, core.ArtifactOpts{Workers: workers, SpansOnly: cs.spansOnly})
-		cs.built = true
-	}
-	return cs.art, cs.err
+// streamState is one cache geometry's miss streams within a class, with the
+// same build-once and refcount discipline as the class artifact.
+type streamState struct {
+	mu        sync.Mutex
+	remaining int
+	built     bool
+	ms        *core.MissStreams
+	err       error
 }
 
-// release drops one member's reference; the last release frees the artifact.
-func (cs *classState) release() {
+// acquire returns the class artifact and the miss streams for cfg's cache
+// geometry, building each on first use, on up to buildWorkers and
+// probeWorkers goroutines. Concurrent members block until a build
+// completes; a build failure is remembered and returned to every member.
+func (cs *classState) acquire(ctx context.Context, sc *trace.Scene, dk distrib.Kind, cfg core.Config, buildWorkers, probeWorkers int) (*core.RasterArtifact, *core.MissStreams, error) {
+	cs.mu.Lock()
+	if !cs.built {
+		cs.art, cs.err = core.BuildRasterArtifact(ctx, []*trace.Scene{sc}, cs.procs, dk,
+			cs.size, core.ArtifactOpts{Workers: buildWorkers, SpansOnly: cs.spansOnly})
+		cs.built = true
+	}
+	art, err := cs.art, cs.err
+	cs.mu.Unlock()
+	if err != nil {
+		return nil, nil, err
+	}
+	ss := cs.streams[cfg.MissGeometry()]
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	if !ss.built {
+		ss.ms, ss.err = core.BuildMissStreams(ctx, art, cfg, probeWorkers)
+		ss.built = true
+	}
+	return art, ss.ms, ss.err
+}
+
+// release drops one member's references; the last member using the streams
+// of geometry g frees them, and the last member of the class frees the
+// artifact.
+func (cs *classState) release(g core.MissGeometry) {
+	ss := cs.streams[g]
+	ss.mu.Lock()
+	if ss.remaining--; ss.remaining == 0 {
+		ss.ms = nil
+	}
+	ss.mu.Unlock()
 	cs.mu.Lock()
 	cs.remaining--
 	if cs.remaining == 0 {
@@ -106,22 +147,31 @@ func newPlan(memo bool) *plan {
 	return &plan{byKey: make(map[string]*classState), memo: memo}
 }
 
-// add registers one simulation (a sweep point or a baseline) with the class
-// it belongs to and returns that class. ck and bus narrow the class's
-// spans-only eligibility: one member that consults addresses forces full
-// footprints for the whole class.
-func (p *plan) add(spec Spec, procs, size int, ck core.CacheKind, bus float64) *classState {
-	key := spec.RasterClassKey(procs, size)
+// add registers one simulation (a sweep point or a baseline) of machine
+// cfg with the class it belongs to and returns that class. cfg narrows the
+// class's spans-only eligibility — one member that consults addresses
+// forces full footprints for the whole class — and joins its cache
+// geometry's streams.
+func (p *plan) add(spec Spec, cfg core.Config) *classState {
+	key := spec.RasterClassKey(cfg.Procs, cfg.TileSize)
 	cs := p.byKey[key]
 	if cs == nil {
-		cs = &classState{procs: procs, size: size, spansOnly: true}
+		cs = &classState{procs: cfg.Procs, size: cfg.TileSize, spansOnly: true,
+			streams: make(map[core.MissGeometry]*streamState)}
 		p.byKey[key] = cs
 		p.order = append(p.order, cs)
 	}
 	cs.remaining++
-	if ck != core.CachePerfect || bus != 0 {
+	g := cfg.MissGeometry()
+	if !g.PureScan {
 		cs.spansOnly = false
 	}
+	ss := cs.streams[g]
+	if ss == nil {
+		ss = &streamState{}
+		cs.streams[g] = ss
+	}
+	ss.remaining++
 	return cs
 }
 
@@ -139,4 +189,18 @@ func (p *plan) seal(points, baselines int) {
 		}
 	}
 	p.stats.Saved = points + baselines - p.stats.Rasterizations
+}
+
+// probes counts the probe passes that ran. Call it once every member is
+// done.
+func (p *plan) probes() int {
+	n := 0
+	for _, cs := range p.order {
+		for _, ss := range cs.streams {
+			if ss.built && ss.err == nil {
+				n++
+			}
+		}
+	}
+	return n
 }

@@ -60,10 +60,11 @@ func TestPlannerEquivalenceMatrix(t *testing.T) {
 			if memo.Points != 10 || memo.Baselines != 5 || memo.Classes != 2 {
 				t.Errorf("%s/%s: plan = %+v", sceneName, dist, memo)
 			}
-			if memo.Rasterizations != 2 || memo.Saved != 13 || !memo.Memoized {
+			// Each class probes each of the 5 cache sizes once.
+			if memo.Rasterizations != 2 || memo.Saved != 13 || memo.Probes != 10 || !memo.Memoized {
 				t.Errorf("%s/%s: memoized plan = %+v", sceneName, dist, memo)
 			}
-			if plain.Rasterizations != 15 || plain.Saved != 0 || plain.Memoized {
+			if plain.Rasterizations != 15 || plain.Saved != 0 || plain.Probes != 0 || plain.Memoized {
 				t.Errorf("%s/%s: plain plan = %+v", sceneName, dist, plain)
 			}
 			if memo.Rasterizations >= plain.Rasterizations {
@@ -86,9 +87,29 @@ func TestPlannerBusBufferAxes(t *testing.T) {
 		Buffers: []int{16, 20000},
 	}
 	memo, _ := runMemoPair(t, spec, RunOpts{Parallelism: 4})
-	// 12 points + 6 baselines in 3 classes: (1,8), (4,8), (4,16).
-	if memo.Points != 12 || memo.Baselines != 6 || memo.Classes != 3 || memo.Rasterizations != 3 {
+	// 12 points + 6 baselines in 3 classes: (1,8), (4,8), (4,16), each
+	// probing its one cache geometry once.
+	if memo.Points != 12 || memo.Baselines != 6 || memo.Classes != 3 || memo.Rasterizations != 3 || memo.Probes != 3 {
 		t.Errorf("plan = %+v", memo)
+	}
+}
+
+// TestPlannerProbesOncePerCacheGeometry pins the plan of a cache x bus x
+// buffer sweep (the benchmark's axes workload): 72 points and 18 baselines,
+// 90 simulations in 5 raster classes, each class probing its 3 cache
+// geometries once — 15 probe passes, where every simulation used to probe
+// — with rows byte-identical to the unmemoized run.
+func TestPlannerProbesOncePerCacheGeometry(t *testing.T) {
+	spec := Spec{Scene: "massive11255", Scale: 0.2, Dist: "block",
+		Procs: []int{16, 64}, Sizes: []int{8, 16},
+		Caches: []int{4, 16, 64}, Buses: []float64{0.5, 1, 2},
+		Buffers: []int{20, 10000}}
+	memo, plain := runMemoPair(t, spec, RunOpts{Parallelism: 2})
+	if memo.Points+memo.Baselines != 90 || memo.Classes != 5 || memo.Rasterizations != 5 || memo.Probes != 15 {
+		t.Errorf("memoized plan = %+v, want 90 simulations in 5 classes, 5 rasterizations, 15 probes", memo)
+	}
+	if plain.Probes != 0 {
+		t.Errorf("unmemoized plan = %+v, want no probe passes", plain)
 	}
 }
 

@@ -381,8 +381,11 @@ type RunOpts struct {
 	// concurrently, the spare workers go to each machine (budget /
 	// concurrent configurations, at least 1). A sweep of many
 	// configurations therefore parallelizes across configurations; a sweep
-	// of one big configuration parallelizes across its nodes. The setting
-	// never changes which frame driver runs, nor any result.
+	// of one big configuration parallelizes across its nodes. A raster
+	// class's shared probe passes (its miss streams) are sized as one
+	// configuration alone — with 0, the whole budget — because every member
+	// that needs one waits for it. The setting never changes which frame
+	// driver runs, nor any result.
 	NodeParallelism int
 	// Progress, when non-nil, observes each configuration's lifecycle (see
 	// ProgressSink). Off costs one nil check per row; rows and results are
@@ -662,13 +665,13 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 	baseClass := make([]*classState, len(combos))
 	for ci := range combos {
 		if needBase[ci] && !haveBase[ci] {
-			baseClass[ci] = pl.add(spec, 1, spec.Sizes[0], ck, combos[ci].bus)
+			baseClass[ci] = pl.add(spec, mkConfig(1, spec.Sizes[0], combos[ci]))
 		}
 	}
 	pointClass := make([]*classState, len(points))
 	for i, pt := range points {
 		if !done[i] {
-			pointClass[i] = pl.add(spec, pt.procs, pt.size, ck, pt.bus)
+			pointClass[i] = pl.add(spec, mkConfig(pt.procs, pt.size, combos[pt.combo]))
 		}
 	}
 	pl.seal(len(points), len(combos))
@@ -692,8 +695,14 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 		}
 	}
 
-	// runOne simulates one configuration, replaying the class artifact when
-	// the planner memoized the class.
+	// runOne simulates one configuration, timing the class artifact from
+	// the miss streams of the configuration's cache geometry when the
+	// planner memoized the class. The artifact is built on the
+	// simulation's own share: building it on the whole budget let the
+	// garbage collector fall behind its allocations and raised the axes
+	// benchmark's peak RSS by a fifth. The probe pass allocates little more
+	// than its stream, so it takes the whole budget.
+	probePar := opts.nodeParallelism(1)
 	runOne := func(cfg core.Config, cs *classState, nodePar int, flightInterval float64, wantFlight bool) (*core.Result, *flight.Recorder, error) {
 		m, err := core.NewMachine(sc, cfg)
 		if err != nil {
@@ -701,12 +710,15 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 		}
 		m.SetNodeParallelism(nodePar)
 		if cs.memoized {
-			art, err := cs.acquire(ctx, sc, dk, nodePar)
+			art, ms, err := cs.acquire(ctx, sc, dk, cfg, nodePar, probePar)
 			if err != nil {
 				return nil, nil, err
 			}
-			defer cs.release()
+			defer cs.release(cfg.MissGeometry())
 			if err := m.SetRasterArtifact(art); err != nil {
+				return nil, nil, err
+			}
+			if err := m.SetMissStreams(ms); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -818,6 +830,7 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 		return nil, err
 	}
 	if opts.Plan != nil {
+		pl.stats.Probes = pl.probes()
 		*opts.Plan = pl.stats
 	}
 	out := &Result{Spec: spec, Rows: rows, Flights: flights}
