@@ -22,9 +22,10 @@
 // byte-identical results (cycles, counters, cache statistics, FIFO peaks) to
 // the same machine building its frames in memory, on both drivers: the
 // footprint streams come from engine.TriangleWork.Precompute, which steps
-// u/v exactly as engine.ProcessTriangle does; the machine probes them once
-// per cache geometry into miss streams (missstream.go); and every engine
-// path times each fragment through the same per-fragment timing body.
+// u/v exactly as engine.ProcessTriangle does; the machine probes them per
+// work item, or ahead of time into shared miss streams (missstream.go); and
+// every engine path times each fragment through the one timing loop,
+// engine.Engine.ProcessMisses.
 package core
 
 import (

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 
 	"repro/internal/distrib"
 	"repro/internal/geom"
@@ -26,9 +27,10 @@ var artifactMagic = [4]byte{'T', 'X', 'R', 'A'}
 // artifactVersion is the current format version.
 const artifactVersion = 1
 
-// maxArtifactPrealloc caps slice preallocation from decoded counts, so a
-// corrupt length prefix costs an error, not memory.
-const maxArtifactPrealloc = 1 << 20
+// artifactPrealloc caps the elements preallocated from one decoded count,
+// so a corrupt length prefix costs an error, not memory (append grows the
+// rest); maxArtifactString bounds a decoded string's length.
+const artifactPrealloc, maxArtifactString = 1 << 10, 1 << 20
 
 // EncodeRasterArtifact writes a to w in the versioned binary format.
 func EncodeRasterArtifact(w io.Writer, a *RasterArtifact) error {
@@ -102,25 +104,25 @@ func DecodeRasterArtifact(r io.Reader) (*RasterArtifact, error) {
 	a.Dist = distrib.Kind(d.count())
 	a.TileSize = d.count()
 	nTex := d.count()
-	a.Textures = make([]trace.TexSize, 0, min(nTex, maxArtifactPrealloc))
+	a.Textures = make([]trace.TexSize, 0, min(nTex, artifactPrealloc))
 	for i := 0; i < nTex && d.err == nil; i++ {
 		a.Textures = append(a.Textures, trace.TexSize{W: d.count(), H: d.count()})
 	}
 	a.HasFootprints = d.bool()
 	nFrames := d.count()
-	a.Frames = make([]*FrameArtifact, 0, min(nFrames, maxArtifactPrealloc))
+	a.Frames = make([]*FrameArtifact, 0, min(nFrames, artifactPrealloc))
 	for i := 0; i < nFrames && d.err == nil; i++ {
 		f := &FrameArtifact{Name: d.string(), Triangles: d.count()}
 		nTris := d.count()
-		f.Tris = make([]ArtifactTriangle, 0, min(nTris, maxArtifactPrealloc))
+		f.Tris = make([]ArtifactTriangle, 0, min(nTris, artifactPrealloc))
 		for j := 0; j < nTris && d.err == nil; j++ {
 			nDests := d.count()
-			tri := ArtifactTriangle{Dests: make([]ArtifactDest, 0, min(nDests, maxArtifactPrealloc))}
+			tri := ArtifactTriangle{Dests: make([]ArtifactDest, 0, min(nDests, artifactPrealloc))}
 			for k := 0; k < nDests && d.err == nil; k++ {
 				dest := ArtifactDest{Node: d.count()}
 				nSegs := d.count()
 				if nSegs > 0 {
-					dest.Work.Segments = make([]raster.Span, 0, min(nSegs, maxArtifactPrealloc))
+					dest.Work.Segments = make([]raster.Span, 0, min(nSegs, artifactPrealloc))
 				}
 				for s := 0; s < nSegs && d.err == nil; s++ {
 					dest.Work.Segments = append(dest.Work.Segments,
@@ -128,7 +130,7 @@ func DecodeRasterArtifact(r io.Reader) (*RasterArtifact, error) {
 				}
 				nReps := d.count()
 				if nReps > 0 {
-					dest.Work.Reps = make([]int32, 0, min(nReps, maxArtifactPrealloc))
+					dest.Work.Reps = make([]int32, 0, min(nReps, artifactPrealloc))
 				}
 				for s := 0; s < nReps && d.err == nil; s++ {
 					dest.Work.Reps = append(dest.Work.Reps, d.int32())
@@ -310,20 +312,20 @@ func (d *artifactDecoder) string() string {
 	if d.err != nil || n == 0 {
 		return ""
 	}
-	if n > maxArtifactPrealloc {
+	if n > maxArtifactString {
 		d.err = fmt.Errorf("string length %d out of range", n)
 		return ""
 	}
-	b := make([]byte, n)
-	d.bytes(b)
-	return string(b)
+	var sb strings.Builder // grows as the bytes arrive
+	_, d.err = io.CopyN(&sb, d.r, int64(n))
+	return sb.String()
 }
 
 func (d *artifactDecoder) addrs(n int) []texture.Addr {
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	as := make([]texture.Addr, 0, min(n, maxArtifactPrealloc))
+	as := make([]texture.Addr, 0, min(n, artifactPrealloc))
 	var b [4]byte
 	for i := 0; i < n && d.err == nil; i++ {
 		d.bytes(b[:])

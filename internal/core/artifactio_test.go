@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -132,6 +134,51 @@ func TestArtifactDecodeRejectsOffScreenSegments(t *testing.T) {
 		}
 		if _, err := DecodeRasterArtifact(&buf); err == nil || !strings.Contains(err.Error(), "not a span of screen") {
 			t.Errorf("decoding segment %+v: %v, want a segment error", bad, err)
+		}
+	}
+}
+
+// TestArtifactDecodeBoundsPrealloc: a length prefix that promises more than
+// the input holds costs an error, not memory. At every level of the format,
+// a prefix of 2^20 followed by EOF allocates under 1 MiB. The destinations
+// case is the 22-byte input in FuzzDecodeRasterArtifact's corpus
+// (dests-prefix), which once allocated 88 MiB.
+func TestArtifactDecodeBoundsPrealloc(t *testing.T) {
+	for _, level := range []string{"scene name", "textures", "frames", "frame name", "triangles", "destinations", "segments", "runs"} {
+		b := []byte("TXRA\x01")
+		hostile := false
+		put := func(name string, v uint64) {
+			if hostile {
+				return
+			}
+			if name == level {
+				v, hostile = 1<<20, true
+			}
+			b = binary.AppendUvarint(b, v)
+		}
+		put("scene name", 0)
+		for _, f := range []string{"x0", "y0", "x1", "y1", "procs", "dist", "tile size"} {
+			put(f, 0)
+		}
+		put("textures", 0)
+		put("footprints", 1)
+		put("frames", 1)
+		put("frame name", 0)
+		put("triangle count", 1)
+		put("triangles", 1)
+		put("destinations", 1)
+		put("node", 0)
+		put("segments", 0)
+		put("runs", 1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeRasterArtifact(bytes.NewReader(b))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: %d-byte input with a 2^20 prefix decoded", level, len(b))
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 1<<20 {
+			t.Errorf("%s: %d-byte input allocated %d bytes", level, len(b), n)
 		}
 	}
 }

@@ -289,9 +289,9 @@ type Machine struct {
 	// artifact, when non-nil, supplies every frame's prebuilt work list in
 	// place of an in-memory build (see SetRasterArtifact).
 	artifact *RasterArtifact
-	// streams holds the artifact's miss streams for this machine's cache
-	// geometry (see SetMissStreams); a run with an artifact attached builds
-	// them when nil.
+	// streams, when non-nil, holds the artifact's miss streams for this
+	// machine's cache geometry (see SetMissStreams); without them, a run
+	// with an artifact attached probes each work item as it times it.
 	streams *MissStreams
 	// frame is the index of the frame being timed.
 	frame int
@@ -437,13 +437,6 @@ func (m *Machine) RunSequenceContext(ctx context.Context, frames []*trace.Scene)
 		if err := m.checkArtifactFrames(frames); err != nil {
 			return nil, err
 		}
-		if m.streams == nil {
-			s, err := BuildMissStreams(ctx, m.artifact, m.cfg, m.nodeParallelism())
-			if err != nil {
-				return nil, err
-			}
-			m.streams = s
-		}
 	}
 	for _, e := range m.engines {
 		e.Reset()
@@ -486,9 +479,9 @@ func (m *Machine) RunSequenceContext(ctx context.Context, frames []*trace.Scene)
 }
 
 // runFrame simulates frame fi: it takes the frame's work list from the
-// attached artifact, to be timed from its miss streams, or builds it in
-// memory without footprint streams, to be timed live, and drops it after
-// the frame. It then replays the list on the driver the dispatch rule
+// attached artifact, to be replayed, or builds it in memory without
+// footprint streams, to be timed live, and drops it after the frame. It
+// then replays the list on the driver the dispatch rule
 // (decoupled, parallel.go) picks. The two drivers agree byte for byte
 // wherever the rule allows either.
 func (m *Machine) runFrame(ctx context.Context, fi int, f *trace.Scene) error {

@@ -7,8 +7,11 @@
 // BuildMissStreams runs the probe pass once per artifact and cache geometry
 // (engine.Prober.AppendMisses, each node on its own), and every machine the
 // streams are attached to runs only the timing pass
-// (engine.Engine.ProcessMisses) — the one artifact-replay path, on both
-// frame drivers.
+// (engine.Engine.ProcessMisses), on either frame driver.
+//
+// A stream pays off only when two or more machines share it (the sweep
+// planner's rule); a machine with an artifact and no stream probes each
+// work item as it times it (engine.Engine.ProcessPrecomputed), one pass.
 //
 // Equivalence contract: a machine timing from miss streams gives results
 // byte-identical to rasterizing in memory (cycles, counters, cache
@@ -155,8 +158,8 @@ func (s *MissStreams) stats(p, fi int) (l1, l2 cache.Stats) {
 // SetMissStreams attaches miss streams built for the machine's attached
 // raster artifact and its cache geometry: subsequent runs time from them
 // instead of probing, with byte-identical results. A machine with an
-// artifact attached and no streams builds its own on its next run. Pass nil
-// to detach.
+// artifact attached and no streams probes each work item as it times it.
+// Pass nil to detach.
 func (m *Machine) SetMissStreams(s *MissStreams) error {
 	if s == nil {
 		m.streams = nil
@@ -178,12 +181,16 @@ func (m *Machine) SetMissStreams(s *MissStreams) error {
 
 // process times node p's k-th work item of the current frame, d, arriving
 // at arrival, and returns its completion time: the one step every driver
-// takes per work item. With an artifact attached it runs the timing pass
-// on the item's miss stream; a frame built in memory is timed live.
+// takes per work item. With miss streams attached it runs the timing pass
+// on the item's stream, with only an artifact attached it replays the
+// item's footprints, and a frame built in memory is timed live.
 func (m *Machine) process(p, k int, d *ArtifactDest, arrival float64) float64 {
 	e := m.engines[p]
-	if m.streams != nil {
+	switch {
+	case m.streams != nil:
 		return e.ProcessMisses(arrival, d.Work.Segments, m.streams.ops(p, m.frame, k))
+	case m.artifact != nil:
+		return e.ProcessPrecomputed(arrival, &d.Work)
 	}
 	return d.process(e, m.mgr, arrival)
 }

@@ -98,6 +98,9 @@ type Engine struct {
 	// fragment PrefetchDepth slots earlier retires (when it enters the FIFO).
 	ring    []float64
 	ringPos int
+	// ops is the op scratch ProcessTriangle and ProcessPrecomputed probe a
+	// work item into before timing it (see opScratch).
+	ops []uint32
 	// rec, when non-nil, receives one phase attribution per triangle.
 	rec PhaseRecorder
 	_   [64]byte // no other node's state on these lines; see TestNodeStateIsPadded
@@ -232,23 +235,22 @@ func (e *Engine) StartTriangle(arrival float64) float64 {
 // triangle holds the pipeline for max(setup, scan) cycles (setup overlaps
 // scanning; a clipped sliver still costs the full setup time). Each
 // fragment's trilinear footprint is generated here, from the mip pair
-// resolved once for the triangle, then probed (the L1, and the L2 for what
-// missed: Prober.Fragment's two halves) and timed (missFragment, or
-// hitFragments when nothing missed) — or, when it repeats the previous
-// fragment's footprint and the cache guarantees such repeats hit, timed by
-// repeatFragments: the same bodies ProcessPrecomputed replays recorded
-// footprint runs through.
+// resolved once for the triangle, and probed — the L1, and the L2 for what
+// missed — into the engine's op scratch; a fragment that repeats the
+// previous fragment's footprint, when the cache guarantees such repeats
+// hit, is counted as a hit without a lookup. ProcessMisses then times the
+// ops. This is Prober.AppendMisses's probe loop with the footprints
+// generated instead of read from a recorded stream.
 func (e *Engine) ProcessTriangle(arrival float64, w *TriangleWork) float64 {
-	start := e.StartTriangle(arrival)
-	stall0 := e.stats.StallCycles
 	if e.pureScan {
-		return e.finishTriangle(start, stall0, e.scanPixels(start, w.Segments))
+		return e.ProcessMisses(arrival, w.Segments, nil)
 	}
-	s := start
+	ops := e.opScratch(w.Segments)
 	smp := w.Tex.Sampler(w.LOD)
 	repeatFast := e.probe.L1.RepeatHits()
 	var prev [8]texture.Addr
 	first := true
+	hits, repeats := 0, 0
 	for _, sp := range w.Segments {
 		yc := float64(sp.Y) + 0.5
 		xc := float64(sp.X0) + 0.5
@@ -257,13 +259,14 @@ func (e *Engine) ProcessTriangle(arrival float64, w *TriangleWork) float64 {
 		for x := sp.X0; x < sp.X1; x++ {
 			smp.Footprint(u, v, &e.foot)
 			if repeatFast && !first && sameFootprint(&e.foot, &prev) {
-				s = e.repeatFragments(s, 1)
+				repeats++
+				hits++
 			} else {
 				if missMask := e.probe.L1.AccessFootprint(&e.foot); missMask == 0 {
-					s = e.hitFragments(s, 1)
+					hits++
 				} else {
-					l1, main := e.probe.misses(missMask, &e.foot)
-					s = e.missFragment(start, s, l1, main)
+					ops = append(appendHits(ops, hits), e.probe.misses(missMask, &e.foot))
+					hits = 0
 				}
 				prev, first = e.foot, false
 			}
@@ -271,7 +274,29 @@ func (e *Engine) ProcessTriangle(arrival float64, w *TriangleWork) float64 {
 			v += w.Map.DvDx
 		}
 	}
-	return e.finishTriangle(start, stall0, s)
+	if repeats > 0 {
+		e.probe.L1.AddHits(uint64(repeats) * 8)
+	}
+	return e.ProcessMisses(arrival, w.Segments, appendHits(ops, hits))
+}
+
+// opScratch returns the engine's op scratch, emptied, with room for the ops
+// of a work item over segs: at most one per fragment. The scratch is
+// written on every fragment while other nodes' engines are written on
+// other workers, so it is allocated, and regrown, in whole 64-byte lines
+// plus one that its capacity hides, as newRing does (TestRingsShareNoLine).
+func (e *Engine) opScratch(segs []raster.Span) []uint32 {
+	n := 0
+	for _, sp := range segs {
+		n += sp.Width()
+	}
+	if n > cap(e.ops) {
+		const lineSlots = 64 / 4
+		n = max(n, 2*cap(e.ops))
+		buf := make([]uint32, (n+lineSlots-1)/lineSlots*lineSlots+lineSlots)
+		e.ops = buf[: 0 : len(buf)-lineSlots]
+	}
+	return e.ops[:0]
 }
 
 // scanPixels is a whole triangle in the pure-scan regime: one cycle per
@@ -289,9 +314,8 @@ func (e *Engine) scanPixels(s float64, segs []raster.Span) float64 {
 // lines in the L1, main of them in the L2 too. It issues the fetches,
 // stalls the scanner until they arrive, retires the fragment and returns
 // the scan clock after it. A fragment that missed nothing is timed by
-// hitFragments. Neither reads a cache, so the live paths run them right
-// after the fragment's probe body (Prober.Fragment), and ProcessMisses long
-// after.
+// hitFragments. Neither reads a cache, and ProcessMisses is their only
+// caller: the probes ran before, into the ops it replays.
 func (e *Engine) missFragment(start, s float64, l1, main int) float64 {
 	s++ // one scan cycle per fragment
 	// Fetches were issued when this fragment entered the prefetch FIFO, i.e.
@@ -317,16 +341,6 @@ func (e *Engine) missFragment(start, s float64, l1, main int) float64 {
 	e.retire(s)
 	e.stats.Fragments++
 	return s
-}
-
-// repeatFragments times n fragments that each re-access the footprint the
-// fragment before them just touched, on a cache whose RepeatHits holds:
-// guaranteed hits that leave the cache state untouched, so no misses and no
-// stalls. Only the hit count and hitFragments' state move. It returns the
-// scan clock after the last one.
-func (e *Engine) repeatFragments(s float64, n int) float64 {
-	e.probe.L1.AddHits(uint64(n) * 8)
-	return e.hitFragments(s, n)
 }
 
 // hitFragments times n fragments that all hit: only the scan clock, the

@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/cache"
@@ -381,15 +383,21 @@ func TestProcessTriangleSkipsRepeatedFootprints(t *testing.T) {
 }
 
 func TestProcessTriangleAllocFree(t *testing.T) {
-	// The per-triangle fast path must not allocate: the texel-footprint
-	// scratch lives on the engine and spans are caller-owned.
+	// The per-triangle paths must not allocate once warm: the footprint and
+	// op scratch live on the engine and spans are caller-owned.
 	e, tex := newTestEngine(cache.New(cache.Config{SizeBytes: 16 * 1024, Ways: 4, LineBytes: 64}), memory.BusConfig{TexelsPerCycle: 2})
 	w := identityWork(tex, raster.Span{Y: 0, X0: 0, X1: 64}, raster.Span{Y: 1, X0: 0, X1: 64})
+	pw := w.Precompute()
 	arrival := 0.0
 	if n := testing.AllocsPerRun(100, func() {
 		arrival = e.ProcessTriangle(arrival, w)
 	}); n != 0 {
 		t.Errorf("ProcessTriangle allocates %.1f per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		arrival = e.ProcessPrecomputed(arrival, &pw)
+	}); n != 0 {
+		t.Errorf("ProcessPrecomputed allocates %.1f per call", n)
 	}
 }
 
@@ -408,19 +416,39 @@ func TestNodeStateIsPadded(t *testing.T) {
 
 // TestRingsShareNoLine: the prefetch ring is written on every fragment too,
 // and at depth 1 it is a single 8-byte slot, which unrounded would pack
-// several nodes' rings into one line.
+// several nodes' rings into one line. The op scratch is written on every
+// fragment as well, so it and each regrowth of it get lines of their own.
 func TestRingsShareNoLine(t *testing.T) {
+	tex := texture.NewManager().MustAdd(64, 64)
+	owner := map[uintptr]string{}
+	// Every ring and outgrown scratch stays live, so no later one reuses its lines.
 	engines := make([]*Engine, 64)
-	owner := map[uintptr]int{}
-	for i := range engines {
-		engines[i] = NewWithPrefetch(i, DefaultSetupCycles, 1, cache.NewPerfect(), memory.NewBus(memory.BusConfig{TexelsPerCycle: 1}))
-		first := reflect.ValueOf(engines[i].ring).Pointer()
-		last := first + uintptr(len(engines[i].ring))*8 - 1
-		for line := first / 64; line <= last/64; line++ {
-			if j, ok := owner[line]; ok {
-				t.Fatalf("prefetch rings of engines %d and %d share the line at %#x", j, i, line*64)
+	var keep [][]uint32
+	claim := func(name string, first uintptr, bytes int) {
+		for line := first / 64; line <= (first+uintptr(bytes)-1)/64; line++ {
+			if other, ok := owner[line]; ok {
+				t.Fatalf("%s and %s share the line at %#x", other, name, line*64)
 			}
-			owner[line] = i
+			owner[line] = name
 		}
 	}
+	for i := range engines {
+		e := NewWithPrefetch(i, DefaultSetupCycles, 1, cache.New(cache.PaperConfig()), memory.NewBus(memory.BusConfig{TexelsPerCycle: 1}))
+		engines[i] = e
+		claim(fmt.Sprintf("engine %d's prefetch ring", i), reflect.ValueOf(e.ring).Pointer(), len(e.ring)*8)
+		// One fragment, then enough to regrow the scratch, live and replayed.
+		for _, x1 := range []int{1, 100, 300} {
+			w := identityWork(tex, raster.Span{Y: 0, X0: 0, X1: x1})
+			if x1 < 300 {
+				e.ProcessTriangle(0, w)
+			} else {
+				pw := w.Precompute()
+				e.ProcessPrecomputed(0, &pw)
+			}
+			claim(fmt.Sprintf("engine %d's %d-op scratch", i, cap(e.ops)), reflect.ValueOf(e.ops[:1]).Pointer(), cap(e.ops)*4)
+			keep = append(keep, e.ops)
+		}
+	}
+	runtime.KeepAlive(engines)
+	runtime.KeepAlive(keep)
 }

@@ -8,14 +8,15 @@
 // a timing pass (ProcessMisses) replays the stream into any bus and buffer
 // setting.
 //
-// Equivalence contract: ProcessMisses gives the same completion times,
-// engine counters, bus counters and flight-recorder phases as
-// ProcessPrecomputed on the same work, bit for bit. Both time every
-// fragment that missed through missFragment and every other through
-// hitFragments, one scan cycle per fragment; the stream only moves the
-// probes earlier.
-// The cache counters are the probe pass's: the engine's own cache model is
-// never touched by ProcessMisses.
+// Equivalence contract: ProcessMisses is the only loop that times
+// fragments — every fragment that missed through missFragment, every other
+// through hitFragments, one scan cycle per fragment. ProcessTriangle and
+// ProcessPrecomputed probe one work item into the engine's op scratch and
+// time it through ProcessMisses at once; a stream AppendMisses built ahead
+// of time on a Prober of the same geometry holds the same ops, so timing
+// from it gives the same completion times, engine and bus counters and
+// flight-recorder phases, bit for bit. The cache counters are then the
+// probe pass's: ProcessMisses never touches the engine's own cache model.
 package engine
 
 import (
@@ -42,23 +43,14 @@ type Prober struct {
 	L2 cache.Model
 }
 
-// Fragment probes one fragment's footprint and returns how many of its 8
-// texels missed in the L1 and how many of those then missed in the L2 (0
-// without one). The L1 is probed with the whole footprint in one call; each
-// L1 miss then probes the L2, in footprint order (the two levels are
-// independent models, so the interleaving does not matter).
-func (p *Prober) Fragment(foot *[8]texture.Addr) (l1, main int) {
-	if missMask := p.L1.AccessFootprint(foot); missMask != 0 {
-		return p.misses(missMask, foot)
-	}
-	return 0, 0
-}
-
-// misses is Fragment after an L1 probe of foot that missed the addresses
-// in missMask (≠ 0): it probes each of them in the L2 and returns the
-// counts. The live paths call the L1 and misses themselves, so a fragment
-// that hits costs them no call beyond the cache's own.
-func (p *Prober) misses(missMask uint8, foot *[8]texture.Addr) (l1, main int) {
+// misses is the probe body of a fragment whose L1 probe of foot missed the
+// addresses in missMask (≠ 0): it probes each of them in the L2, in
+// footprint order (the two levels are independent models, so the
+// interleaving does not matter), and returns the fragment's miss op. The
+// probe loops call the L1 themselves, so a fragment that hits costs them no
+// call beyond the cache's own.
+func (p *Prober) misses(missMask uint8, foot *[8]texture.Addr) uint32 {
+	main := 0
 	if p.L2 != nil {
 		for m := missMask; m != 0; m &= m - 1 {
 			if !p.L2.Access(foot[bits.TrailingZeros8(m)]) {
@@ -66,18 +58,19 @@ func (p *Prober) misses(missMask uint8, foot *[8]texture.Addr) (l1, main int) {
 			}
 		}
 	}
-	return bits.OnesCount8(missMask), main
+	return uint32(bits.OnesCount8(missMask)) | uint32(main)<<4
 }
 
-// AppendMisses is the probe pass over one work item: it makes exactly the
-// probes ProcessPrecomputed would, in the same order, and appends the
-// item's miss-stream ops to ops — one per fragment that missed in the L1,
-// one per run of consecutive all-hit fragments. Runs never reach back into
-// ops present before the call, so each item's ops stay a slice of their
-// own. Every run of w must cover at least one fragment.
+// AppendMisses is the probe pass over one work item: it probes every
+// fragment's footprint in scan order and appends the item's miss-stream ops
+// to ops — one per fragment that missed in the L1, one per run of
+// consecutive all-hit fragments. A run that repeats a footprint, on a cache
+// whose RepeatHits holds, is probed once and its repeats counted as hits.
+// Runs never extend ops present before the call, so each item's ops stay a
+// slice of their own. Every run of w must cover at least one fragment.
 func (p *Prober) AppendMisses(ops []uint32, w *PrecomputedWork) []uint32 {
-	first := len(ops)
 	repeatFast := p.L1.RepeatHits()
+	hits, repeats := 0, 0
 	for r := range w.Reps {
 		foot := (*[8]texture.Addr)(w.Addrs[r*8:])
 		reps := int(w.Reps[r])
@@ -86,32 +79,29 @@ func (p *Prober) AppendMisses(ops []uint32, w *PrecomputedWork) []uint32 {
 			probes = 1
 		}
 		for j := 0; j < probes; j++ {
-			if l1, main := p.Fragment(foot); l1 != 0 {
-				ops = append(ops, uint32(l1)|uint32(main)<<4)
+			if missMask := p.L1.AccessFootprint(foot); missMask == 0 {
+				hits++
 			} else {
-				ops = appendHits(ops, first, 1)
+				ops = append(appendHits(ops, hits), p.misses(missMask, foot))
+				hits = 0
 			}
 		}
-		if repeatFast && reps > 1 {
-			p.L1.AddHits(uint64(reps-1) * 8)
-			ops = appendHits(ops, first, reps-1)
+		if repeatFast {
+			repeats += reps - 1
+			hits += reps - 1
 		}
 	}
-	return ops
+	if repeats > 0 {
+		p.L1.AddHits(uint64(repeats) * 8)
+	}
+	return appendHits(ops, hits)
 }
 
-// appendHits appends n all-hit fragments to ops, extending the last op when
-// it is a hit run at or after index first.
-func appendHits(ops []uint32, first, n int) []uint32 {
-	if last := len(ops) - 1; last >= first && ops[last]&hitRun != 0 {
-		k := min(n, maxHitRun-int(ops[last]&maxHitRun))
-		ops[last] += uint32(k)
-		n -= k
-	}
-	for n > 0 {
-		k := min(n, maxHitRun)
-		ops = append(ops, hitRun|uint32(k))
-		n -= k
+// appendHits appends a run of n all-hit fragments to ops, split into ops of
+// at most maxHitRun fragments.
+func appendHits(ops []uint32, n int) []uint32 {
+	for ; n > 0; n -= maxHitRun {
+		ops = append(ops, hitRun|uint32(min(n, maxHitRun)))
 	}
 	return ops
 }

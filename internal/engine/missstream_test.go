@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -20,8 +21,8 @@ func (l *phaseLog) RecordTriangle(start, scan, stall, setup float64) {
 }
 
 // TestMissStreamMatchesPrecomputed: the probe pass and the timing pass,
-// run apart, give what ProcessPrecomputed gives probing and timing every
-// fragment one by one (its cache's repeat-hit guarantee hidden) —
+// run apart, give what ProcessPrecomputed gives probing every fragment one
+// by one (its cache's repeat-hit guarantee hidden) and timing at once —
 // completion times, engine and bus counters and per-triangle phases bit for
 // bit, and the probe pass's cache counters — on a real cache, the cacheless
 // model and a perfect cache, with and without an L2, on magnified
@@ -141,25 +142,32 @@ func TestMissStreamPureScan(t *testing.T) {
 	}
 }
 
-// TestMissStreamHitRuns pins the op encoding's run handling: a run longer
-// than one op holds splits, and a run extends the previous op only within
-// the current item.
+// TestMissStreamHitRuns pins the probe pass's run handling: a run longer
+// than one op holds splits, hits within one item become one op whether
+// their lookups were skipped or made, a run never extends an op from
+// before the call, and a hit after a miss never extends the miss op.
 func TestMissStreamHitRuns(t *testing.T) {
-	ops := appendHits(nil, 0, maxHitRun+5)
-	if !slices.Equal(ops, []uint32{hitRun | maxHitRun, hitRun | 5}) {
+	runs := func(reps ...int32) *PrecomputedWork {
+		return &PrecomputedWork{Addrs: make([]texture.Addr, 8*len(reps)), Reps: reps}
+	}
+	perfect := Prober{L1: cache.NewPerfect()}
+	if ops := perfect.AppendMisses(nil, runs(math.MaxInt32, 5)); !slices.Equal(ops, []uint32{hitRun | maxHitRun, hitRun | 5}) {
 		t.Errorf("long run encoded as %#x", ops)
 	}
-	ops = appendHits(ops, 1, 2)
-	if !slices.Equal(ops, []uint32{hitRun | maxHitRun, hitRun | 7}) {
-		t.Errorf("run within the item did not extend the last op: %#x", ops)
+	for _, p := range []Prober{perfect, {L1: noRepeat{cache.NewPerfect()}}} {
+		if ops := p.AppendMisses(nil, runs(3, 4)); !slices.Equal(ops, []uint32{hitRun | 7}) {
+			t.Errorf("%T: hits within the item encoded as %#x", p.L1, ops)
+		}
 	}
-	ops = appendHits(ops, 2, 3)
-	if !slices.Equal(ops, []uint32{hitRun | maxHitRun, hitRun | 7, hitRun | 3}) {
+	ops := perfect.AppendMisses([]uint32{hitRun | 7}, runs(3))
+	if !slices.Equal(ops, []uint32{hitRun | 7, hitRun | 3}) {
 		t.Errorf("run reached back into the previous item: %#x", ops)
 	}
-	ops = append(ops, 8|8<<4)
-	ops = appendHits(ops, 2, 1)
-	if !slices.Equal(ops[3:], []uint32{8 | 8<<4, hitRun | 1}) {
+	// A cold footprint over 8 lines misses both levels, and its repeat hits.
+	cold := Prober{L1: cache.New(cache.PaperConfig()), L2: cache.New(cache.Config{SizeBytes: 16 * 1024, Ways: 8, LineBytes: 64})}
+	w := &PrecomputedWork{Addrs: []texture.Addr{0, 64, 128, 192, 256, 320, 384, 448}, Reps: []int32{2}}
+	ops = cold.AppendMisses(ops, w)
+	if !slices.Equal(ops[2:], []uint32{8 | 8<<4, hitRun | 1}) {
 		t.Errorf("run after a miss extended the miss op: %#x", ops)
 	}
 }

@@ -6,8 +6,9 @@
 // per multi-member class into a core.RasterArtifact, and fans the artifact
 // out to every member simulation. One layer down, a class's cache probes
 // depend only on its cache geometry (core.MissGeometry): the planner probes
-// the artifact once per geometry into core.MissStreams, and every member
-// with that geometry runs only the timing pass. Replay is byte-identical to
+// the artifact once per geometry that two or more members share into
+// core.MissStreams, and those members run only the timing pass; a member
+// alone in its geometry probes as it times. Replay is byte-identical to
 // rasterizing (core's artifact and miss-stream contracts), so memoization
 // changes wall-clock only; the RunOpts.NoMemo escape hatch exists for
 // benchmarking and distrust, never for correctness.
@@ -43,9 +44,8 @@ type PlanStats struct {
 	// counts toward it: a restored simulation is a rasterization avoided.
 	Saved int `json:"saved"`
 	// Probes is how many miss-stream probe passes actually ran: one per
-	// cache geometry in use in each memoized class. Every other memoized
-	// simulation timed from a stream another member's pass built; a
-	// simulation of an unmemoized class probes inline and counts nowhere.
+	// cache geometry shared by two or more members of a memoized class. A
+	// simulation alone in its geometry or class probes as it times.
 	Probes int `json:"probes"`
 	// Checkpointed is how many simulations (rows plus speedup baselines)
 	// were restored from the checkpoint store (RunOpts.Rows) instead of
@@ -83,6 +83,7 @@ type classState struct {
 // streamState is one cache geometry's miss streams within a class, with the
 // same build-once and refcount discipline as the class artifact.
 type streamState struct {
+	shared    bool // at least two members (decided by seal): worth a stream
 	mu        sync.Mutex
 	remaining int
 	built     bool
@@ -90,10 +91,10 @@ type streamState struct {
 	err       error
 }
 
-// acquire returns the class artifact and the miss streams for cfg's cache
-// geometry, building each on first use, on up to buildWorkers and
-// probeWorkers goroutines. Concurrent members block until a build
-// completes; a build failure is remembered and returned to every member.
+// acquire returns the class artifact and, if cfg's cache geometry is
+// shared, its miss streams, building each on first use, on up to
+// buildWorkers and probeWorkers goroutines. Concurrent members block until
+// a build completes; a build failure is remembered and returned to all.
 func (cs *classState) acquire(ctx context.Context, sc *trace.Scene, dk distrib.Kind, cfg core.Config, buildWorkers, probeWorkers int) (*core.RasterArtifact, *core.MissStreams, error) {
 	cs.mu.Lock()
 	if !cs.built {
@@ -107,6 +108,9 @@ func (cs *classState) acquire(ctx context.Context, sc *trace.Scene, dk distrib.K
 		return nil, nil, err
 	}
 	ss := cs.streams[cfg.MissGeometry()]
+	if !ss.shared {
+		return art, nil, nil
+	}
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if !ss.built {
@@ -181,6 +185,9 @@ func (p *plan) seal(points, baselines int) {
 	p.stats = PlanStats{Points: points, Baselines: baselines, Memoized: p.memo}
 	for _, cs := range p.order {
 		cs.memoized = p.memo && cs.remaining >= 2
+		for _, ss := range cs.streams {
+			ss.shared = ss.remaining >= 2
+		}
 		p.stats.Classes++
 		if cs.memoized {
 			p.stats.Rasterizations++

@@ -695,9 +695,9 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 		}
 	}
 
-	// runOne simulates one configuration, timing the class artifact from
-	// the miss streams of the configuration's cache geometry when the
-	// planner memoized the class. The artifact is built on the
+	// runOne simulates one configuration, replaying the class artifact when
+	// the planner memoized the class, from the miss streams of its cache
+	// geometry when it shares one (else nil). The artifact is built on the
 	// simulation's own share: building it on the whole budget let the
 	// garbage collector fall behind its allocations and raised the axes
 	// benchmark's peak RSS by a fifth. The probe pass allocates little more
