@@ -31,7 +31,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
+	"unsafe"
 
 	"repro/internal/distrib"
 	"repro/internal/engine"
@@ -186,6 +188,9 @@ func BuildRasterArtifact(ctx context.Context, frames []*trace.Scene, procs int, 
 			}
 		}
 	}
+	if err := checkScreen(first.Screen); err != nil {
+		return nil, err
+	}
 	d, err := distrib.New(kind, first.Screen, procs, tileSize)
 	if err != nil {
 		return nil, err
@@ -223,7 +228,9 @@ func BuildRasterArtifact(ctx context.Context, frames []*trace.Scene, procs int, 
 // chunk writes a disjoint index range of the triangle slice, so the routed
 // order — and every span and address — is independent of scheduling.
 // Without footprints, every destination points at its source triangle
-// instead, so ProcessTriangle can generate the addresses at replay.
+// instead, so ProcessTriangle can generate the addresses at replay. Each
+// worker carves its work items from slabs of its own (artifactScratch), so
+// the build allocates per slab block, not per triangle.
 func buildFrameArtifact(ctx context.Context, f *trace.Scene, d distrib.Distribution, rast *raster.Rasterizer, mgr *texture.Manager, workers int, footprints bool) (*FrameArtifact, error) {
 	fa := &FrameArtifact{Name: f.Name, Triangles: len(f.Triangles)}
 	if len(f.Triangles) == 0 {
@@ -238,8 +245,15 @@ func buildFrameArtifact(ctx context.Context, f *trace.Scene, d distrib.Distribut
 	}
 	procs := d.NumProcs()
 	all := make([]ArtifactTriangle, len(f.Triangles))
+	// At most workers chunks run at once, so workers scratches serve them
+	// all; a chunk takes one and hands it back when done.
+	scratch := make(chan *artifactScratch, workers)
+	for range workers {
+		scratch <- newArtifactScratch(procs)
+	}
 	err := par.ForEach(ctx, workers, nChunks, func(c int) error {
-		w := newArtifactScratch(procs)
+		w := <-scratch
+		defer func() { scratch <- w }()
 		lo, hi := c*len(f.Triangles)/nChunks, (c+1)*len(f.Triangles)/nChunks
 		for i := lo; i < hi; i++ {
 			if (i-lo)%ctxPollTriangles == 0 && i > lo {
@@ -266,33 +280,85 @@ func buildFrameArtifact(ctx context.Context, f *trace.Scene, d distrib.Distribut
 	return fa, nil
 }
 
-// artifactScratch is one build worker's reusable demux buffers.
+// artifactScratch is one build worker's reusable demux buffers and the
+// slabs its work items are carved from.
 type artifactScratch struct {
 	route   []int
 	spanBuf []raster.Span
-	spans   [][]raster.Span // per-proc owned segments of one triangle
+	spans   [][]engine.Segment // per-proc owned segments of one triangle
+	// addrs and reps hold one destination's footprint stream while it is
+	// generated, before it is copied into the slabs.
+	addrs []texture.Addr
+	reps  []int32
 	// emit appends one owned segment of row y to its owner's spans; made
 	// once per worker so demultiplexing a span allocates nothing.
-	y    int
+	y    uint16
 	emit func(proc, x0, x1 int)
+
+	destSlab slab[ArtifactDest]
+	segSlab  slab[engine.Segment]
+	addrSlab slab[texture.Addr]
+	repSlab  slab[int32]
 }
 
 func newArtifactScratch(procs int) *artifactScratch {
 	w := &artifactScratch{
 		route: make([]int, 0, procs),
-		spans: make([][]raster.Span, procs),
+		spans: make([][]engine.Segment, procs),
 	}
 	w.emit = func(proc, x0, x1 int) {
-		w.spans[proc] = append(w.spans[proc], raster.Span{Y: w.y, X0: x0, X1: x1})
+		// The screen fits uint16 (checkScreen), and so does every segment
+		// clipped to it.
+		w.spans[proc] = append(w.spans[proc], engine.Segment{Y: w.y, X0: uint16(x0), X1: uint16(x1)})
 	}
 	return w
+}
+
+// Slab blocks start at slabMinBytes and double up to slabMaxBytes (or the
+// one item that needs more): a worker allocates a handful of blocks per
+// frame, and at most one block's tail per element type is left unused.
+const slabMinBytes, slabMaxBytes = 16 << 10, 256 << 10
+
+// slab hands out consecutive pieces of large blocks, so a worker's work
+// items share a few allocations. A block lives as long as any of its
+// pieces, which is the lifetime of the frame they belong to.
+type slab[T any] struct {
+	free []T // the current block's unused tail
+	next int // elements in the next block
+}
+
+// take returns n zeroed elements, capacity clipped to n so that appending to
+// the piece can never write into its neighbour. take(0) is nil.
+func (s *slab[T]) take(n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if n > len(s.free) {
+		size := int(unsafe.Sizeof(*new(T)))
+		if s.next == 0 {
+			s.next = slabMinBytes / size
+		}
+		s.free = make([]T, max(n, s.next))
+		s.next = min(2*s.next, slabMaxBytes/size)
+	}
+	piece := s.free[:n:n]
+	s.free = s.free[n:]
+	return piece
+}
+
+// carve returns a copy of src in the slab (nil when src is empty).
+func (s *slab[T]) carve(src []T) []T {
+	piece := s.take(len(src))
+	copy(piece, src)
+	return piece
 }
 
 // buildTriangle rasterizes triangle i once and demultiplexes its spans per
 // owning node: the machine's one rasterize→demux step. With footprints it
 // generates each destination's texel address stream
-// (engine.TriangleWork.Precompute); without, it points every destination at
-// the source triangle.
+// (engine.TriangleWork.AppendFootprints); without, it points every
+// destination at the source triangle. The destinations, their segments and
+// their streams are carved from w's slabs.
 func buildTriangle(w *artifactScratch, d distrib.Distribution, rast *raster.Rasterizer, mgr *texture.Manager, f *trace.Scene, i int, footprints bool) ArtifactTriangle {
 	t := &f.Triangles[i]
 	dests := d.Route(t.BBox(), w.route[:0])
@@ -301,37 +367,37 @@ func buildTriangle(w *artifactScratch, d distrib.Distribution, rast *raster.Rast
 	}
 	w.spanBuf = rast.AppendSpans(*t, f.Screen, w.spanBuf[:0])
 	for _, sp := range w.spanBuf {
-		w.y = sp.Y
+		w.y = uint16(sp.Y)
 		d.ForEachOwnedSegment(sp.Y, sp.X0, sp.X1, w.emit)
 	}
-	total := 0
-	for _, p := range dests {
-		total += len(w.spans[p])
-	}
-	var backing []raster.Span
-	if total > 0 {
-		backing = make([]raster.Span, 0, total)
-	}
-	out := ArtifactTriangle{Dests: make([]ArtifactDest, 0, len(dests))}
-	for _, p := range dests {
-		segs := w.spans[p]
-		var owned []raster.Span
-		if len(segs) > 0 {
-			start := len(backing)
-			backing = append(backing, segs...)
-			owned = backing[start:len(backing):len(backing)]
-		}
-		dest := ArtifactDest{Node: p, Work: engine.PrecomputedWork{Segments: owned}}
+	out := ArtifactTriangle{Dests: w.destSlab.take(len(dests))}
+	for j, p := range dests {
+		dest := &out.Dests[j]
+		dest.Node = p
+		dest.Work.Segments = w.segSlab.carve(w.spans[p])
 		if !footprints {
 			dest.src = t
-		} else if len(owned) > 0 {
-			tw := engine.TriangleWork{Tex: mgr.Texture(t.TexID), Map: t.Tex, LOD: t.Tex.LOD(), Segments: owned}
-			dest.Work = tw.Precompute()
+		} else if len(dest.Work.Segments) > 0 {
+			tw := engine.TriangleWork{Tex: mgr.Texture(t.TexID), Map: t.Tex, LOD: t.Tex.LOD(), Segments: dest.Work.Segments}
+			w.addrs, w.reps = tw.AppendFootprints(w.addrs[:0], w.reps[:0])
+			dest.Work.Addrs = w.addrSlab.carve(w.addrs)
+			dest.Work.Reps = w.repSlab.carve(w.reps)
 		}
-		out.Dests = append(out.Dests, dest)
 	}
 	w.route = dests[:0]
 	return out
+}
+
+// checkScreen rejects a screen with a coordinate outside [0, 65535]: a work
+// list holds its pixel segments as engine.Segment, whose uint16 fields
+// would wrap.
+func checkScreen(r geom.Rect) error {
+	for _, c := range [...]int{r.X0, r.Y0, r.X1, r.Y1} {
+		if c < 0 || c > math.MaxUint16 {
+			return fmt.Errorf("core: screen %v has a coordinate outside [0, %d], the range of a work list's pixel segments", r, math.MaxUint16)
+		}
+	}
+	return nil
 }
 
 // SetRasterArtifact attaches a prebuilt raster artifact: subsequent runs

@@ -7,10 +7,12 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cache"
 	"repro/internal/distrib"
 	"repro/internal/memory"
+	"repro/internal/raster"
 	"repro/internal/scene"
 	"repro/internal/trace"
 )
@@ -253,5 +255,54 @@ func TestArtifactBuildDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(enc(1), enc(8)) {
 		t.Error("artifact bytes depend on build parallelism")
+	}
+}
+
+// TestFrameBuildAllocations: buildFrameArtifact carves every destination,
+// segment and footprint stream from its workers' slabs, so its allocations
+// grow with the build workers (their scratch and first slab blocks) and the
+// work list's size in slab blocks, never with the triangle count. Carving
+// each triangle's work apart cost about two allocations per triangle in
+// memory (25,739 for truc640's 12,822 at one node) and more with footprints.
+func TestFrameBuildAllocations(t *testing.T) {
+	sc := benchSceneFor(t, "truc640", 0.5)
+	mgr, err := sc.BuildTextures()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rast := raster.New(sc.Screen)
+	for _, procs := range []int{1, 16} {
+		d, err := distrib.New(distrib.BlockKind, sc.Screen, procs, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, footprints := range []bool{false, true} {
+			for _, workers := range []int{1, 2} {
+				var fa *FrameArtifact
+				allocs := testing.AllocsPerRun(1, func() {
+					if fa, err = buildFrameArtifact(context.Background(), sc, d, rast, mgr, workers, footprints); err != nil {
+						t.Fatal(err)
+					}
+				})
+				listBytes := 0
+				for _, tri := range fa.Tris {
+					listBytes += len(tri.Dests) * int(unsafe.Sizeof(ArtifactDest{}))
+					for _, dst := range tri.Dests {
+						listBytes += 6*len(dst.Work.Segments) + 4*len(dst.Work.Addrs) + 4*len(dst.Work.Reps)
+					}
+				}
+				// Per worker: its scratch, each node's segment buffer
+				// regrown a few times, and every slab's doubling blocks;
+				// then a block per slabMaxBytes of work list, twice over
+				// for the blocks' unused tails.
+				bound := workers*(64+8*procs) + 2*listBytes/slabMaxBytes
+				t.Logf("procs %d footprints %v workers %d: %.0f allocations for %d triangles, %.1f MiB of work list (bound %d)",
+					procs, footprints, workers, allocs, len(sc.Triangles), float64(listBytes)/(1<<20), bound)
+				if int(allocs) > bound {
+					t.Errorf("procs %d footprints %v workers %d: %.0f allocations for %d triangles, want at most %d",
+						procs, footprints, workers, allocs, len(sc.Triangles), bound)
+				}
+			}
+		}
 	}
 }

@@ -15,8 +15,8 @@ import (
 	"strings"
 
 	"repro/internal/distrib"
+	"repro/internal/engine"
 	"repro/internal/geom"
-	"repro/internal/raster"
 	"repro/internal/texture"
 	"repro/internal/trace"
 )
@@ -122,11 +122,11 @@ func DecodeRasterArtifact(r io.Reader) (*RasterArtifact, error) {
 				dest := ArtifactDest{Node: d.count()}
 				nSegs := d.count()
 				if nSegs > 0 {
-					dest.Work.Segments = make([]raster.Span, 0, min(nSegs, artifactPrealloc))
+					dest.Work.Segments = make([]engine.Segment, 0, min(nSegs, artifactPrealloc))
 				}
 				for s := 0; s < nSegs && d.err == nil; s++ {
 					dest.Work.Segments = append(dest.Work.Segments,
-						raster.Span{Y: d.int(), X0: d.int(), X1: d.int()})
+						engine.Segment{Y: d.uint16(), X0: d.uint16(), X1: d.uint16()})
 				}
 				nReps := d.count()
 				if nReps > 0 {
@@ -158,6 +158,9 @@ func (a *RasterArtifact) validateDecoded() error {
 	if a.Procs <= 0 {
 		return fmt.Errorf("core: artifact has %d processors", a.Procs)
 	}
+	if err := checkScreen(a.Screen); err != nil {
+		return err
+	}
 	for fi, f := range a.Frames {
 		for ti := range f.Tris {
 			for _, dest := range f.Tris[ti].Dests {
@@ -166,7 +169,7 @@ func (a *RasterArtifact) validateDecoded() error {
 						fi, ti, dest.Node, a.Procs)
 				}
 				for _, sp := range dest.Work.Segments {
-					if sp.Y < a.Screen.Y0 || sp.Y >= a.Screen.Y1 || sp.X0 < a.Screen.X0 || sp.X1 > a.Screen.X1 || sp.X1 < sp.X0 {
+					if y, x0, x1 := int(sp.Y), int(sp.X0), int(sp.X1); y < a.Screen.Y0 || y >= a.Screen.Y1 || x0 < a.Screen.X0 || x1 > a.Screen.X1 || x1 < x0 {
 						return fmt.Errorf("core: artifact frame %d triangle %d: segment %+v is not a span of screen %v",
 							fi, ti, sp, a.Screen)
 					}
@@ -290,6 +293,17 @@ func (d *artifactDecoder) int() int {
 		return 0
 	}
 	return int(v)
+}
+
+// uint16 reads a segment coordinate, range-checked before it is narrowed:
+// an out-of-range value must be an error, never a wrapped on-screen pixel.
+func (d *artifactDecoder) uint16() uint16 {
+	v := d.varint()
+	if d.err == nil && (v < 0 || v > math.MaxUint16) {
+		d.err = fmt.Errorf("segment coordinate %d out of range", v)
+		return 0
+	}
+	return uint16(v)
 }
 
 func (d *artifactDecoder) int32() int32 {

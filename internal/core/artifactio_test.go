@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/distrib"
-	"repro/internal/raster"
+	"repro/internal/geom"
 	"repro/internal/scene"
 	"repro/internal/texture"
 	"repro/internal/trace"
@@ -117,24 +119,82 @@ func TestArtifactDecodeRejectsZeroRun(t *testing.T) {
 	}
 }
 
+// segmentArtifact is a one-segment, spans-only TXRA stream on a 64×64
+// screen whose segment is written as the raw ints y, x0, x1: the encoder
+// cannot write an int that does not fit engine.Segment.
+func segmentArtifact(y, x0, x1 int64) []byte {
+	b := []byte("TXRA\x01\x00") // magic, version 1, no scene name
+	for _, v := range []int64{0, 0, 64, 64} {
+		b = binary.AppendVarint(b, v)
+	}
+	// 1 proc, block, tile 16, no textures, no footprints, 1 frame, no
+	// frame name, 1 triangle, 1 routed, 1 destination on node 0, 1 segment.
+	for _, v := range []uint64{1, 0, 16, 0, 0, 1, 0, 1, 1, 1, 0, 1} {
+		b = binary.AppendUvarint(b, v)
+	}
+	for _, v := range []int64{y, x0, x1} {
+		b = binary.AppendVarint(b, v)
+	}
+	return binary.AppendUvarint(b, 0) // no footprint runs
+}
+
 // TestArtifactDecodeRejectsOffScreenSegments: every decoded segment must be
-// a span of the artifact's screen, as every built one is.
+// a span of the artifact's screen, as every built one is. A coordinate that
+// does not fit a segment is rejected before it is narrowed: 65536+5 must not
+// wrap to an on-screen 5 (FuzzDecodeRasterArtifact's seg-overflow seed).
 func TestArtifactDecodeRejectsOffScreenSegments(t *testing.T) {
-	for _, bad := range []raster.Span{{Y: -1, X0: 0, X1: 4}, {Y: 64, X0: 0, X1: 4}, {Y: 3, X0: -2, X1: 4}, {Y: 3, X0: 0, X1: 65}, {Y: 3, X0: 9, X1: 4}} {
-		a, err := BuildRasterArtifact(context.Background(), []*trace.Scene{testScene(3, 20, 64)}, 2,
-			distrib.BlockKind, 16, ArtifactOpts{SpansOnly: true})
-		if err != nil {
-			t.Fatal(err)
+	if _, err := DecodeRasterArtifact(bytes.NewReader(segmentArtifact(3, 0, 4))); err != nil {
+		t.Fatalf("decoding an on-screen segment: %v", err)
+	}
+	for _, c := range []struct {
+		y, x0, x1 int64
+		want      string
+	}{
+		{-1, 0, 4, "out of range"},
+		{3, -2, 4, "out of range"},
+		{1<<16 + 5, 0, 4, "out of range"},
+		{3, 0, 1<<16 + 4, "out of range"},
+		{64, 0, 4, "not a span of screen"},
+		{3, 0, 65, "not a span of screen"},
+		{3, 9, 4, "not a span of screen"},
+	} {
+		_, err := DecodeRasterArtifact(bytes.NewReader(segmentArtifact(c.y, c.x0, c.x1)))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("decoding segment (%d, %d, %d): %v, want %q", c.y, c.x0, c.x1, err, c.want)
 		}
-		d := &a.Frames[0].Tris[0].Dests[0]
-		d.Work.Segments = append([]raster.Span{bad}, d.Work.Segments...)
-		var buf bytes.Buffer
-		if err := EncodeRasterArtifact(&buf, a); err != nil {
-			t.Fatal(err)
+	}
+	seed, err := os.ReadFile("testdata/fuzz/FuzzDecodeRasterArtifact/seg-overflow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", segmentArtifact(1<<16+5, 0, 4)); string(seed) != want {
+		t.Errorf("seg-overflow seed is\n%s\nwant\n%s", seed, want)
+	}
+}
+
+// TestScreenMustFitSegments: a screen with a coordinate outside
+// [0, 65535] cannot be held by engine.Segment, so the machine and the
+// artifact builder reject it up front.
+func TestScreenMustFitSegments(t *testing.T) {
+	for _, r := range []geom.Rect{
+		{X0: 0, Y0: 0, X1: 1 << 16, Y1: 64},
+		{X0: 0, Y0: 0, X1: 64, Y1: 70000},
+		{X0: -1, Y0: 0, X1: 64, Y1: 64},
+	} {
+		sc := testScene(1, 10, 64)
+		sc.Screen = r
+		if _, err := NewMachine(sc, Config{Procs: 4}); err == nil || !strings.Contains(err.Error(), "outside [0, 65535]") {
+			t.Errorf("NewMachine on screen %v: %v, want a screen range error", r, err)
 		}
-		if _, err := DecodeRasterArtifact(&buf); err == nil || !strings.Contains(err.Error(), "not a span of screen") {
-			t.Errorf("decoding segment %+v: %v, want a segment error", bad, err)
+		_, err := BuildRasterArtifact(context.Background(), []*trace.Scene{sc}, 4, distrib.BlockKind, 16, ArtifactOpts{})
+		if err == nil || !strings.Contains(err.Error(), "outside [0, 65535]") {
+			t.Errorf("BuildRasterArtifact on screen %v: %v, want a screen range error", r, err)
 		}
+	}
+	sc := testScene(1, 10, 64)
+	sc.Screen = geom.Rect{X0: 0, Y0: 0, X1: 1<<16 - 1, Y1: 64}
+	if _, err := NewMachine(sc, Config{Procs: 4}); err != nil {
+		t.Errorf("NewMachine on the widest screen: %v", err)
 	}
 }
 

@@ -327,6 +327,9 @@ func newMachine(scene *trace.Scene, cfg Config, route func(Config) (distrib.Dist
 	if err := scene.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkScreen(scene.Screen); err != nil {
+		return nil, err
+	}
 	d, err := route(cfg)
 	if err != nil {
 		return nil, err

@@ -158,7 +158,7 @@ func dynamicOracle(scene *trace.Scene, cfg Config, order DynamicOrder) (*Result,
 		bins[i] = tileBin{id: i, first: len(scene.Triangles)}
 	}
 	rast := raster.New(scene.Screen)
-	segs := make(map[int][]raster.Span) // per-tile scratch for one triangle
+	segs := make(map[int][]engine.Segment) // per-tile scratch for one triangle
 	for ti := range scene.Triangles {
 		t := &scene.Triangles[ti]
 		bb := t.BBox().Intersect(scene.Screen)
@@ -177,7 +177,7 @@ func dynamicOracle(scene *trace.Scene, cfg Config, order DynamicOrder) (*Result,
 					end = sp.X1
 				}
 				id := ty*tilesX + tx
-				segs[id] = append(segs[id], raster.Span{Y: sp.Y, X0: x, X1: end})
+				segs[id] = append(segs[id], engine.Segment{Y: uint16(sp.Y), X0: uint16(x), X1: uint16(end)})
 				x = end
 			}
 		})
@@ -192,7 +192,7 @@ func dynamicOracle(scene *trace.Scene, cfg Config, order DynamicOrder) (*Result,
 		for ty := ty0; ty <= ty1; ty++ {
 			for tx := tx0; tx <= tx1; tx++ {
 				id := ty*tilesX + tx
-				var owned []raster.Span
+				var owned []engine.Segment
 				if s := segs[id]; len(s) > 0 {
 					owned = append(owned, s...)
 				}
@@ -268,7 +268,7 @@ func sortLastOracle(scene *trace.Scene, cfg Config, assign SortLastAssignment) (
 	engines := newEngines(cfg)
 
 	rast := raster.New(scene.Screen)
-	var spans []raster.Span
+	var spans []engine.Segment
 	for ti := range scene.Triangles {
 		t := &scene.Triangles[ti]
 		if t.BBox().Intersect(scene.Screen).Empty() || t.Degenerate() {
@@ -283,7 +283,7 @@ func sortLastOracle(scene *trace.Scene, cfg Config, assign SortLastAssignment) (
 		}
 		spans = spans[:0]
 		rast.ForEachSpan(*t, scene.Screen, func(sp raster.Span) {
-			spans = append(spans, sp)
+			spans = append(spans, engine.Segment{Y: uint16(sp.Y), X0: uint16(sp.X0), X1: uint16(sp.X1)})
 		})
 		w := engine.TriangleWork{
 			Tex:      mgr.Texture(t.TexID),

@@ -28,7 +28,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/geom"
 	"repro/internal/memory"
-	"repro/internal/raster"
 	"repro/internal/texture"
 )
 
@@ -48,8 +47,19 @@ type TriangleWork struct {
 	Tex      *texture.Texture
 	Map      geom.TexMap
 	LOD      float64
-	Segments []raster.Span
+	Segments []Segment
 }
+
+// Segment is one owned pixel run: pixels [X0, X1) on row Y, one tile's cut
+// of a rasterized span. It is the compact, 6-byte form a frame's work list
+// holds (raster.Span is three ints), so a screen's coordinates must lie in
+// [0, 65535]; the machine and the artifact builder reject larger screens.
+type Segment struct {
+	Y, X0, X1 uint16
+}
+
+// Width returns the number of pixels in the segment.
+func (s Segment) Width() int { return int(s.X1) - int(s.X0) }
 
 // PhaseRecorder receives per-triangle phase attributions from the engine —
 // the flight-recorder hook (internal/telemetry/flight). The engine reports
@@ -285,7 +295,7 @@ func (e *Engine) ProcessTriangle(arrival float64, w *TriangleWork) float64 {
 // written on every fragment while other nodes' engines are written on
 // other workers, so it is allocated, and regrown, in whole 64-byte lines
 // plus one that its capacity hides, as newRing does (TestRingsShareNoLine).
-func (e *Engine) opScratch(segs []raster.Span) []uint32 {
+func (e *Engine) opScratch(segs []Segment) []uint32 {
 	n := 0
 	for _, sp := range segs {
 		n += sp.Width()
@@ -301,7 +311,7 @@ func (e *Engine) opScratch(segs []raster.Span) []uint32 {
 
 // scanPixels is a whole triangle in the pure-scan regime: one cycle per
 // owned pixel, no texel traffic. It returns the scan clock after s.
-func (e *Engine) scanPixels(s float64, segs []raster.Span) float64 {
+func (e *Engine) scanPixels(s float64, segs []Segment) float64 {
 	for _, sp := range segs {
 		n := sp.Width()
 		s += float64(n)

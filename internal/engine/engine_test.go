@@ -9,7 +9,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/geom"
 	"repro/internal/memory"
-	"repro/internal/raster"
 	"repro/internal/texture"
 )
 
@@ -19,7 +18,7 @@ func newTestEngine(c cache.Model, bus memory.BusConfig) (*Engine, *texture.Textu
 	return New(0, DefaultSetupCycles, c, memory.NewBus(bus)), tex
 }
 
-func identityWork(tex *texture.Texture, spans ...raster.Span) *TriangleWork {
+func identityWork(tex *texture.Texture, spans ...Segment) *TriangleWork {
 	return &TriangleWork{
 		Tex:      tex,
 		Map:      geom.TexMap{DuDx: 1, DvDy: 1},
@@ -31,7 +30,7 @@ func identityWork(tex *texture.Texture, spans ...raster.Span) *TriangleWork {
 func TestSetupBoundTriangle(t *testing.T) {
 	e, tex := newTestEngine(cache.NewPerfect(), memory.BusConfig{})
 	// 5 pixels < 25: triangle is setup-bound and costs exactly 25 cycles.
-	done := e.ProcessTriangle(0, identityWork(tex, raster.Span{Y: 0, X0: 0, X1: 5}))
+	done := e.ProcessTriangle(0, identityWork(tex, Segment{Y: 0, X0: 0, X1: 5}))
 	if done != 25 {
 		t.Errorf("setup-bound triangle finished at %v, want 25", done)
 	}
@@ -52,7 +51,7 @@ func TestZeroPixelTriangleStillPaysSetup(t *testing.T) {
 func TestScanBoundTriangle(t *testing.T) {
 	e, tex := newTestEngine(cache.NewPerfect(), memory.BusConfig{})
 	// 100 pixels with a perfect cache: 100 cycles, one per pixel.
-	done := e.ProcessTriangle(0, identityWork(tex, raster.Span{Y: 0, X0: 0, X1: 100}))
+	done := e.ProcessTriangle(0, identityWork(tex, Segment{Y: 0, X0: 0, X1: 100}))
 	if done != 100 {
 		t.Errorf("scan-bound triangle finished at %v, want 100", done)
 	}
@@ -63,14 +62,14 @@ func TestScanBoundTriangle(t *testing.T) {
 
 func TestArrivalAfterIdle(t *testing.T) {
 	e, tex := newTestEngine(cache.NewPerfect(), memory.BusConfig{})
-	e.ProcessTriangle(0, identityWork(tex, raster.Span{Y: 0, X0: 0, X1: 30}))
+	e.ProcessTriangle(0, identityWork(tex, Segment{Y: 0, X0: 0, X1: 30}))
 	// Node idle at 30; triangle arriving at 100 starts at 100.
-	done := e.ProcessTriangle(100, identityWork(tex, raster.Span{Y: 1, X0: 0, X1: 30}))
+	done := e.ProcessTriangle(100, identityWork(tex, Segment{Y: 1, X0: 0, X1: 30}))
 	if done != 130 {
 		t.Errorf("second triangle finished at %v, want 130", done)
 	}
 	// Triangle arriving while busy queues behind.
-	done = e.ProcessTriangle(90, identityWork(tex, raster.Span{Y: 2, X0: 0, X1: 30}))
+	done = e.ProcessTriangle(90, identityWork(tex, Segment{Y: 2, X0: 0, X1: 30}))
 	if done != 160 {
 		t.Errorf("third triangle finished at %v, want 160", done)
 	}
@@ -79,7 +78,7 @@ func TestArrivalAfterIdle(t *testing.T) {
 func TestPerfectCacheNeverStalls(t *testing.T) {
 	e, tex := newTestEngine(cache.NewPerfect(), memory.BusConfig{TexelsPerCycle: 1})
 	e.ProcessTriangle(0, identityWork(tex,
-		raster.Span{Y: 0, X0: 0, X1: 200}, raster.Span{Y: 1, X0: 0, X1: 200}))
+		Segment{Y: 0, X0: 0, X1: 200}, Segment{Y: 1, X0: 0, X1: 200}))
 	if e.Stats().StallCycles != 0 {
 		t.Errorf("perfect cache stalled %v cycles", e.Stats().StallCycles)
 	}
@@ -95,7 +94,7 @@ func TestCachelessRatioIsEight(t *testing.T) {
 	// cacheless machine" counts only consumed texels — a cacheless design
 	// would fetch single texels, not lines.)
 	e, tex := newTestEngine(cache.NewNone(), memory.BusConfig{})
-	e.ProcessTriangle(0, identityWork(tex, raster.Span{Y: 0, X0: 0, X1: 100}))
+	e.ProcessTriangle(0, identityWork(tex, Segment{Y: 0, X0: 0, X1: 100}))
 	want := 8.0 * texture.LineTexels
 	if got := e.TexelToFragment(); got != want {
 		t.Errorf("cacheless ratio = %v, want %v", got, want)
@@ -109,9 +108,9 @@ func TestBusStallsSlowScan(t *testing.T) {
 	// several times slower than the scanner.
 	e, tex := newTestEngine(cache.New(cache.PaperConfig()),
 		memory.BusConfig{TexelsPerCycle: 1})
-	var spans []raster.Span
+	var spans []Segment
 	for y := 0; y < 16; y++ {
-		spans = append(spans, raster.Span{Y: y, X0: 0, X1: 256})
+		spans = append(spans, Segment{Y: uint16(y), X0: 0, X1: 256})
 	}
 	done := e.ProcessTriangle(0, identityWork(tex, spans...))
 	frags := float64(e.Stats().Fragments)
@@ -140,7 +139,7 @@ func TestBusStallsSlowScan(t *testing.T) {
 func TestWarmCacheFasterThanCold(t *testing.T) {
 	cfg := memory.BusConfig{TexelsPerCycle: 1}
 	e, tex := newTestEngine(cache.New(cache.PaperConfig()), cfg)
-	spans := []raster.Span{{Y: 0, X0: 0, X1: 64}, {Y: 1, X0: 0, X1: 64}}
+	spans := []Segment{{Y: 0, X0: 0, X1: 64}, {Y: 1, X0: 0, X1: 64}}
 	coldDone := e.ProcessTriangle(0, identityWork(tex, spans...))
 	coldElapsed := coldDone
 	// Re-draw the same pixels: texels are resident, no new fetches.
@@ -157,7 +156,7 @@ func TestWarmCacheFasterThanCold(t *testing.T) {
 func TestTexelToFragmentAccounting(t *testing.T) {
 	e, tex := newTestEngine(cache.New(cache.PaperConfig()), memory.BusConfig{})
 	e.ProcessTriangle(0, identityWork(tex,
-		raster.Span{Y: 0, X0: 0, X1: 128}, raster.Span{Y: 1, X0: 0, X1: 128}))
+		Segment{Y: 0, X0: 0, X1: 128}, Segment{Y: 1, X0: 0, X1: 128}))
 	frags := e.Stats().Fragments
 	lines := e.BusStats().LinesFetched
 	want := float64(lines*texture.LineTexels) / float64(frags)
@@ -171,7 +170,7 @@ func TestTexelToFragmentAccounting(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	e, tex := newTestEngine(cache.New(cache.PaperConfig()), memory.BusConfig{TexelsPerCycle: 2})
-	e.ProcessTriangle(0, identityWork(tex, raster.Span{Y: 0, X0: 0, X1: 64}))
+	e.ProcessTriangle(0, identityWork(tex, Segment{Y: 0, X0: 0, X1: 64}))
 	e.Reset()
 	if e.Time() != 0 {
 		t.Error("time not reset")
@@ -187,8 +186,8 @@ func TestReset(t *testing.T) {
 
 func TestBusyCyclesAccumulate(t *testing.T) {
 	e, tex := newTestEngine(cache.NewPerfect(), memory.BusConfig{})
-	e.ProcessTriangle(0, identityWork(tex, raster.Span{Y: 0, X0: 0, X1: 10})) // setup-bound: 25
-	e.ProcessTriangle(0, identityWork(tex, raster.Span{Y: 0, X0: 0, X1: 50})) // scan-bound: 50
+	e.ProcessTriangle(0, identityWork(tex, Segment{Y: 0, X0: 0, X1: 10})) // setup-bound: 25
+	e.ProcessTriangle(0, identityWork(tex, Segment{Y: 0, X0: 0, X1: 50})) // scan-bound: 50
 	if got := e.Stats().BusyCycles; got != 75 {
 		t.Errorf("busy cycles = %v, want 75", got)
 	}
@@ -202,9 +201,9 @@ func BenchmarkProcessTriangle(b *testing.B) {
 	tex := mgr.MustAdd(512, 512)
 	e := New(0, DefaultSetupCycles, cache.New(cache.PaperConfig()),
 		memory.NewBus(memory.BusConfig{TexelsPerCycle: 2}))
-	var spans []raster.Span
+	var spans []Segment
 	for y := 0; y < 32; y++ {
-		spans = append(spans, raster.Span{Y: y, X0: 0, X1: 128})
+		spans = append(spans, Segment{Y: uint16(y), X0: 0, X1: 128})
 	}
 	w := identityWork(tex, spans...)
 	b.ReportAllocs()
@@ -223,9 +222,9 @@ func BenchmarkProcessTriangleMagnified(b *testing.B) {
 	tex := mgr.MustAdd(512, 512)
 	e := New(0, DefaultSetupCycles, cache.New(cache.PaperConfig()),
 		memory.NewBus(memory.BusConfig{TexelsPerCycle: 2}))
-	var spans []raster.Span
+	var spans []Segment
 	for y := 0; y < 32; y++ {
-		spans = append(spans, raster.Span{Y: y, X0: 0, X1: 128})
+		spans = append(spans, Segment{Y: uint16(y), X0: 0, X1: 128})
 	}
 	w := &TriangleWork{Tex: tex, Map: geom.TexMap{DuDx: 0.125, DvDy: 0.125}, LOD: -3, Segments: spans}
 	b.ReportAllocs()
@@ -244,9 +243,9 @@ func BenchmarkProcessPrecomputed(b *testing.B) {
 	tex := mgr.MustAdd(512, 512)
 	e := New(0, DefaultSetupCycles, cache.New(cache.PaperConfig()),
 		memory.NewBus(memory.BusConfig{TexelsPerCycle: 2}))
-	var spans []raster.Span
+	var spans []Segment
 	for y := 0; y < 32; y++ {
-		spans = append(spans, raster.Span{Y: y, X0: 0, X1: 128})
+		spans = append(spans, Segment{Y: uint16(y), X0: 0, X1: 128})
 	}
 	w := identityWork(tex, spans...).Precompute()
 	b.ReportAllocs()
@@ -299,7 +298,7 @@ func TestPrecomputedMatchesProcessTriangle(t *testing.T) {
 			for i := 0; i < 6; i++ {
 				w := &TriangleWork{
 					Tex: tex, Map: geom.TexMap{U0: float64(3 * i), DuDx: 0.5, DvDy: 0.75}, LOD: 0.25,
-					Segments: []raster.Span{{Y: i, X0: 0, X1: 40}, {Y: i + 1, X0: 5, X1: 70}},
+					Segments: []Segment{{Y: uint16(i), X0: 0, X1: 40}, {Y: uint16(i + 1), X0: 5, X1: 70}},
 				}
 				if tc.magnify {
 					w.Map = geom.TexMap{U0: float64(5 * i), V0: 2, DuDx: 0.1, DvDx: 0.02, DvDy: 0.1}
@@ -362,7 +361,7 @@ func TestProcessTriangleSkipsRepeatedFootprints(t *testing.T) {
 	tex := texture.NewManager().MustAdd(256, 256)
 	w := &TriangleWork{
 		Tex: tex, Map: geom.TexMap{U0: 1, DuDx: 0.1, DvDy: 0.1}, LOD: -1,
-		Segments: []raster.Span{{Y: 0, X0: 0, X1: 100}, {Y: 1, X0: 0, X1: 100}},
+		Segments: []Segment{{Y: 0, X0: 0, X1: 100}, {Y: 1, X0: 0, X1: 100}},
 	}
 	pw := w.Precompute()
 	if len(pw.Reps)*2 > pw.Frags() {
@@ -386,7 +385,7 @@ func TestProcessTriangleAllocFree(t *testing.T) {
 	// The per-triangle paths must not allocate once warm: the footprint and
 	// op scratch live on the engine and spans are caller-owned.
 	e, tex := newTestEngine(cache.New(cache.Config{SizeBytes: 16 * 1024, Ways: 4, LineBytes: 64}), memory.BusConfig{TexelsPerCycle: 2})
-	w := identityWork(tex, raster.Span{Y: 0, X0: 0, X1: 64}, raster.Span{Y: 1, X0: 0, X1: 64})
+	w := identityWork(tex, Segment{Y: 0, X0: 0, X1: 64}, Segment{Y: 1, X0: 0, X1: 64})
 	pw := w.Precompute()
 	arrival := 0.0
 	if n := testing.AllocsPerRun(100, func() {
@@ -437,8 +436,8 @@ func TestRingsShareNoLine(t *testing.T) {
 		engines[i] = e
 		claim(fmt.Sprintf("engine %d's prefetch ring", i), reflect.ValueOf(e.ring).Pointer(), len(e.ring)*8)
 		// One fragment, then enough to regrow the scratch, live and replayed.
-		for _, x1 := range []int{1, 100, 300} {
-			w := identityWork(tex, raster.Span{Y: 0, X0: 0, X1: x1})
+		for _, x1 := range []uint16{1, 100, 300} {
+			w := identityWork(tex, Segment{Y: 0, X0: 0, X1: x1})
 			if x1 < 300 {
 				e.ProcessTriangle(0, w)
 			} else {
@@ -451,4 +450,13 @@ func TestRingsShareNoLine(t *testing.T) {
 	}
 	runtime.KeepAlive(engines)
 	runtime.KeepAlive(keep)
+}
+
+// TestSegmentIsCompact: a frame's work list holds one Segment per tile cut
+// of every rasterized row (917,861 for truc640 at one node), so its size is
+// the work list's size.
+func TestSegmentIsCompact(t *testing.T) {
+	if got := reflect.TypeOf(Segment{}).Size(); got != 6 {
+		t.Errorf("Segment is %d bytes, want 6", got)
+	}
 }

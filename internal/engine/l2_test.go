@@ -7,7 +7,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/geom"
 	"repro/internal/memory"
-	"repro/internal/raster"
 	"repro/internal/texture"
 )
 
@@ -31,9 +30,9 @@ func TestL2FiltersMainTraffic(t *testing.T) {
 
 	// 16 rows × 128 px at identity density touch ~10 KB of texels: well
 	// beyond the 4 KB L1, comfortably inside the 1 MB L2.
-	var spans []raster.Span
+	var spans []Segment
 	for y := 0; y < 16; y++ {
-		spans = append(spans, raster.Span{Y: y, X0: 0, X1: 128})
+		spans = append(spans, Segment{Y: uint16(y), X0: 0, X1: 128})
 	}
 	e.ProcessTriangle(0, identityWork(tex, spans...))
 	// Cold pass: every L1 miss probes L2; L2 misses all (compulsory), so
@@ -69,9 +68,9 @@ func TestL2SlowMainBusDelays(t *testing.T) {
 		l2 := cache.New(cache.Config{SizeBytes: 1 << 20, Ways: 8, LineBytes: 64})
 		e := New(0, DefaultSetupCycles, l1, memory.NewBus(memory.BusConfig{TexelsPerCycle: 2}))
 		e.AttachL2(l2, memory.NewBus(memory.BusConfig{TexelsPerCycle: mainRatio}))
-		var spans []raster.Span
+		var spans []Segment
 		for y := 0; y < 32; y++ {
-			spans = append(spans, raster.Span{Y: y, X0: 0, X1: 128})
+			spans = append(spans, Segment{Y: uint16(y), X0: 0, X1: 128})
 		}
 		return e.ProcessTriangle(0, identityWork(tex, spans...))
 	}
@@ -89,7 +88,7 @@ func TestL2Reset(t *testing.T) {
 	l2 := cache.New(cache.Config{SizeBytes: 1 << 18, Ways: 4, LineBytes: 64})
 	e := New(0, DefaultSetupCycles, l1, memory.NewBus(memory.BusConfig{}))
 	e.AttachL2(l2, memory.NewBus(memory.BusConfig{TexelsPerCycle: 1}))
-	e.ProcessTriangle(0, identityWork(tex, raster.Span{Y: 0, X0: 0, X1: 64}))
+	e.ProcessTriangle(0, identityWork(tex, Segment{Y: 0, X0: 0, X1: 64}))
 	e.Reset()
 	if e.L2Stats().Accesses != 0 || e.MainBusStats().LinesFetched != 0 {
 		t.Error("L2/main bus not reset")
@@ -98,7 +97,7 @@ func TestL2Reset(t *testing.T) {
 
 func TestAdvanceTo(t *testing.T) {
 	e, tex := newTestEngine(cache.NewPerfect(), memory.BusConfig{})
-	e.ProcessTriangle(0, identityWork(tex, raster.Span{Y: 0, X0: 0, X1: 50}))
+	e.ProcessTriangle(0, identityWork(tex, Segment{Y: 0, X0: 0, X1: 50}))
 	e.AdvanceTo(200)
 	if e.Time() != 200 {
 		t.Errorf("AdvanceTo forward failed: %v", e.Time())
@@ -108,7 +107,7 @@ func TestAdvanceTo(t *testing.T) {
 		t.Errorf("AdvanceTo moved clock backwards: %v", e.Time())
 	}
 	// Next triangle starts at the barrier.
-	done := e.ProcessTriangle(0, identityWork(tex, raster.Span{Y: 1, X0: 0, X1: 50}))
+	done := e.ProcessTriangle(0, identityWork(tex, Segment{Y: 1, X0: 0, X1: 50}))
 	if done != 250 {
 		t.Errorf("post-barrier triangle finished at %v, want 250", done)
 	}
@@ -132,7 +131,7 @@ func TestL2ProbesL1MissesInOrder(t *testing.T) {
 	tex := texture.NewManager().MustAdd(128, 128)
 	w := &TriangleWork{
 		Tex: tex, Map: geom.TexMap{U0: 3, DuDx: 0.7, DvDx: 0.1, DvDy: 0.6}, LOD: 0.4,
-		Segments: []raster.Span{{Y: 0, X0: 0, X1: 90}, {Y: 1, X0: 3, X1: 80}, {Y: 2, X0: 0, X1: 60}},
+		Segments: []Segment{{Y: 0, X0: 0, X1: 90}, {Y: 1, X0: 3, X1: 80}, {Y: 2, X0: 0, X1: 60}},
 	}
 	pw := w.Precompute()
 	for _, l1 := range []func() cache.Model{

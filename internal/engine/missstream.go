@@ -23,7 +23,6 @@ import (
 	"math/bits"
 
 	"repro/internal/cache"
-	"repro/internal/raster"
 	"repro/internal/texture"
 )
 
@@ -112,7 +111,7 @@ func appendHits(ops []uint32, n int) []uint32 {
 // arrival, and returns the absolute completion time. segs are the owned
 // segments, which a pure-scan engine counts instead (it never probes, so
 // its stream slices are empty).
-func (e *Engine) ProcessMisses(arrival float64, segs []raster.Span, ops []uint32) float64 {
+func (e *Engine) ProcessMisses(arrival float64, segs []Segment, ops []uint32) float64 {
 	start := e.StartTriangle(arrival)
 	stall0 := e.stats.StallCycles
 	if e.pureScan {

@@ -9,7 +9,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/geom"
 	"repro/internal/memory"
-	"repro/internal/raster"
 	"repro/internal/texture"
 )
 
@@ -70,7 +69,7 @@ func TestMissStreamMatchesPrecomputed(t *testing.T) {
 						for i := 0; i < 8; i++ {
 							w := &TriangleWork{
 								Tex: tex, Map: geom.TexMap{U0: float64(3 * i), DuDx: 0.5, DvDy: 0.75}, LOD: 0.25,
-								Segments: []raster.Span{{Y: i, X0: 0, X1: 40}, {Y: i + 1, X0: 5, X1: 70}},
+								Segments: []Segment{{Y: uint16(i), X0: 0, X1: 40}, {Y: uint16(i + 1), X0: 5, X1: 70}},
 							}
 							if magnify {
 								w.Map = geom.TexMap{U0: float64(5 * i), V0: 2, DuDx: 0.05, DvDx: 0.002, DvDy: 0.05}
@@ -131,7 +130,7 @@ func TestMissStreamPureScan(t *testing.T) {
 	tex := texture.NewManager().MustAdd(64, 64)
 	live := New(0, DefaultSetupCycles, cache.NewPerfect(), memory.NewBus(memory.BusConfig{}))
 	timed := New(0, DefaultSetupCycles, cache.NewPerfect(), memory.NewBus(memory.BusConfig{}))
-	for i, segs := range [][]raster.Span{{{Y: 0, X0: 0, X1: 10}}, nil, {{Y: 1, X0: 2, X1: 90}, {Y: 2, X0: 0, X1: 3}}} {
+	for i, segs := range [][]Segment{{{Y: 0, X0: 0, X1: 10}}, nil, {{Y: 1, X0: 2, X1: 90}, {Y: 2, X0: 0, X1: 3}}} {
 		w := identityWork(tex, segs...)
 		if got, want := timed.ProcessMisses(float64(i), segs, nil), live.ProcessTriangle(float64(i), w); got != want {
 			t.Fatalf("triangle %d: timing pass done at %v, live at %v", i, got, want)
@@ -210,9 +209,9 @@ func TestMissStreamHitRunSteps(t *testing.T) {
 // geometry) and the timing pass (run once per bus and buffer setting).
 func BenchmarkMissStream(b *testing.B) {
 	tex := texture.NewManager().MustAdd(512, 512)
-	var spans []raster.Span
+	var spans []Segment
 	for y := 0; y < 32; y++ {
-		spans = append(spans, raster.Span{Y: y, X0: 0, X1: 128})
+		spans = append(spans, Segment{Y: uint16(y), X0: 0, X1: 128})
 	}
 	w := identityWork(tex, spans...).Precompute()
 	frags := float64(w.Frags())

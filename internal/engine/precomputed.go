@@ -22,7 +22,6 @@ package engine
 import (
 	"math"
 
-	"repro/internal/raster"
 	"repro/internal/texture"
 )
 
@@ -34,7 +33,7 @@ import (
 type PrecomputedWork struct {
 	// Segments are the owned pixel segments, identical to the TriangleWork
 	// the distributor would have built (the pure-scan path uses them).
-	Segments []raster.Span
+	Segments []Segment
 	// Addrs is the run-length-encoded footprint stream: 8 addresses per run.
 	Addrs []texture.Addr
 	// Reps holds each run's fragment count; len(Addrs) == 8*len(Reps) and
@@ -43,11 +42,21 @@ type PrecomputedWork struct {
 }
 
 // Precompute returns w's replayable counterpart: the same segments, with
-// every fragment's trilinear footprint generated by the u/v arithmetic of
-// ProcessTriangle — recomputed at each span start, stepped per pixel — and
-// run-length encoded over consecutive identical footprints.
+// the footprint stream AppendFootprints generates.
 func (w *TriangleWork) Precompute() PrecomputedWork {
 	pw := PrecomputedWork{Segments: w.Segments}
+	pw.Addrs, pw.Reps = w.AppendFootprints(nil, nil)
+	return pw
+}
+
+// AppendFootprints appends w's footprint stream to addrs and reps and
+// returns the extended slices: every fragment's trilinear footprint,
+// generated by the u/v arithmetic of ProcessTriangle — recomputed at each
+// segment start, stepped per pixel — and run-length encoded over
+// consecutive identical footprints. Runs never extend ones present before
+// the call, so a builder can reuse one scratch pair for every work item.
+func (w *TriangleWork) AppendFootprints(addrs []texture.Addr, reps []int32) ([]texture.Addr, []int32) {
+	first := len(reps)
 	smp := w.Tex.Sampler(w.LOD)
 	var foot, prev [8]texture.Addr
 	for _, sp := range w.Segments {
@@ -57,18 +66,18 @@ func (w *TriangleWork) Precompute() PrecomputedWork {
 		v := w.Map.V0 + w.Map.DvDx*xc + w.Map.DvDy*yc
 		for x := sp.X0; x < sp.X1; x++ {
 			smp.Footprint(u, v, &foot)
-			if n := len(pw.Reps); n > 0 && sameFootprint(&foot, &prev) && pw.Reps[n-1] < math.MaxInt32 {
-				pw.Reps[n-1]++
+			if n := len(reps); n > first && sameFootprint(&foot, &prev) && reps[n-1] < math.MaxInt32 {
+				reps[n-1]++
 			} else {
-				pw.Addrs = append(pw.Addrs, foot[:]...)
-				pw.Reps = append(pw.Reps, 1)
+				addrs = append(addrs, foot[:]...)
+				reps = append(reps, 1)
 				prev = foot
 			}
 			u += w.Map.DuDx
 			v += w.Map.DvDx
 		}
 	}
-	return pw
+	return addrs, reps
 }
 
 // Frags returns the total fragment count of the owned segments.

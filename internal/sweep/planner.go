@@ -92,14 +92,14 @@ type streamState struct {
 }
 
 // acquire returns the class artifact and, if cfg's cache geometry is
-// shared, its miss streams, building each on first use, on up to
-// buildWorkers and probeWorkers goroutines. Concurrent members block until
-// a build completes; a build failure is remembered and returned to all.
-func (cs *classState) acquire(ctx context.Context, sc *trace.Scene, dk distrib.Kind, cfg core.Config, buildWorkers, probeWorkers int) (*core.RasterArtifact, *core.MissStreams, error) {
+// shared, its miss streams, building each on first use, on up to workers
+// goroutines. Concurrent members block until a build completes; a build
+// failure is remembered and returned to all.
+func (cs *classState) acquire(ctx context.Context, sc *trace.Scene, dk distrib.Kind, cfg core.Config, workers int) (*core.RasterArtifact, *core.MissStreams, error) {
 	cs.mu.Lock()
 	if !cs.built {
 		cs.art, cs.err = core.BuildRasterArtifact(ctx, []*trace.Scene{sc}, cs.procs, dk,
-			cs.size, core.ArtifactOpts{Workers: buildWorkers, SpansOnly: cs.spansOnly})
+			cs.size, core.ArtifactOpts{Workers: workers, SpansOnly: cs.spansOnly})
 		cs.built = true
 	}
 	art, err := cs.art, cs.err
@@ -114,7 +114,7 @@ func (cs *classState) acquire(ctx context.Context, sc *trace.Scene, dk distrib.K
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if !ss.built {
-		ss.ms, ss.err = core.BuildMissStreams(ctx, art, cfg, probeWorkers)
+		ss.ms, ss.err = core.BuildMissStreams(ctx, art, cfg, workers)
 		ss.built = true
 	}
 	return art, ss.ms, ss.err

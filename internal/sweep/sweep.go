@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -377,15 +378,15 @@ type RunOpts struct {
 	// NodeParallelism bounds the workers each simulation uses to build its
 	// frames and replay its node pipelines (see
 	// core.Machine.SetNodeParallelism): 1 is one worker, and 0 shares the
-	// worker budget — when fewer configurations than budget run
-	// concurrently, the spare workers go to each machine (budget /
-	// concurrent configurations, at least 1). A sweep of many
-	// configurations therefore parallelizes across configurations; a sweep
-	// of one big configuration parallelizes across its nodes. A raster
-	// class's shared probe passes (its miss streams) are sized as one
-	// configuration alone — with 0, the whole budget — because every member
-	// that needs one waits for it. The setting never changes which frame
-	// driver runs, nor any result.
+	// worker budget — speedup baselines and points run in one pool, and
+	// when fewer simulations than budget remain to run, the spare workers
+	// go to each machine (budget / simulations, at least 1). A sweep of
+	// many configurations therefore parallelizes across configurations; a
+	// sweep of one big configuration runs it beside its baseline, each
+	// parallelized across its nodes. A raster class's artifact and shared
+	// probe passes (its miss streams) are built as one simulation alone —
+	// with 0, on the whole budget — because every member waits for them.
+	// The setting never changes which frame driver runs, nor any result.
 	NodeParallelism int
 	// Progress, when non-nil, observes each configuration's lifecycle (see
 	// ProgressSink). Off costs one nil check per row; rows and results are
@@ -442,8 +443,8 @@ type RowCachedSink interface {
 	RowCached(index, total int, row Row, configHash string)
 }
 
-// nodeParallelism resolves the per-machine worker bound for a sweep of
-// nJobs configurations under the shared-budget rule documented on RunOpts.
+// nodeParallelism resolves the per-machine worker bound for a pool of
+// nJobs simulations under the shared-budget rule documented on RunOpts.
 func (o RunOpts) nodeParallelism(nJobs int) int {
 	if o.NodeParallelism != 0 {
 		return o.NodeParallelism
@@ -468,25 +469,71 @@ func (o RunOpts) nodeParallelism(nJobs int) int {
 	return nodePar
 }
 
-// shares resolves the per-machine worker bounds of the baseline phase and
-// the point phase from the simulations each phase actually runs: a baseline
-// runs when some surviving point needs it and it was not checkpointed, a
-// point when it was not restored. Counting restored or skipped work would
-// shrink the share of what is left (a resumed sweep's last point on one
-// worker of four).
-func (o RunOpts) shares(needBase, haveBase, done []bool) (basePar, pointPar int) {
-	bases, points := 0, 0
+// simulation is one unit of a sweep's pool: a speedup baseline (i indexes
+// the combos) or a sweep point (i indexes the points).
+type simulation struct {
+	baseline bool
+	i        int
+}
+
+// simulations lists what still runs, baselines first: a baseline when some
+// surviving point needs it and it was not checkpointed, a point when it was
+// not restored. The pool's one worker share is counted over this list, so
+// restored or skipped work never shrinks the share of what is left (a
+// resumed sweep's last point on one worker of four).
+func simulations(needBase, haveBase, done []bool) []simulation {
+	var sims []simulation
 	for ci := range needBase {
 		if needBase[ci] && !haveBase[ci] {
-			bases++
+			sims = append(sims, simulation{baseline: true, i: ci})
 		}
 	}
-	for _, d := range done {
+	for i, d := range done {
 		if !d {
-			points++
+			sims = append(sims, simulation{i: i})
 		}
 	}
-	return o.nodeParallelism(bases), o.nodeParallelism(points)
+	return sims
+}
+
+// rowJoin is the rendezvous of each row's point and its speedup baseline in
+// the pool: a row is published once both are done, by whichever of the two
+// finishes second.
+type rowJoin struct {
+	mu         sync.Mutex
+	points     []point
+	baseCycles []float64 // each combo's baseline cycles, where haveBase
+	haveBase   []bool
+	waiting    []bool // point simulated before its baseline
+}
+
+// pointDone records that point i finished simulating. It returns the
+// point's baseline cycles when they are known; otherwise the point waits
+// for baselineDone to hand it out.
+func (j *rowJoin) pointDone(i int) (baseCycles float64, ok bool) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	ci := j.points[i].combo
+	if !j.haveBase[ci] {
+		j.waiting[i] = true
+		return 0, false
+	}
+	return j.baseCycles[ci], true
+}
+
+// baselineDone records combo ci's baseline cycles and returns the points
+// that finished before it, each now ready to publish.
+func (j *rowJoin) baselineDone(ci int, cycles float64) (ready []int) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.baseCycles[ci], j.haveBase[ci] = cycles, true
+	for i, w := range j.waiting {
+		if w && j.points[i].combo == ci {
+			j.waiting[i] = false
+			ready = append(ready, i)
+		}
+	}
+	return ready
 }
 
 // Run executes the sweep on up to parallelism concurrent simulations
@@ -511,7 +558,8 @@ type point struct {
 
 // RunWith is the sweep runner: it expands the spec's axes into points,
 // partitions points and baselines into raster-equivalence classes (the
-// planner, planner.go), and simulates everything under one worker budget.
+// planner, planner.go), and simulates everything in one pool under one
+// worker budget.
 // Row order is independent of parallelism and memoization; cancelling ctx
 // abandons unstarted configurations and returns ctx.Err().
 func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
@@ -661,18 +709,18 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 	// Partition every surviving simulation — baselines first, then points —
 	// into raster-equivalence classes. With one processor every tile maps to
 	// node 0, so one (1, Sizes[0]) class serves all baselines.
-	pl := newPlan(!opts.NoMemo)
-	baseClass := make([]*classState, len(combos))
-	for ci := range combos {
-		if needBase[ci] && !haveBase[ci] {
-			baseClass[ci] = pl.add(spec, mkConfig(1, spec.Sizes[0], combos[ci]))
+	sims := simulations(needBase, haveBase, done)
+	simConfig := func(sim simulation) core.Config {
+		if sim.baseline {
+			return mkConfig(1, spec.Sizes[0], combos[sim.i])
 		}
+		pt := points[sim.i]
+		return mkConfig(pt.procs, pt.size, combos[pt.combo])
 	}
-	pointClass := make([]*classState, len(points))
-	for i, pt := range points {
-		if !done[i] {
-			pointClass[i] = pl.add(spec, mkConfig(pt.procs, pt.size, combos[pt.combo]))
-		}
+	pl := newPlan(!opts.NoMemo)
+	classes := make([]*classState, len(sims))
+	for k, sim := range sims {
+		classes[k] = pl.add(spec, simConfig(sim))
 	}
 	pl.seal(len(points), len(combos))
 	pl.stats.Checkpointed = checkpointed
@@ -697,20 +745,21 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 
 	// runOne simulates one configuration, replaying the class artifact when
 	// the planner memoized the class, from the miss streams of its cache
-	// geometry when it shares one (else nil). The artifact is built on the
-	// simulation's own share: building it on the whole budget let the
-	// garbage collector fall behind its allocations and raised the axes
-	// benchmark's peak RSS by a fifth. The probe pass allocates little more
-	// than its stream, so it takes the whole budget.
+	// geometry when it shares one (else nil). Every member blocks on the
+	// class artifact and on its geometry's streams, so both are built on the
+	// whole budget, as if their simulation ran alone. Each worker carves the
+	// work list from slabs of its own, so a build on every worker allocates
+	// a few large blocks, not one piece per triangle.
 	probePar := opts.nodeParallelism(1)
-	runOne := func(cfg core.Config, cs *classState, nodePar int, flightInterval float64, wantFlight bool) (*core.Result, *flight.Recorder, error) {
+	nodePar := opts.nodeParallelism(len(sims))
+	runOne := func(cfg core.Config, cs *classState, flightInterval float64, wantFlight bool) (*core.Result, *flight.Recorder, error) {
 		m, err := core.NewMachine(sc, cfg)
 		if err != nil {
 			return nil, nil, err
 		}
 		m.SetNodeParallelism(nodePar)
 		if cs.memoized {
-			art, ms, err := cs.acquire(ctx, sc, dk, cfg, nodePar, probePar)
+			art, ms, err := cs.acquire(ctx, sc, dk, cfg, probePar)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -733,50 +782,54 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 		return res, rec, nil
 	}
 
-	// Baselines share the worker budget the same way points do: with one
-	// combo (the axis-free sweep) the single baseline gets the whole budget.
-	// Checkpointed or unneeded baselines are skipped (baseCycles already
-	// holds their denominator, or no surviving row divides by them), and
-	// neither they nor restored points count against a share.
-	basePar, nodePar := opts.shares(needBase, haveBase, done)
-	err = par.ForEach(ctx, opts.Parallelism, len(combos), func(ci int) error {
-		if !needBase[ci] || haveBase[ci] {
-			return nil
-		}
-		res, _, err := runOne(mkConfig(1, spec.Sizes[0], combos[ci]), baseClass[ci], basePar, 0, false)
-		if err != nil {
-			return err
-		}
-		baseCycles[ci] = res.Cycles
+	// publish completes row i once both its point and its baseline are
+	// done, with the baseline's cycles: it divides in the speedup, banks the
+	// row and reports it.
+	publish := func(i int, baseCycles float64) {
+		pt := points[i]
+		rows[i].Speedup = baseCycles / rows[i].Cycles
 		if useRows {
-			if data, err := json.Marshal(baselineCheckpoint{Cycles: res.Cycles}); err == nil {
+			if data, err := json.Marshal(rows[i]); err == nil {
 				// Best effort: a failed checkpoint write costs a future
-				// resume nothing but this baseline's re-simulation.
-				_ = opts.Rows.Put(spec.baselineCheckpointKey(comboPoint(ci)), data)
+				// resume nothing but this row's re-simulation.
+				_ = opts.Rows.Put(spec.rowCheckpointKey(pt), data)
 			}
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		if opts.Progress != nil {
+			opts.Progress.RowDone(i, len(points), rows[i], spec.pointHash(pt))
+		}
 	}
 
+	// One pool runs every simulation that still runs, baselines dispatched
+	// first, each on the one worker share nodePar.
+	join := &rowJoin{points: points, baseCycles: baseCycles, haveBase: haveBase,
+		waiting: make([]bool, len(points))}
 	var flights []Flight
 	if spec.Flight {
 		flights = make([]Flight, len(points))
 	}
-	err = par.ForEach(ctx, opts.Parallelism, len(points), func(i int) error {
-		if done[i] {
-			return nil // restored from checkpoint; already replayed to Progress
+	runBaseline := func(ci int, cfg core.Config, cs *classState) error {
+		res, _, err := runOne(cfg, cs, 0, false)
+		if err != nil {
+			return err
 		}
+		if useRows {
+			if data, err := json.Marshal(baselineCheckpoint{Cycles: res.Cycles}); err == nil {
+				// Best effort, like the row checkpoint.
+				_ = opts.Rows.Put(spec.baselineCheckpointKey(comboPoint(ci)), data)
+			}
+		}
+		for _, i := range join.baselineDone(ci, res.Cycles) {
+			publish(i, res.Cycles)
+		}
+		return nil
+	}
+	runPoint := func(i int, cfg core.Config, cs *classState) error {
 		pt := points[i]
-		var rowHash string
 		if opts.Progress != nil {
-			rowHash = spec.pointHash(pt)
-			opts.Progress.RowStarted(i, len(points), pt.procs, pt.size, rowHash)
+			opts.Progress.RowStarted(i, len(points), pt.procs, pt.size, spec.pointHash(pt))
 		}
-		cfg := mkConfig(pt.procs, pt.size, combos[pt.combo])
-		res, rec, err := runOne(cfg, pointClass[i], nodePar, spec.FlightInterval, spec.Flight)
+		res, rec, err := runOne(cfg, cs, spec.FlightInterval, spec.Flight)
 		if err != nil {
 			return fmt.Errorf("%s: %w", cfg.Name(), err)
 		}
@@ -798,7 +851,6 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 			Procs:          pt.procs,
 			Size:           pt.size,
 			Cycles:         res.Cycles,
-			Speedup:        baseCycles[pt.combo] / res.Cycles,
 			TexelPerFrag:   res.TexelToFragment(),
 			PixelImbalance: res.PixelImbalance(),
 			StallCycles:    stall,
@@ -815,16 +867,17 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 		if len(spec.Buffers) > 0 {
 			rows[i].Buffer = pt.buffer
 		}
-		if useRows {
-			if data, err := json.Marshal(rows[i]); err == nil {
-				// Best effort, like the baseline checkpoint above.
-				_ = opts.Rows.Put(spec.rowCheckpointKey(pt), data)
-			}
-		}
-		if opts.Progress != nil {
-			opts.Progress.RowDone(i, len(points), rows[i], rowHash)
+		if base, ok := join.pointDone(i); ok {
+			publish(i, base)
 		}
 		return nil
+	}
+	err = par.ForEach(ctx, opts.Parallelism, len(sims), func(k int) error {
+		sim := sims[k]
+		if sim.baseline {
+			return runBaseline(sim.i, simConfig(sim), classes[k])
+		}
+		return runPoint(sim.i, simConfig(sim), classes[k])
 	})
 	if err != nil {
 		return nil, err

@@ -152,25 +152,42 @@ func TestRunOptsNodeParallelism(t *testing.T) {
 	}
 }
 
+// TestRunOptsSharesCountOnlyRunningSimulations: baselines and points run in
+// one pool on one worker share, counted over the simulations that still
+// run. Restored points and unneeded or checkpointed baselines do not shrink
+// it.
 func TestRunOptsSharesCountOnlyRunningSimulations(t *testing.T) {
 	opts := RunOpts{Parallelism: 4}
-	// 72 points, 71 restored: the last point gets the whole budget.
+	share := func(needBase, haveBase, done []bool) int {
+		return opts.nodeParallelism(len(simulations(needBase, haveBase, done)))
+	}
+	// 72 points, 71 restored.
 	done := make([]bool, 72)
 	for i := 1; i < len(done); i++ {
 		done[i] = true
 	}
-	// Three combos: one unneeded, one checkpointed, one left to run.
+	// Three combos: one unneeded, one checkpointed, one left to run. The
+	// last point and its baseline split the budget, two workers each.
 	needBase := []bool{false, true, true}
 	haveBase := []bool{false, true, false}
-	if base, pt := opts.shares(needBase, haveBase, done); base != 4 || pt != 4 {
-		t.Errorf("shares = (%d, %d), want (4, 4)", base, pt)
+	if got := share(needBase, haveBase, done); got != 2 {
+		t.Errorf("share = %d, want 2", got)
 	}
-	// Nothing restored: 72 points soak the budget at one worker each, and
-	// two baselines split it two and two.
+	// With its baseline checkpointed too, the last point gets it all.
+	haveBase[2] = true
+	if got := share(needBase, haveBase, done); got != 4 {
+		t.Errorf("share with the baseline checkpointed = %d, want 4", got)
+	}
+	// Nothing restored: two baselines and 72 points soak the budget at one
+	// worker each, baselines dispatched first.
 	needBase = []bool{true, true, false}
 	haveBase = []bool{false, false, false}
-	if base, pt := opts.shares(needBase, haveBase, make([]bool, 72)); base != 2 || pt != 1 {
-		t.Errorf("fresh shares = (%d, %d), want (2, 1)", base, pt)
+	sims := simulations(needBase, haveBase, make([]bool, 72))
+	if len(sims) != 74 || !sims[0].baseline || !sims[1].baseline || sims[2].baseline {
+		t.Errorf("fresh pool: %d simulations starting %+v, want 2 baselines then 72 points", len(sims), sims[:3])
+	}
+	if got := opts.nodeParallelism(len(sims)); got != 1 {
+		t.Errorf("fresh share = %d, want 1", got)
 	}
 }
 
