@@ -16,7 +16,7 @@ func TestFlightFileNamesDistinct(t *testing.T) {
 		Cache: "perfect", Buses: []float64{0.5, 1}, Buffers: []int{1, 20, 10000},
 		Flight: true,
 	}
-	res, err := sweep.Run(context.Background(), spec, 2)
+	res, err := sweep.RunWith(context.Background(), spec, sweep.RunOpts{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

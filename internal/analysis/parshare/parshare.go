@@ -1,7 +1,7 @@
 // Package parshare guards the invariant behind the byte-identical
 // equivalence matrix: closures dispatched across workers by internal/par
-// (and wrappers like internal/experiments' forEachParallel) may only write
-// captured state in ways that cannot race.
+// (and any wrapper whose name contains "foreach") may only write captured
+// state in ways that cannot race.
 //
 // A dispatch site is a call whose callee name contains "foreach" (any
 // case) and whose final argument is a function literal of shape

@@ -9,6 +9,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/memory"
 	"repro/internal/raster"
+	"repro/internal/scene"
 	"repro/internal/trace"
 )
 
@@ -125,6 +126,42 @@ func TestSingleProcPerfectCacheCycles(t *testing.T) {
 	}
 	if got := res.TexelToFragment(); got != 0 {
 		t.Errorf("perfect cache fetched texels: %v", got)
+	}
+}
+
+// TestSingleProcCyclesIgnoreRouting pins what every speedup baseline rests
+// on: with one processor every tile maps to node 0, so the machine's cycles
+// depend neither on the distribution nor on the tile size, and a single
+// consumer never waits on its triangle buffer. The sweep planner runs all of
+// a spec's baselines as one (1, Sizes[0]) class, and the paper's figures
+// divide by that baseline, on the strength of this.
+func TestSingleProcCyclesIgnoreRouting(t *testing.T) {
+	for _, name := range scene.Names() {
+		s := benchSceneFor(t, name, 0.1)
+		for _, ck := range []CacheKind{CachePerfect, CacheReal} {
+			for _, bus := range []float64{0, 1} {
+				var want float64
+				for _, kind := range []distrib.Kind{distrib.BlockKind, distrib.SLIKind, distrib.BlockSkewedKind} {
+					for _, tile := range []int{1, 16} {
+						for _, buf := range []int{1, 10000} {
+							cfg := Config{Procs: 1, Distribution: kind, TileSize: tile,
+								TriangleBuffer: buf, CacheKind: ck,
+								Bus: memory.BusConfig{TexelsPerCycle: bus}}
+							res, err := Simulate(s, cfg)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if want == 0 {
+								want = res.Cycles
+							} else if res.Cycles != want {
+								t.Errorf("%s/%s/bus %v: %s%d buffer %d ran %v cycles, want %v",
+									name, ck, bus, kind, tile, buf, res.Cycles, want)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

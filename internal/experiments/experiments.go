@@ -2,7 +2,9 @@
 // evaluation. Each experiment builds the benchmark scenes at a chosen
 // resolution scale, sweeps the machine configurations the paper sweeps, and
 // prints the same rows/series the paper plots, so shapes can be compared
-// directly (who wins, by what factor, where the crossovers fall).
+// directly (who wins, by what factor, where the crossovers fall). The
+// paper's figures are lists of sweep specs run by the sweep engine, plus a
+// formatter that reads the rows.
 package experiments
 
 import (
@@ -16,6 +18,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/scene"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 	"repro/internal/trace"
 )
 
@@ -135,7 +138,7 @@ func buildAllScenes(ctx context.Context, opt Options) (map[string]*trace.Scene, 
 	names := scene.Names()
 	out := make(map[string]*trace.Scene, len(names))
 	var mu sync.Mutex
-	err := forEachParallel(ctx, opt.Parallelism, len(names), func(i int) error {
+	err := par.ForEach(ctx, opt.Parallelism, len(names), func(i int) error {
 		s, err := buildScene(ctx, names[i], opt)
 		if err != nil {
 			return err
@@ -148,11 +151,45 @@ func buildAllScenes(ctx context.Context, opt Options) (map[string]*trace.Scene, 
 	return out, err
 }
 
-// forEachParallel runs fn(0..n-1) on up to p goroutines and returns the
-// first error (shared with the sweep runner and texsimd worker pool via
-// internal/par).
-func forEachParallel(ctx context.Context, p, n int, fn func(i int) error) error {
-	return par.ForEach(ctx, p, n, fn)
+// cell identifies one row among a figure's sweeps. Buffer is zero unless
+// the spec sweeps the buffer axis.
+type cell struct {
+	scene, dist         string
+	procs, size, buffer int
+}
+
+// runSweeps runs a figure's specs at the option scale one after another,
+// each on the whole worker budget, and indexes every row by its cell.
+func runSweeps(ctx context.Context, opt Options, specs []sweep.Spec) (map[cell]sweep.Row, error) {
+	cells := make(map[cell]sweep.Row)
+	for _, s := range specs {
+		s.Scale = opt.Scale
+		res, err := sweep.RunWith(ctx, s, sweep.RunOpts{Parallelism: opt.Parallelism})
+		if err != nil {
+			return nil, fmt.Errorf("sweeping %s / %s: %w", s.Scene, s.Dist, err)
+		}
+		for _, r := range res.Rows {
+			cells[cell{r.Scene, r.Dist, r.Procs, r.Size, r.Buffer}] = r
+		}
+	}
+	return cells, nil
+}
+
+// paperDists expands base into the paper's two distributions on each scene:
+// block over blockSizes, then sli over sliLines.
+func paperDists(base sweep.Spec, scenes []string, blockSizes []int) []sweep.Spec {
+	var specs []sweep.Spec
+	for _, n := range scenes {
+		for _, d := range []struct {
+			dist  string
+			sizes []int
+		}{{"block", blockSizes}, {"sli", sliLines}} {
+			s := base
+			s.Scene, s.Dist, s.Sizes = n, d.dist, d.sizes
+			specs = append(specs, s)
+		}
+	}
+	return specs
 }
 
 // simulate runs one configuration, wrapping errors with simulation context.

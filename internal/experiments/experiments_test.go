@@ -257,36 +257,3 @@ type stringerTable struct {
 }
 
 func (s *stringerTable) String() string { return s.t.String() }
-
-func TestForEachParallel(t *testing.T) {
-	n := 100
-	seen := make([]bool, n)
-	var mu = make(chan struct{}, 1)
-	mu <- struct{}{}
-	err := forEachParallel(context.Background(), 8, n, func(i int) error {
-		<-mu
-		seen[i] = true
-		mu <- struct{}{}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ok := range seen {
-		if !ok {
-			t.Fatalf("index %d not visited", i)
-		}
-	}
-}
-
-func TestForEachParallelError(t *testing.T) {
-	err := forEachParallel(context.Background(), 4, 50, func(i int) error {
-		if i == 7 {
-			return os.ErrInvalid
-		}
-		return nil
-	})
-	if err == nil {
-		t.Error("error not propagated")
-	}
-}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/distrib"
 	"repro/internal/memory"
+	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -35,7 +36,7 @@ func RunExtPrefetch(ctx context.Context, opt Options) (*Report, error) {
 	}
 	cells := make(map[int]res, len(extPrefetchDepths))
 	var mu sync.Mutex
-	err = forEachParallel(ctx, opt.Parallelism, len(extPrefetchDepths), func(i int) error {
+	err = par.ForEach(ctx, opt.Parallelism, len(extPrefetchDepths), func(i int) error {
 		depth := extPrefetchDepths[i]
 		r, err := simulate(ctx, s, core.Config{
 			Procs: 16, Distribution: distrib.BlockKind, TileSize: 16,
@@ -106,7 +107,7 @@ func RunExtCache(ctx context.Context, opt Options) (*Report, error) {
 		}
 	}
 	var mu sync.Mutex
-	err = forEachParallel(ctx, opt.Parallelism, len(jobs), func(i int) error {
+	err = par.ForEach(ctx, opt.Parallelism, len(jobs), func(i int) error {
 		k := jobs[i]
 		r, err := simulate(ctx, s, core.Config{
 			Procs: 1, CacheKind: core.CacheReal,

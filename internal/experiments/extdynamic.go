@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/distrib"
+	"repro/internal/par"
 	"repro/internal/scene"
 	"repro/internal/stats"
 )
@@ -30,7 +31,7 @@ func RunExtDynamic(ctx context.Context, opt Options) (*Report, error) {
 	}
 	rows := make(map[string]row, len(names))
 	var mu sync.Mutex
-	err = forEachParallel(ctx, opt.Parallelism, len(names), func(i int) error {
+	err = par.ForEach(ctx, opt.Parallelism, len(names), func(i int) error {
 		s := scenes[names[i]]
 		cfg := core.Config{
 			Procs: procs, Distribution: distrib.BlockKind, TileSize: width,

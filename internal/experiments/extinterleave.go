@@ -3,12 +3,10 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
-	"repro/internal/core"
-	"repro/internal/distrib"
 	"repro/internal/scene"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 )
 
 // extInterleaveWidths are the block widths the interleave ablation sweeps.
@@ -22,41 +20,16 @@ var extInterleaveWidths = []int{16, 32, 64}
 // pixel-work imbalance of the two patterns at 64 processors.
 func RunExtInterleave(ctx context.Context, opt Options) (*Report, error) {
 	opt = opt.withDefaults()
-	scenes, err := buildAllScenes(ctx, opt)
-	if err != nil {
-		return nil, err
-	}
 	names := scene.Names()
 	const procs = 64
-
-	type key struct {
-		scene string
-		kind  distrib.Kind
-		width int
-	}
-	cells := make(map[key]float64)
-	var jobs []key
+	var specs []sweep.Spec
 	for _, n := range names {
-		for _, w := range extInterleaveWidths {
-			jobs = append(jobs, key{n, distrib.BlockKind, w},
-				key{n, distrib.BlockSkewedKind, w})
+		for _, dist := range []string{"block", "blockskewed"} {
+			specs = append(specs, sweep.Spec{Scene: n, Dist: dist,
+				Procs: []int{procs}, Sizes: extInterleaveWidths, Cache: "perfect"})
 		}
 	}
-	var mu sync.Mutex
-	err = forEachParallel(ctx, opt.Parallelism, len(jobs), func(i int) error {
-		k := jobs[i]
-		res, err := simulate(ctx, scenes[k.scene], core.Config{
-			Procs: procs, Distribution: k.kind, TileSize: k.width,
-			CacheKind: core.CachePerfect,
-		})
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		cells[k] = res.PixelImbalance()
-		mu.Unlock()
-		return nil
-	})
+	cells, err := runSweeps(ctx, opt, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -73,8 +46,8 @@ func RunExtInterleave(ctx context.Context, opt Options) (*Report, error) {
 		row := []string{n}
 		for _, w := range extInterleaveWidths {
 			row = append(row,
-				stats.Pct(cells[key{n, distrib.BlockKind, w}]),
-				stats.Pct(cells[key{n, distrib.BlockSkewedKind, w}]))
+				stats.Pct(cells[cell{scene: n, dist: "block", procs: procs, size: w}].PixelImbalance),
+				stats.Pct(cells[cell{scene: n, dist: "blockskewed", procs: procs, size: w}].PixelImbalance))
 		}
 		tab.AddRow(row...)
 	}

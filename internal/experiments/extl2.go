@@ -8,6 +8,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/distrib"
+	"repro/internal/par"
 	"repro/internal/scene"
 	"repro/internal/stats"
 )
@@ -67,7 +68,7 @@ func RunExtL2(ctx context.Context, opt Options) (*Report, error) {
 			jobs = append(jobs, key{tile, pan})
 		}
 	}
-	err = forEachParallel(ctx, opt.Parallelism, len(jobs), func(i int) error {
+	err = par.ForEach(ctx, opt.Parallelism, len(jobs), func(i int) error {
 		k := jobs[i]
 		m, err := core.NewMachine(s, core.Config{
 			Procs: procs, Distribution: distrib.BlockKind, TileSize: k.tile,

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/distrib"
 	"repro/internal/overlap"
+	"repro/internal/par"
 	"repro/internal/scene"
 	"repro/internal/stats"
 )
@@ -45,7 +46,7 @@ func RunExtOverlap(ctx context.Context, opt Options) (*Report, error) {
 		}
 	}
 	var mu sync.Mutex
-	err = forEachParallel(ctx, opt.Parallelism, len(jobs), func(i int) error {
+	err = par.ForEach(ctx, opt.Parallelism, len(jobs), func(i int) error {
 		k := jobs[i]
 		s := scenes[k.scene]
 		d, err := distrib.NewBlock(s.Screen, procs, k.width)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/distrib"
 	"repro/internal/memory"
+	"repro/internal/par"
 	"repro/internal/scene"
 	"repro/internal/stats"
 )
@@ -35,7 +36,7 @@ func RunExtSortLast(ctx context.Context, opt Options) (*Report, error) {
 	}
 	rows := make(map[string]row, len(names))
 	var mu sync.Mutex
-	err = forEachParallel(ctx, opt.Parallelism, len(names), func(i int) error {
+	err = par.ForEach(ctx, opt.Parallelism, len(names), func(i int) error {
 		s := scenes[names[i]]
 		base, err := simulate(ctx, s, core.Config{Procs: 1, CacheKind: core.CacheReal, Bus: bus})
 		if err != nil {

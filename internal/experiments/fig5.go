@@ -3,12 +3,10 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
-	"repro/internal/core"
-	"repro/internal/distrib"
 	"repro/internal/scene"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 )
 
 // fig5Procs is the machine size of the paper's Figure 5 imbalance graphs.
@@ -20,63 +18,23 @@ const fig5Procs = 64
 // parameter and benchmark.
 func RunFig5Imbalance(ctx context.Context, opt Options) (*Report, error) {
 	opt = opt.withDefaults()
-	scenes, err := buildAllScenes(ctx, opt)
-	if err != nil {
-		return nil, err
-	}
 	names := scene.Names()
-
-	type cellKey struct {
-		scene string
-		kind  distrib.Kind
-		size  int
-	}
-	type job struct {
-		key  cellKey
-		cfg  core.Config
-		name string
-	}
-	var jobs []job
-	for _, n := range names {
-		for _, w := range blockWidths {
-			jobs = append(jobs, job{cellKey{n, distrib.BlockKind, w}, core.Config{
-				Procs: fig5Procs, Distribution: distrib.BlockKind, TileSize: w,
-				CacheKind: core.CachePerfect,
-			}, n})
-		}
-		for _, l := range sliLines {
-			jobs = append(jobs, job{cellKey{n, distrib.SLIKind, l}, core.Config{
-				Procs: fig5Procs, Distribution: distrib.SLIKind, TileSize: l,
-				CacheKind: core.CachePerfect,
-			}, n})
-		}
-	}
-	cells := make(map[cellKey]float64, len(jobs))
-	var mu sync.Mutex
-	err = forEachParallel(ctx, opt.Parallelism, len(jobs), func(i int) error {
-		j := jobs[i]
-		res, err := simulate(ctx, scenes[j.name], j.cfg)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		cells[j.key] = res.PixelImbalance()
-		mu.Unlock()
-		return nil
-	})
+	cells, err := runSweeps(ctx, opt, paperDists(sweep.Spec{
+		Procs: []int{fig5Procs}, Cache: "perfect",
+	}, names, blockWidths))
 	if err != nil {
 		return nil, err
 	}
 
-	mkTable := func(kind distrib.Kind, sizes []int, sizeLabel string) *stats.Table {
+	mkTable := func(dist string, sizes []int, sizeLabel string) *stats.Table {
 		t := &stats.Table{
-			Caption: fmt.Sprintf("%d processors / %s: busiest-vs-average pixel work (%%)", fig5Procs, kind),
+			Caption: fmt.Sprintf("%d processors / %s: busiest-vs-average pixel work (%%)", fig5Procs, dist),
 			Header:  append([]string{sizeLabel}, names...),
 		}
 		for _, sz := range sizes {
 			row := []string{fmt.Sprintf("%d", sz)}
 			for _, n := range names {
-				row = append(row, stats.Pct(cells[cellKey{n, kind, sz}]))
+				row = append(row, stats.Pct(cells[cell{scene: n, dist: dist, procs: fig5Procs, size: sz}].PixelImbalance))
 			}
 			t.AddRow(row...)
 		}
@@ -92,8 +50,8 @@ func RunFig5Imbalance(ctx context.Context, opt Options) (*Report, error) {
 			"expect: imbalance grows with block size; worst cases reach hundreds of %; block-16 stays modest",
 		},
 		Table: []*stats.Table{
-			mkTable(distrib.BlockKind, blockWidths, "width"),
-			mkTable(distrib.SLIKind, sliLines, "lines"),
+			mkTable("block", blockWidths, "width"),
+			mkTable("sli", sliLines, "lines"),
 		},
 	}, nil
 }
@@ -107,89 +65,35 @@ var fig5SpeedupProcs = []int{1, 2, 4, 8, 16, 32, 48, 64}
 func RunFig5Speedup(ctx context.Context, opt Options) (*Report, error) {
 	opt = opt.withDefaults()
 	const sceneName = "32massive11255"
-	s, err := buildScene(ctx, sceneName, opt)
+	cells, err := runSweeps(ctx, opt, paperDists(sweep.Spec{
+		Procs: fig5SpeedupProcs, Cache: "perfect",
+	}, []string{sceneName}, blockWidths))
 	if err != nil {
 		return nil, err
 	}
 
-	base, err := simulate(ctx, s, core.Config{Procs: 1, CacheKind: core.CachePerfect})
-	if err != nil {
-		return nil, err
-	}
-	t1 := base.Cycles
-
-	type cellKey struct {
-		kind  distrib.Kind
-		size  int
-		procs int
-	}
-	type job struct {
-		key cellKey
-		cfg core.Config
-	}
-	var jobs []job
-	for _, procs := range fig5SpeedupProcs {
-		if procs == 1 {
-			continue
-		}
-		for _, w := range blockWidths {
-			jobs = append(jobs, job{cellKey{distrib.BlockKind, w, procs}, core.Config{
-				Procs: procs, Distribution: distrib.BlockKind, TileSize: w,
-				CacheKind: core.CachePerfect,
-			}})
-		}
-		for _, l := range sliLines {
-			jobs = append(jobs, job{cellKey{distrib.SLIKind, l, procs}, core.Config{
-				Procs: procs, Distribution: distrib.SLIKind, TileSize: l,
-				CacheKind: core.CachePerfect,
-			}})
-		}
-	}
-	cells := make(map[cellKey]float64, len(jobs))
-	var mu sync.Mutex
-	err = forEachParallel(ctx, opt.Parallelism, len(jobs), func(i int) error {
-		j := jobs[i]
-		res, err := simulate(ctx, s, j.cfg)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		cells[j.key] = t1 / res.Cycles
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, w := range blockWidths {
-		cells[cellKey{distrib.BlockKind, w, 1}] = 1
-	}
-	for _, l := range sliLines {
-		cells[cellKey{distrib.SLIKind, l, 1}] = 1
-	}
-
-	mkTable := func(kind distrib.Kind, sizes []int, sizeLabel string) *stats.Table {
+	mkTable := func(dist string, sizes []int, sizeLabel string) *stats.Table {
 		header := []string{"procs"}
 		for _, sz := range sizes {
 			header = append(header, fmt.Sprintf("%s%d", sizeLabel, sz))
 		}
 		t := &stats.Table{
-			Caption: fmt.Sprintf("%s distribution: speedup of %s (perfect cache)", kind, sceneName),
+			Caption: fmt.Sprintf("%s distribution: speedup of %s (perfect cache)", dist, sceneName),
 			Header:  header,
 		}
 		for _, procs := range fig5SpeedupProcs {
 			row := []string{fmt.Sprintf("%d", procs)}
 			for _, sz := range sizes {
-				row = append(row, stats.F(cells[cellKey{kind, sz, procs}], 1))
+				row = append(row, stats.F(cells[cell{scene: sceneName, dist: dist, procs: procs, size: sz}].Speedup, 1))
 			}
 			t.AddRow(row...)
 		}
 		return t
 	}
 
-	mkChart := func(kind distrib.Kind, sizes []int, sizeLabel string) *stats.Chart {
+	mkChart := func(dist string, sizes []int, sizeLabel string) *stats.Chart {
 		ch := &stats.Chart{
-			Title:  fmt.Sprintf("%s distribution: speedup vs processors (perfect cache)", kind),
+			Title:  fmt.Sprintf("%s distribution: speedup vs processors (perfect cache)", dist),
 			XLabel: "processors",
 			YLabel: "speedup",
 		}
@@ -197,7 +101,7 @@ func RunFig5Speedup(ctx context.Context, opt Options) (*Report, error) {
 			s := stats.Series{Name: fmt.Sprintf("%s%d", sizeLabel, sz)}
 			for _, procs := range fig5SpeedupProcs {
 				s.X = append(s.X, float64(procs))
-				s.Y = append(s.Y, cells[cellKey{kind, sz, procs}])
+				s.Y = append(s.Y, cells[cell{scene: sceneName, dist: dist, procs: procs, size: sz}].Speedup)
 			}
 			ch.Series = append(ch.Series, s)
 		}
@@ -212,12 +116,12 @@ func RunFig5Speedup(ctx context.Context, opt Options) (*Report, error) {
 			"expect: 1-line SLI and block widths < 8 collapse from the 25-pixel setup overhead; large sizes flatten from load imbalance",
 		},
 		Table: []*stats.Table{
-			mkTable(distrib.BlockKind, blockWidths, "w"),
-			mkTable(distrib.SLIKind, sliLines, "l"),
+			mkTable("block", blockWidths, "w"),
+			mkTable("sli", sliLines, "l"),
 		},
 		Chart: []*stats.Chart{
-			mkChart(distrib.BlockKind, []int{1, 8, 16, 128}, "w"),
-			mkChart(distrib.SLIKind, []int{1, 4, 32}, "l"),
+			mkChart("block", []int{1, 8, 16, 128}, "w"),
+			mkChart("sli", []int{1, 4, 32}, "l"),
 		},
 	}, nil
 }

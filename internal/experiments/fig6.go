@@ -3,12 +3,9 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
-	"repro/internal/core"
-	"repro/internal/distrib"
 	"repro/internal/stats"
-	"repro/internal/trace"
+	"repro/internal/sweep"
 )
 
 // fig6Procs is the x-axis of Figure 6.
@@ -27,57 +24,9 @@ var fig6Scenes = []string{"32massive11255", "teapot.full"}
 // count, for every distribution parameter, on an infinite bus.
 func RunFig6Locality(ctx context.Context, opt Options) (*Report, error) {
 	opt = opt.withDefaults()
-
-	type cellKey struct {
-		scene string
-		kind  distrib.Kind
-		size  int
-		procs int
-	}
-	type job struct {
-		key cellKey
-		cfg core.Config
-	}
-	var jobs []job
-	for _, sceneName := range fig6Scenes {
-		for _, procs := range fig6Procs {
-			for _, w := range fig6BlockWidths {
-				jobs = append(jobs, job{cellKey{sceneName, distrib.BlockKind, w, procs}, core.Config{
-					Procs: procs, Distribution: distrib.BlockKind, TileSize: w,
-					CacheKind: core.CacheReal,
-				}})
-			}
-			for _, l := range sliLines {
-				jobs = append(jobs, job{cellKey{sceneName, distrib.SLIKind, l, procs}, core.Config{
-					Procs: procs, Distribution: distrib.SLIKind, TileSize: l,
-					CacheKind: core.CacheReal,
-				}})
-			}
-		}
-	}
-
-	builtScenes := make(map[string]*trace.Scene, len(fig6Scenes))
-	for _, n := range fig6Scenes {
-		s, err := buildScene(ctx, n, opt)
-		if err != nil {
-			return nil, err
-		}
-		builtScenes[n] = s
-	}
-
-	cells := make(map[cellKey]float64, len(jobs))
-	var mu sync.Mutex
-	err := forEachParallel(ctx, opt.Parallelism, len(jobs), func(i int) error {
-		j := jobs[i]
-		res, err := simulate(ctx, builtScenes[j.key.scene], j.cfg)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		cells[j.key] = res.TexelToFragment()
-		mu.Unlock()
-		return nil
-	})
+	cells, err := runSweeps(ctx, opt, paperDists(sweep.Spec{
+		Procs: fig6Procs, Cache: "real",
+	}, fig6Scenes, fig6BlockWidths))
 	if err != nil {
 		return nil, err
 	}
@@ -85,12 +34,12 @@ func RunFig6Locality(ctx context.Context, opt Options) (*Report, error) {
 	var tables []*stats.Table
 	for _, sceneName := range fig6Scenes {
 		for _, spec := range []struct {
-			kind  distrib.Kind
+			dist  string
 			sizes []int
 			label string
 		}{
-			{distrib.BlockKind, fig6BlockWidths, "w"},
-			{distrib.SLIKind, sliLines, "l"},
+			{"block", fig6BlockWidths, "w"},
+			{"sli", sliLines, "l"},
 		} {
 			header := []string{"procs"}
 			for _, sz := range spec.sizes {
@@ -98,13 +47,13 @@ func RunFig6Locality(ctx context.Context, opt Options) (*Report, error) {
 			}
 			t := &stats.Table{
 				Caption: fmt.Sprintf("%s / %s distribution: texel-to-fragment ratio (16 KB caches, infinite bus)",
-					sceneName, spec.kind),
+					sceneName, spec.dist),
 				Header: header,
 			}
 			for _, procs := range fig6Procs {
 				row := []string{fmt.Sprintf("%d", procs)}
 				for _, sz := range spec.sizes {
-					row = append(row, stats.F(cells[cellKey{sceneName, spec.kind, sz, procs}], 2))
+					row = append(row, stats.F(cells[cell{scene: sceneName, dist: spec.dist, procs: procs, size: sz}].TexelPerFrag, 2))
 				}
 				t.AddRow(row...)
 			}
@@ -120,19 +69,19 @@ func RunFig6Locality(ctx context.Context, opt Options) (*Report, error) {
 			YLabel: "texels/fragment",
 		}
 		for _, pick := range []struct {
-			kind  distrib.Kind
+			dist  string
 			size  int
 			label string
 		}{
-			{distrib.BlockKind, 4, "block4"},
-			{distrib.BlockKind, 16, "block16"},
-			{distrib.SLIKind, 1, "sli1"},
-			{distrib.SLIKind, 2, "sli2"},
+			{"block", 4, "block4"},
+			{"block", 16, "block16"},
+			{"sli", 1, "sli1"},
+			{"sli", 2, "sli2"},
 		} {
 			s := stats.Series{Name: pick.label}
 			for _, procs := range fig6Procs {
 				s.X = append(s.X, float64(procs))
-				s.Y = append(s.Y, cells[cellKey{sceneName, pick.kind, pick.size, procs}])
+				s.Y = append(s.Y, cells[cell{scene: sceneName, dist: pick.dist, procs: procs, size: pick.size}].TexelPerFrag)
 			}
 			ch.Series = append(ch.Series, s)
 		}

@@ -3,13 +3,10 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
-	"repro/internal/core"
-	"repro/internal/distrib"
-	"repro/internal/memory"
 	"repro/internal/scene"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 )
 
 // fig7Procs are the machine sizes of Figure 7's six bar charts.
@@ -30,84 +27,22 @@ func RunFig7Bus2(ctx context.Context, opt Options) (*Report, error) {
 
 func runFig7(ctx context.Context, opt Options, busRatio float64, id, title string) (*Report, error) {
 	opt = opt.withDefaults()
-	scenes, err := buildAllScenes(ctx, opt)
-	if err != nil {
-		return nil, err
-	}
 	names := scene.Names()
-	bus := memory.BusConfig{TexelsPerCycle: busRatio}
-
-	// Single-processor baselines, one per scene (tile size is irrelevant
-	// with one processor).
-	t1 := make(map[string]float64, len(names))
-	var mu sync.Mutex
-	err = forEachParallel(ctx, opt.Parallelism, len(names), func(i int) error {
-		res, err := simulate(ctx, scenes[names[i]], core.Config{
-			Procs: 1, CacheKind: core.CacheReal, Bus: bus,
-		})
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		t1[names[i]] = res.Cycles
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	type cellKey struct {
-		scene string
-		kind  distrib.Kind
-		size  int
-		procs int
-	}
-	type job struct {
-		key cellKey
-		cfg core.Config
-	}
-	var jobs []job
-	for _, n := range names {
-		for _, procs := range fig7Procs {
-			for _, w := range blockWidths {
-				jobs = append(jobs, job{cellKey{n, distrib.BlockKind, w, procs}, core.Config{
-					Procs: procs, Distribution: distrib.BlockKind, TileSize: w,
-					CacheKind: core.CacheReal, Bus: bus,
-				}})
-			}
-			for _, l := range sliLines {
-				jobs = append(jobs, job{cellKey{n, distrib.SLIKind, l, procs}, core.Config{
-					Procs: procs, Distribution: distrib.SLIKind, TileSize: l,
-					CacheKind: core.CacheReal, Bus: bus,
-				}})
-			}
-		}
-	}
-	cells := make(map[cellKey]float64, len(jobs))
-	err = forEachParallel(ctx, opt.Parallelism, len(jobs), func(i int) error {
-		j := jobs[i]
-		res, err := simulate(ctx, scenes[j.key.scene], j.cfg)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		cells[j.key] = t1[j.key.scene] / res.Cycles
-		mu.Unlock()
-		return nil
-	})
+	cells, err := runSweeps(ctx, opt, paperDists(sweep.Spec{
+		Procs: fig7Procs, Cache: "real", Bus: busRatio,
+	}, names, blockWidths))
 	if err != nil {
 		return nil, err
 	}
 
 	var tables []*stats.Table
 	for _, spec := range []struct {
-		kind  distrib.Kind
+		dist  string
 		sizes []int
 		label string
 	}{
-		{distrib.BlockKind, blockWidths, "w"},
-		{distrib.SLIKind, sliLines, "l"},
+		{"block", blockWidths, "w"},
+		{"sli", sliLines, "l"},
 	} {
 		for _, procs := range fig7Procs {
 			header := []string{"scene"}
@@ -117,14 +52,14 @@ func runFig7(ctx context.Context, opt Options, busRatio float64, id, title strin
 			header = append(header, "best")
 			t := &stats.Table{
 				Caption: fmt.Sprintf("%d processors / %s: speedup (16 KB caches, %s texel/pixel bus)",
-					procs, spec.kind, stats.F(busRatio, 0)),
+					procs, spec.dist, stats.F(busRatio, 0)),
 				Header: header,
 			}
 			for _, n := range names {
 				row := []string{n}
 				bestSize, bestVal := 0, 0.0
 				for _, sz := range spec.sizes {
-					v := cells[cellKey{n, spec.kind, sz, procs}]
+					v := cells[cell{scene: n, dist: spec.dist, procs: procs, size: sz}].Speedup
 					row = append(row, stats.F(v, 1))
 					if v > bestVal {
 						bestVal, bestSize = v, sz

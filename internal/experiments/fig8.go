@@ -3,12 +3,9 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
-	"repro/internal/core"
-	"repro/internal/distrib"
-	"repro/internal/memory"
 	"repro/internal/stats"
+	"repro/internal/sweep"
 )
 
 // fig8Buffers is the triangle-FIFO sweep of Figure 8.
@@ -23,71 +20,22 @@ const fig8Procs = 64
 func RunFig8(ctx context.Context, opt Options) (*Report, error) {
 	opt = opt.withDefaults()
 	const sceneName = "truc640"
-	s, err := buildScene(ctx, sceneName, opt)
-	if err != nil {
-		return nil, err
-	}
-
-	type variant struct {
+	var tables []*stats.Table
+	for _, v := range []struct {
 		name  string
-		cache core.CacheKind
-		bus   memory.BusConfig
-	}
-	variants := []variant{
-		{"perfect cache", core.CachePerfect, memory.BusConfig{}},
-		{"16 KB cache, 2 texels/pixel bus", core.CacheReal, memory.BusConfig{TexelsPerCycle: 2}},
-	}
-
-	// One single-processor baseline per variant (buffer size is immaterial
-	// with a single consumer fed by an instantaneous distributor).
-	t1 := make([]float64, len(variants))
-	for i, v := range variants {
-		res, err := simulate(ctx, s, core.Config{Procs: 1, CacheKind: v.cache, Bus: v.bus})
+		cache string
+		bus   float64
+	}{
+		{"perfect cache", "perfect", 0},
+		{"16 KB cache, 2 texels/pixel bus", "real", 2},
+	} {
+		cells, err := runSweeps(ctx, opt, []sweep.Spec{{
+			Scene: sceneName, Procs: []int{fig8Procs}, Sizes: blockWidths,
+			Buffers: fig8Buffers, Cache: v.cache, Bus: v.bus,
+		}})
 		if err != nil {
 			return nil, err
 		}
-		t1[i] = res.Cycles
-	}
-
-	type cellKey struct {
-		variant int
-		buffer  int
-		width   int
-	}
-	type job struct {
-		key cellKey
-		cfg core.Config
-	}
-	var jobs []job
-	for vi, v := range variants {
-		for _, buf := range fig8Buffers {
-			for _, w := range blockWidths {
-				jobs = append(jobs, job{cellKey{vi, buf, w}, core.Config{
-					Procs: fig8Procs, Distribution: distrib.BlockKind, TileSize: w,
-					CacheKind: v.cache, Bus: v.bus, TriangleBuffer: buf,
-				}})
-			}
-		}
-	}
-	cells := make(map[cellKey]float64, len(jobs))
-	var mu sync.Mutex
-	err = forEachParallel(ctx, opt.Parallelism, len(jobs), func(i int) error {
-		j := jobs[i]
-		res, err := simulate(ctx, s, j.cfg)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		cells[j.key] = t1[j.key.variant] / res.Cycles
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	var tables []*stats.Table
-	for vi, v := range variants {
 		header := []string{"buffer"}
 		for _, w := range blockWidths {
 			header = append(header, fmt.Sprintf("w%d", w))
@@ -102,7 +50,7 @@ func RunFig8(ctx context.Context, opt Options) (*Report, error) {
 			row := []string{fmt.Sprintf("%d", buf)}
 			bestW, bestV := 0, 0.0
 			for _, w := range blockWidths {
-				val := cells[cellKey{vi, buf, w}]
+				val := cells[cell{scene: sceneName, dist: "block", procs: fig8Procs, size: w, buffer: buf}].Speedup
 				row = append(row, stats.F(val, 1))
 				if val > bestV {
 					bestV, bestW = val, w

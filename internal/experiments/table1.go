@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/par"
 	"repro/internal/scene"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -20,7 +21,7 @@ func RunTable1(ctx context.Context, opt Options) (*Report, error) {
 	area := opt.Scale * opt.Scale
 
 	measured := make([]trace.SceneStats, len(scene.Table1))
-	err = forEachParallel(ctx, opt.Parallelism, len(scene.Table1), func(i int) error {
+	err = par.ForEach(ctx, opt.Parallelism, len(scene.Table1), func(i int) error {
 		st, err := trace.Measure(scenes[scene.Table1[i].Name])
 		if err != nil {
 			return err

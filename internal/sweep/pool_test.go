@@ -83,7 +83,7 @@ func (s *countingSink) RowDone(index, total int, row Row, configHash string) {
 // speedup. Run it under -race: the publication crosses goroutines.
 func TestPoolPointBeforeBaseline(t *testing.T) {
 	spec := Spec{Scene: "truc640", Scale: 0.2, Procs: []int{4}, Sizes: []int{16}, Cache: "perfect"}
-	want, err := Run(context.Background(), spec, 0)
+	want, err := RunWith(context.Background(), spec, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -536,16 +536,6 @@ func (j *rowJoin) baselineDone(ci int, cycles float64) (ready []int) {
 	return ready
 }
 
-// Run executes the sweep on up to parallelism concurrent simulations
-// (<=0 = sequential).
-//
-// Deprecated: Run is a thin compatibility wrapper. New code should call
-// RunWith, the single sweep runner, which exposes the full execution
-// options (worker budget sharing, progress, planner knobs) on RunOpts.
-func Run(ctx context.Context, spec Spec, parallelism int) (*Result, error) {
-	return RunWith(ctx, spec, RunOpts{Parallelism: parallelism})
-}
-
 // point is one sweep point: a (procs, size) configuration at one position
 // on the optional cache/bus/buffer axes. combo indexes the speedup baseline
 // it compares against.

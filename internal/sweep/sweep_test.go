@@ -40,7 +40,7 @@ func TestValidate(t *testing.T) {
 }
 
 func TestRunRowShape(t *testing.T) {
-	res, err := Run(context.Background(), tinySpec, 2)
+	res, err := RunWith(context.Background(), tinySpec, RunOpts{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +68,11 @@ func TestRunRowShape(t *testing.T) {
 }
 
 func TestRunParallelMatchesSequential(t *testing.T) {
-	seq, err := Run(context.Background(), tinySpec, 1)
+	seq, err := RunWith(context.Background(), tinySpec, RunOpts{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	parl, err := Run(context.Background(), tinySpec, 8)
+	parl, err := RunWith(context.Background(), tinySpec, RunOpts{Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,13 +84,13 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 func TestRunCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, tinySpec, 2); !errors.Is(err, context.Canceled) {
+	if _, err := RunWith(ctx, tinySpec, RunOpts{Parallelism: 2}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 func TestWriteCSV(t *testing.T) {
-	res, err := Run(context.Background(), tinySpec, 2)
+	res, err := RunWith(context.Background(), tinySpec, RunOpts{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestWriteCSV(t *testing.T) {
 }
 
 func TestWriteJSONRoundTrip(t *testing.T) {
-	res, err := Run(context.Background(), tinySpec, 2)
+	res, err := RunWith(context.Background(), tinySpec, RunOpts{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,10 +191,10 @@ func TestRunOptsSharesCountOnlyRunningSimulations(t *testing.T) {
 	}
 }
 
-func TestRunWithNodeParallelismMatchesRun(t *testing.T) {
-	// Node parallelism must not change a single row: RunWith at any
-	// NodeParallelism is byte-identical to the sequential Run.
-	want, err := Run(context.Background(), tinySpec, 0)
+func TestNodeParallelismMatchesSequential(t *testing.T) {
+	// Node parallelism must not change a single row: a sweep at any
+	// NodeParallelism is byte-identical to the sequential one.
+	want, err := RunWith(context.Background(), tinySpec, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
