@@ -219,9 +219,9 @@ func main() {
 	cliutil.Check("texsweep", err)
 
 	// One machine-parseable planner line per run: CI greps it to assert the
-	// memoized path really rasterized less. probes= counts the miss-stream
-	// probe passes shared by two or more simulations of one cache geometry
-	// (sweep.PlanStats.Probes).
+	// memoized path really rasterized less. probes= counts the probe walks:
+	// one per memoized raster class with a member that probes, covering all
+	// of the class's cache geometries (sweep.PlanStats.Probes).
 	fmt.Fprintf(os.Stderr, "texsweep: plan points=%d baselines=%d classes=%d rasterized=%d saved=%d probes=%d checkpointed=%d memoized=%t\n",
 		plan.Points, plan.Baselines, plan.Classes, plan.Rasterizations, plan.Saved, plan.Probes, plan.Checkpointed, plan.Memoized)
 	if *asJSON {

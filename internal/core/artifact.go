@@ -5,27 +5,27 @@
 // and then replayed by one of the two frame drivers (parallel.go, core.go)
 // or by the dynamic or sort-last machine's own (dynamic.go, sortlast.go).
 //
-// A frame built for one run only is kept in memory without footprint
-// streams: each destination points at its source triangle, whose texture
-// binding engine.ProcessTriangle generates the footprints from while
-// timing. A
-// RasterArtifact built by BuildRasterArtifact carries run-length-encoded
-// footprint streams instead. Those stages depend only on (scene, resolution,
+// Every destination points at its source triangle, whose texture binding
+// engine.ProcessTriangle generates the footprints from while timing. A
+// frame built for one run only is kept in memory that way; a RasterArtifact
+// built by BuildRasterArtifact may additionally carry run-length-encoded
+// footprint streams. Those stages depend only on (scene, resolution,
 // distribution); the cache model, bus bandwidth and buffer depth they feed
 // do not change a single span or address. So one artifact is built per
 // (scene, resolution, distribution) and replayed into any number of machine
 // configurations, which is what makes dense cache-axis sweeps cheap
-// (internal/sweep's planner) and, being serializable (artifactio.go), lets
-// cluster peers ship the geometry work instead of redoing it.
+// (internal/sweep's planner). The planner's artifacts are spans-only: its
+// machines time from miss streams, whose one probe walk per class
+// (missstream.go) generates each item's footprints and drops them.
 //
 // Equivalence contract: a machine with an artifact attached produces
 // byte-identical results (cycles, counters, cache statistics, FIFO peaks) to
 // the same machine building its frames in memory, on both drivers: the
-// footprint streams come from engine.TriangleWork.Precompute, which steps
-// u/v exactly as engine.ProcessTriangle does; the machine probes them per
-// work item, or ahead of time into shared miss streams (missstream.go); and
-// every engine path times each fragment through the one timing loop,
-// engine.Engine.ProcessMisses.
+// footprint streams come from engine.TriangleWork.AppendFootprints, which
+// steps u/v exactly as engine.ProcessTriangle does; the machine probes them
+// per work item, or ahead of time into shared miss streams, or, without
+// streams of either kind, times the item live; and every engine path times
+// each fragment through the one timing loop, engine.Engine.ProcessMisses.
 package core
 
 import (
@@ -47,9 +47,9 @@ import (
 // RasterArtifact is the reusable output of rasterizing a frame sequence on
 // one (scene, resolution, distribution): per frame, the routed triangles in
 // submission order, each carrying its per-node owned segments and
-// run-length-encoded trilinear footprint streams. Build it with
-// BuildRasterArtifact, attach it with Machine.SetRasterArtifact, and ship it
-// with Encode/DecodeRasterArtifact.
+// optionally run-length-encoded trilinear footprint streams. Build it with
+// BuildRasterArtifact, attach it with Machine.SetRasterArtifact, and probe
+// it into miss streams with BuildMissStreams.
 type RasterArtifact struct {
 	// Scene is the name of the scene (frame 0) the artifact was built from.
 	Scene string
@@ -64,11 +64,14 @@ type RasterArtifact struct {
 	// must share it, as Machine.RunSequenceContext requires).
 	Textures []trace.TexSize
 	// HasFootprints reports whether texel address streams were generated.
-	// A spans-only artifact (ArtifactOpts.SpansOnly) replays only on
-	// pure-scan machines: perfect cache on an infinite bus.
+	// A machine replaying a spans-only artifact (ArtifactOpts.SpansOnly)
+	// without miss streams times every work item live.
 	HasFootprints bool
 	// Frames holds one entry per frame, in sequence order.
 	Frames []*FrameArtifact
+	// mgr is the frames' texture memory, which the source triangles'
+	// texture IDs index.
+	mgr *texture.Manager
 }
 
 // FrameArtifact is one frame's routed triangles.
@@ -97,27 +100,48 @@ type ArtifactTriangle struct {
 type ArtifactDest struct {
 	Node int
 	Work engine.PrecomputedWork
-	// src, set when the frame was built without footprint streams, is the
-	// source triangle: its TexID and TexMap are the texture binding
-	// engine.ProcessTriangle generates the footprints from, stored once per
-	// triangle by the scene itself.
+	// src is the source triangle: its TexID and TexMap are the texture
+	// binding the footprints are generated from, stored once per triangle
+	// by the scene itself.
 	src *geom.Triangle
 }
 
+// work returns d's live work item: its segments under the source
+// triangle's texture binding, resolved in mgr.
+func (d *ArtifactDest) work(mgr *texture.Manager) engine.TriangleWork {
+	return engine.TriangleWork{Tex: mgr.Texture(d.src.TexID), Map: d.src.Tex, LOD: d.src.Tex.LOD(), Segments: d.Work.Segments}
+}
+
 // process times d live on engine e, arriving at arrival, and returns the
-// completion time: the step every driver takes per work item of a frame
-// built in memory. mgr resolves the source triangle's texture.
+// completion time: the step every driver takes per work item that has
+// neither a footprint stream nor a miss stream. mgr resolves the source
+// triangle's texture.
 func (d *ArtifactDest) process(e *engine.Engine, mgr *texture.Manager, arrival float64) float64 {
-	w := engine.TriangleWork{Tex: mgr.Texture(d.src.TexID), Map: d.src.Tex, LOD: d.src.Tex.LOD(), Segments: d.Work.Segments}
+	w := d.work(mgr)
 	return e.ProcessTriangle(arrival, &w)
+}
+
+// Bytes returns the memory the artifact's work lists take: destinations,
+// segments and footprint streams.
+func (a *RasterArtifact) Bytes() int {
+	n := 0
+	for _, f := range a.Frames {
+		for _, tri := range f.Tris {
+			n += len(tri.Dests) * int(unsafe.Sizeof(ArtifactDest{}))
+			for _, d := range tri.Dests {
+				n += int(unsafe.Sizeof(engine.Segment{}))*len(d.Work.Segments) + 4*len(d.Work.Addrs) + 4*len(d.Work.Reps)
+			}
+		}
+	}
+	return n
 }
 
 // Counts returns each node's routed triangle count for frame fi.
 func (a *RasterArtifact) Counts(fi int) []int { return a.Frames[fi].counts }
 
 // finalize derives every frame's per-node index and counts. Called by the
-// builder and the decoder; the derived state is read-only afterwards, so a
-// finalized artifact is safe for concurrent replays.
+// builder; the derived state is read-only afterwards, so a finalized
+// artifact is safe for concurrent replays.
 func (a *RasterArtifact) finalize() {
 	for _, f := range a.Frames {
 		f.finalize(a.Procs)
@@ -150,9 +174,10 @@ func (f *FrameArtifact) finalize(procs int) {
 type ArtifactOpts struct {
 	// Workers bounds the build's parallelism (<=0 = GOMAXPROCS).
 	Workers int
-	// SpansOnly skips the texel address streams. The artifact then replays
-	// only on pure-scan machines (perfect cache, infinite bus), which never
-	// consult addresses; building it is several times cheaper.
+	// SpansOnly skips the texel address streams; building is several times
+	// cheaper, and the artifact takes a fraction of the memory. Machines
+	// then time from miss streams (BuildMissStreams generates the
+	// footprints as it probes) or, without them, time each item live.
 	SpansOnly bool
 }
 
@@ -211,6 +236,7 @@ func BuildRasterArtifact(ctx context.Context, frames []*trace.Scene, procs int, 
 		TileSize:      tileSize,
 		Textures:      append([]trace.TexSize(nil), first.Textures...),
 		HasFootprints: !opts.SpansOnly,
+		mgr:           mgr,
 	}
 	rast := raster.New(first.Screen)
 	for _, f := range frames {
@@ -227,8 +253,8 @@ func BuildRasterArtifact(ctx context.Context, frames []*trace.Scene, procs int, 
 // buildFrameArtifact rasterizes one frame across worker goroutines. Each
 // chunk writes a disjoint index range of the triangle slice, so the routed
 // order — and every span and address — is independent of scheduling.
-// Without footprints, every destination points at its source triangle
-// instead, so ProcessTriangle can generate the addresses at replay. Each
+// Every destination points at its source triangle, so the addresses can
+// be generated again at replay or in a probe walk. Each
 // worker carves its work items from slabs of its own (artifactScratch), so
 // the build allocates per slab block, not per triangle.
 func buildFrameArtifact(ctx context.Context, f *trace.Scene, d distrib.Distribution, rast *raster.Rasterizer, mgr *texture.Manager, workers int, footprints bool) (*FrameArtifact, error) {
@@ -354,11 +380,11 @@ func (s *slab[T]) carve(src []T) []T {
 }
 
 // buildTriangle rasterizes triangle i once and demultiplexes its spans per
-// owning node: the machine's one rasterize→demux step. With footprints it
-// generates each destination's texel address stream
-// (engine.TriangleWork.AppendFootprints); without, it points every
-// destination at the source triangle. The destinations, their segments and
-// their streams are carved from w's slabs.
+// owning node: the machine's one rasterize→demux step. It points every
+// destination at the source triangle and, with footprints, generates the
+// destination's texel address stream (engine.TriangleWork.AppendFootprints).
+// The destinations, their segments and their streams are carved from w's
+// slabs.
 func buildTriangle(w *artifactScratch, d distrib.Distribution, rast *raster.Rasterizer, mgr *texture.Manager, f *trace.Scene, i int, footprints bool) ArtifactTriangle {
 	t := &f.Triangles[i]
 	dests := d.Route(t.BBox(), w.route[:0])
@@ -375,10 +401,9 @@ func buildTriangle(w *artifactScratch, d distrib.Distribution, rast *raster.Rast
 		dest := &out.Dests[j]
 		dest.Node = p
 		dest.Work.Segments = w.segSlab.carve(w.spans[p])
-		if !footprints {
-			dest.src = t
-		} else if len(dest.Work.Segments) > 0 {
-			tw := engine.TriangleWork{Tex: mgr.Texture(t.TexID), Map: t.Tex, LOD: t.Tex.LOD(), Segments: dest.Work.Segments}
+		dest.src = t
+		if footprints && len(dest.Work.Segments) > 0 {
+			tw := dest.work(mgr)
 			w.addrs, w.reps = tw.AppendFootprints(w.addrs[:0], w.reps[:0])
 			dest.Work.Addrs = w.addrSlab.carve(w.addrs)
 			dest.Work.Reps = w.repSlab.carve(w.reps)
@@ -402,9 +427,8 @@ func checkScreen(r geom.Rect) error {
 
 // SetRasterArtifact attaches a prebuilt raster artifact: subsequent runs
 // replay it instead of rasterizing, with byte-identical results. The
-// artifact must match the machine's scene, screen and distribution; a
-// spans-only artifact additionally requires a pure-scan machine (perfect
-// cache, infinite bus). The caller must run the machine on the frames the
+// artifact must match the machine's scene, screen and distribution. The
+// caller must run the machine on the frames the
 // artifact was built from — identity is sanity-checked per run by name,
 // screen and triangle count. Pass nil to detach.
 func (m *Machine) SetRasterArtifact(a *RasterArtifact) error {
@@ -428,10 +452,6 @@ func (m *Machine) SetRasterArtifact(a *RasterArtifact) error {
 			return fmt.Errorf("core: artifact texture %d is %v, machine has %v",
 				i, ts, m.scene.Textures[i])
 		}
-	}
-	if !a.HasFootprints && !m.engines[0].PureScan() {
-		return fmt.Errorf("core: spans-only artifact cannot replay on a %s-cache machine (footprint streams required)",
-			m.cfg.CacheKind)
 	}
 	if a != m.artifact {
 		m.artifact, m.streams = a, nil

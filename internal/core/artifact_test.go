@@ -7,10 +7,10 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"repro/internal/cache"
 	"repro/internal/distrib"
+	"repro/internal/geom"
 	"repro/internal/memory"
 	"repro/internal/raster"
 	"repro/internal/scene"
@@ -167,24 +167,30 @@ func TestArtifactReplayCoupled(t *testing.T) {
 	}
 }
 
-// TestArtifactSpansOnly: a spans-only artifact replays on a pure-scan machine
-// (perfect cache, infinite bus) and is rejected anywhere addresses matter.
+// TestArtifactSpansOnly: a spans-only artifact stores no footprint runs and
+// replays on every machine — a pure-scan one (perfect cache, infinite bus),
+// a real cache with an L2 and the cacheless model — each work item timed
+// live from its source triangle.
 func TestArtifactSpansOnly(t *testing.T) {
 	s := testScene(11, 50, 64)
-	pure := Config{Procs: 4, CacheKind: CachePerfect}
-	runArtifactPair(t, []*trace.Scene{s}, pure, 4, ArtifactOpts{SpansOnly: true})
-
+	for _, cfg := range []Config{
+		{Procs: 4, CacheKind: CachePerfect},
+		{Procs: 4, L2Config: l2Config(), MainBus: memory.BusConfig{TexelsPerCycle: 1}, Bus: memory.BusConfig{TexelsPerCycle: 0.5}},
+		{Procs: 4, CacheKind: CacheNone, Bus: memory.BusConfig{TexelsPerCycle: 2}},
+	} {
+		runArtifactPair(t, []*trace.Scene{s}, cfg, 4, ArtifactOpts{SpansOnly: true})
+	}
 	a, err := BuildRasterArtifact(context.Background(), []*trace.Scene{s}, 4,
 		distrib.BlockKind, 16, ArtifactOpts{SpansOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMachine(s, Config{Procs: 4}) // real cache needs footprints
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetRasterArtifact(a); err == nil {
-		t.Error("spans-only artifact accepted by a real-cache machine")
+	for _, tri := range a.Frames[0].Tris {
+		for _, d := range tri.Dests {
+			if d.Work.Addrs != nil || d.Work.Reps != nil || d.src == nil {
+				t.Fatalf("spans-only destination holds %d footprint runs, source %p", len(d.Work.Reps), d.src)
+			}
+		}
 	}
 }
 
@@ -247,14 +253,40 @@ func TestArtifactBuildDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := EncodeRasterArtifact(&buf, a); err != nil {
+		js, err := json.Marshal(a)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.Bytes()
+		return js
 	}
 	if !bytes.Equal(enc(1), enc(8)) {
 		t.Error("artifact bytes depend on build parallelism")
+	}
+}
+
+// TestScreenMustFitSegments: a screen with a coordinate outside
+// [0, 65535] cannot be held by engine.Segment, so the machine and the
+// artifact builder reject it up front.
+func TestScreenMustFitSegments(t *testing.T) {
+	for _, r := range []geom.Rect{
+		{X0: 0, Y0: 0, X1: 1 << 16, Y1: 64},
+		{X0: 0, Y0: 0, X1: 64, Y1: 70000},
+		{X0: -1, Y0: 0, X1: 64, Y1: 64},
+	} {
+		sc := testScene(1, 10, 64)
+		sc.Screen = r
+		if _, err := NewMachine(sc, Config{Procs: 4}); err == nil || !strings.Contains(err.Error(), "outside [0, 65535]") {
+			t.Errorf("NewMachine on screen %v: %v, want a screen range error", r, err)
+		}
+		_, err := BuildRasterArtifact(context.Background(), []*trace.Scene{sc}, 4, distrib.BlockKind, 16, ArtifactOpts{})
+		if err == nil || !strings.Contains(err.Error(), "outside [0, 65535]") {
+			t.Errorf("BuildRasterArtifact on screen %v: %v, want a screen range error", r, err)
+		}
+	}
+	sc := testScene(1, 10, 64)
+	sc.Screen = geom.Rect{X0: 0, Y0: 0, X1: 1<<16 - 1, Y1: 64}
+	if _, err := NewMachine(sc, Config{Procs: 4}); err != nil {
+		t.Errorf("NewMachine on the widest screen: %v", err)
 	}
 }
 
@@ -284,13 +316,7 @@ func TestFrameBuildAllocations(t *testing.T) {
 						t.Fatal(err)
 					}
 				})
-				listBytes := 0
-				for _, tri := range fa.Tris {
-					listBytes += len(tri.Dests) * int(unsafe.Sizeof(ArtifactDest{}))
-					for _, dst := range tri.Dests {
-						listBytes += 6*len(dst.Work.Segments) + 4*len(dst.Work.Addrs) + 4*len(dst.Work.Reps)
-					}
-				}
+				listBytes := (&RasterArtifact{Frames: []*FrameArtifact{fa}}).Bytes()
 				// Per worker: its scratch, each node's segment buffer
 				// regrown a few times, and every slab's doubling blocks;
 				// then a block per slabMaxBytes of work list, twice over

@@ -291,7 +291,8 @@ type Machine struct {
 	artifact *RasterArtifact
 	// streams, when non-nil, holds the artifact's miss streams for this
 	// machine's cache geometry (see SetMissStreams); without them, a run
-	// with an artifact attached probes each work item as it times it.
+	// with an artifact attached probes each work item as it times it, from
+	// its footprint stream or, in a spans-only artifact, live.
 	streams *MissStreams
 	// frame is the index of the frame being timed.
 	frame int
@@ -458,7 +459,7 @@ func (m *Machine) RunSequenceContext(ctx context.Context, frames []*trace.Scene)
 		for i, e := range m.engines {
 			cum := nodeResult(e, m.lastFIFOPeaks[i])
 			if m.streams != nil {
-				// The probe pass, not the engine, ran the caches.
+				// The probe walk, not the engine, ran the caches.
 				cum.Cache, cum.L2 = m.streams.stats(i, fi)
 			}
 			res.add(cum.sub(prev[i]))

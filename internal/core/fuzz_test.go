@@ -1,13 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/distrib"
-	"repro/internal/geom"
 	"repro/internal/memory"
 	"repro/internal/telemetry/flight"
 	"repro/internal/trace"
@@ -17,10 +16,11 @@ import (
 // scene — or, on odd seeds, a two-frame sequence — on a random machine must
 // give the event-driven reference's results, byte for byte, on the forced
 // FIFO-coupled driver, under the default dispatch rule, replaying a
-// memoized artifact with footprint streams, replaying that artifact after a
-// TXRA encode→decode round trip, and timing from one prebuilt miss stream
-// shared by machines on both drivers and at a second bus ratio and buffer
-// depth. With record set, every run also records an auto-interval flight
+// memoized artifact with footprint streams, replaying a spans-only artifact
+// (timed live), and timing from the miss streams of a two-geometry probe
+// walk over the spans-only artifact: one stream shared by machines on both
+// drivers and at a second bus ratio and buffer depth, the other timing a
+// machine of the second geometry. With record set, every run also records an auto-interval flight
 // trace, which must match the reference's byte for byte too. Every run must
 // conserve the fragments a single node draws and hold the model's physical
 // invariants (checkInvariants). The same input, with degenerate and
@@ -101,18 +101,27 @@ func FuzzFrameDrivers(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := EncodeRasterArtifact(&buf, a); err != nil {
-			t.Fatal(err)
-		}
-		decoded, err := DecodeRasterArtifact(&buf)
+		spans, err := BuildRasterArtifact(context.Background(), frames, cfgd.Procs,
+			cfgd.Distribution, cfgd.TileSize, ArtifactOpts{Workers: 2, SpansOnly: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		shared, err := BuildMissStreams(context.Background(), a, cfg, 2)
+		// The second geometry toggles the L2, or on a pure-scan machine
+		// moves to a finite bus, so the walk always probes something.
+		second := cfg
+		if cfg.HasL2() {
+			second.L2Config, second.MainBus = cache.Config{}, memory.BusConfig{}
+		} else {
+			second.L2Config, second.MainBus = l2Config(), memory.BusConfig{TexelsPerCycle: 1}
+		}
+		if cfg.MissGeometry().PureScan {
+			second.Bus.TexelsPerCycle = 2
+		}
+		walked, err := BuildMissStreams(context.Background(), spans, []Config{cfg, second}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
+		shared := walked[0]
 		for _, p := range []struct {
 			name  string
 			a     *RasterArtifact
@@ -122,9 +131,9 @@ func FuzzFrameDrivers(f *testing.F) {
 			{"forced coupled", nil, nil, forceCoupled},
 			{"default dispatch", nil, nil, nil},
 			{"memoized artifact", a, nil, nil},
-			{"TXRA round trip", decoded, nil, nil},
-			{"shared stream", a, shared, nil},
-			{"shared stream, forced coupled", a, shared, forceCoupled},
+			{"spans-only artifact", spans, nil, nil},
+			{"shared stream", spans, shared, nil},
+			{"shared stream, forced coupled", spans, shared, forceCoupled},
 		} {
 			got, tr := run(cfg, p.a, p.ms, p.force)
 			if got != want {
@@ -142,11 +151,16 @@ func FuzzFrameDrivers(f *testing.F) {
 		other.TriangleBuffer = 1 + int(buffer/3)%10000
 		if other.MissGeometry() == cfg.MissGeometry() {
 			want, wantTrace := run(other, nil, nil, forceOracle)
-			got, tr := run(other, a, shared, nil)
+			got, tr := run(other, spans, shared, nil)
 			if got != want || tr != wantTrace {
 				t.Errorf("shared stream at bus %v, buffer %d diverged from the reference\nreference: %s\nstream:    %s",
 					other.Bus.TexelsPerCycle, other.TriangleBuffer, want, got)
 			}
+		}
+		// The walk's second stream times its own geometry.
+		want2, wantTrace2 := run(second, nil, nil, forceOracle)
+		if got, tr := run(second, spans, walked[1], nil); got != want2 || tr != wantTrace2 {
+			t.Errorf("second geometry's stream diverged from the reference\nreference: %s\nstream:    %s", want2, got)
 		}
 
 		single := cfg
@@ -217,71 +231,4 @@ func checkInvariants(t *testing.T, cfg Config, r *Result) {
 	if r.Cycles < maxBusy*(1-slack) {
 		t.Errorf("%s: %v machine cycles, but a node was busy for %v", cfg.Name(), r.Cycles, maxBusy)
 	}
-}
-
-// FuzzDecodeRasterArtifact: DecodeRasterArtifact never panics on hostile
-// bytes, and an artifact it accepts replays: timed from the miss streams of
-// a machine of its own distribution — pure scan always, and with footprint
-// streams also a real cache with an L2 and the cacheless model — every
-// frame draws exactly the fragments its segments hold, within the physical
-// invariants. Artifacts too big to replay in a fuzz iteration are only
-// decoded.
-func FuzzDecodeRasterArtifact(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) {
-		a, err := DecodeRasterArtifact(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		if a.Procs > 64 || a.Screen.Width() > 1024 || a.Screen.Height() > 1024 ||
-			len(a.Frames) == 0 || len(a.Textures) > 4 {
-			return
-		}
-		for _, ts := range a.Textures {
-			if ts.W > 1024 || ts.H > 1024 {
-				return
-			}
-		}
-		want := make([]uint64, len(a.Frames))
-		total := 0
-		frames := make([]*trace.Scene, len(a.Frames))
-		for i, fa := range a.Frames {
-			for _, tri := range fa.Tris {
-				for _, d := range tri.Dests {
-					want[i] += uint64(d.Work.Frags())
-					total += d.Work.Frags()
-				}
-			}
-			if fa.Triangles > 1<<12 || total > 1<<16 {
-				return
-			}
-			frames[i] = &trace.Scene{Name: fa.Name, Screen: a.Screen, Textures: a.Textures,
-				Triangles: make([]geom.Triangle, fa.Triangles)}
-		}
-		cfgs := []Config{{CacheKind: CachePerfect}}
-		if a.HasFootprints {
-			cfgs = append(cfgs,
-				Config{Bus: memory.BusConfig{TexelsPerCycle: 0.5}, L2Config: l2Config(), MainBus: memory.BusConfig{TexelsPerCycle: 1}},
-				Config{CacheKind: CacheNone, Bus: memory.BusConfig{TexelsPerCycle: 2}})
-		}
-		for _, cfg := range cfgs {
-			cfg.Procs, cfg.Distribution, cfg.TileSize = a.Procs, a.Dist, a.TileSize
-			m, err := NewMachine(frames[0], cfg)
-			if err != nil {
-				return // no valid scene or distribution for these parameters
-			}
-			if m.SetRasterArtifact(a) != nil {
-				return // not replayable by design (a tile size the machine defaults away)
-			}
-			rs, err := m.RunSequence(frames)
-			if err != nil {
-				t.Fatalf("%s: replaying an accepted artifact: %v", cfg.Name(), err)
-			}
-			for i, r := range rs {
-				if r.Fragments != want[i] {
-					t.Errorf("%s frame %d: replay drew %d fragments, segments hold %d", cfg.Name(), i, r.Fragments, want[i])
-				}
-				checkInvariants(t, cfg, r)
-			}
-		}
-	})
 }

@@ -3,21 +3,148 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/distrib"
+	"repro/internal/engine"
 	"repro/internal/memory"
 	"repro/internal/scene"
 	"repro/internal/telemetry/flight"
 	"repro/internal/trace"
 )
 
+// buildStreams walks artifact a for cfg's cache geometry alone.
+func buildStreams(t *testing.T, a *RasterArtifact, cfg Config, workers int) *MissStreams {
+	t.Helper()
+	ms, err := BuildMissStreams(context.Background(), a, []Config{cfg}, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ms[0]
+}
+
+// probePass is the per-geometry probe pass: node by node, every work item's
+// recorded footprint stream through one Prober of cfg's geometry. It is the
+// reference the probe walk must match.
+func probePass(a *RasterArtifact, cfg Config) []nodeStream {
+	cfg = cfg.withDefaults()
+	nodes := make([]nodeStream, a.Procs)
+	for p := range nodes {
+		ns := &nodes[p]
+		probe := engine.Prober{L1: newCache(cfg)}
+		if cfg.HasL2() {
+			probe.L2 = cache.New(cfg.L2Config)
+		}
+		ns.ends = []int{0}
+		for _, f := range a.Frames {
+			ns.first = append(ns.first, len(ns.ends)-1)
+			for _, d := range f.perNode[p] {
+				if !cfg.MissGeometry().PureScan {
+					ns.ops = probe.AppendMisses(ns.ops, &d.Work)
+				}
+				ns.ends = append(ns.ends, len(ns.ops))
+			}
+			st := frameStats{l1: probe.L1.Stats()}
+			if probe.L2 != nil {
+				st.l2 = probe.L2.Stats()
+			}
+			ns.frames = append(ns.frames, st)
+		}
+	}
+	return nodes
+}
+
+// TestMissStreamWalkMatchesProbePasses: one probe walk over a spans-only
+// artifact of a 3-frame sequence, for a 4 KB cache, the paper's 16 KB cache
+// with an L2, the cacheless model (whose repeats are probed) and a
+// pure-scan machine, gives every geometry the ops, item ends and per-frame
+// cache statistics of a per-geometry pass over the recorded footprints —
+// on one worker, with each node's geometries split across workers, and
+// with the footprint helper running ahead of the probes. Two
+// configurations of one geometry share one stream.
+func TestMissStreamWalkMatchesProbePasses(t *testing.T) {
+	frames := scene.PanSequence(benchSceneFor(t, "room3", 0.1), 3, 2, 1)
+	geoms := []Config{
+		{CacheConfig: cache.Config{SizeBytes: 4096, Ways: 4, LineBytes: 64}},
+		{L2Config: l2Config(), MainBus: memory.BusConfig{TexelsPerCycle: 1}},
+		{CacheKind: CacheNone},
+		{CacheKind: CachePerfect},
+		{CacheConfig: cache.Config{SizeBytes: 4096, Ways: 4, LineBytes: 64}, Bus: memory.BusConfig{TexelsPerCycle: 2}},
+	}
+	for _, procs := range []int{1, 4} {
+		build := func(opts ArtifactOpts) *RasterArtifact {
+			a, err := BuildRasterArtifact(context.Background(), frames, procs, distrib.BlockKind, 16, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return a
+		}
+		full, spans := build(ArtifactOpts{}), build(ArtifactOpts{SpansOnly: true})
+		cfgs := make([]Config, len(geoms))
+		want := make([][]nodeStream, len(geoms))
+		for i, g := range geoms {
+			cfgs[i] = g
+			cfgs[i].Procs = procs
+			want[i] = probePass(full, cfgs[i])
+		}
+		for _, workers := range []int{1, 2, 8} {
+			streams, err := BuildMissStreams(context.Background(), spans, cfgs, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if streams[4] != streams[0] {
+				t.Errorf("procs %d workers %d: configurations of one geometry got two streams", procs, workers)
+			}
+			ops := 0
+			for i, ms := range streams {
+				for p := range ms.nodes {
+					got, w := &ms.nodes[p], &want[i][p]
+					ops += len(got.ops)
+					if !slices.Equal(got.ops, w.ops) || !slices.Equal(got.ends, w.ends) ||
+						!slices.Equal(got.first, w.first) || !slices.Equal(got.frames, w.frames) {
+						t.Errorf("procs %d workers %d geometry %d node %d: walk diverged from the probe pass\nwalk: %d ops, ends %v…, frames %+v\npass: %d ops, ends %v…, frames %+v",
+							procs, workers, i, p, len(got.ops), got.ends[:min(4, len(got.ends))], got.frames,
+							len(w.ops), w.ends[:min(4, len(w.ends))], w.frames)
+					}
+				}
+			}
+			if ops == 0 {
+				t.Fatalf("procs %d workers %d: the walk emitted no ops", procs, workers)
+			}
+		}
+	}
+}
+
+// TestMissStreamWalkCancelled: a walk on a cancelled context returns its
+// error, with its footprint helpers stopped, whether it splits a node
+// across workers or not.
+func TestMissStreamWalkCancelled(t *testing.T) {
+	s := testScene(7, 60, 96)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, procs := range []int{1, 4} {
+		a, err := BuildRasterArtifact(context.Background(), []*trace.Scene{s}, procs, distrib.BlockKind, 16, ArtifactOpts{SpansOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs := []Config{{Procs: procs}, {Procs: procs, CacheKind: CacheNone}}
+		for _, workers := range []int{1, 8} {
+			if _, err := BuildMissStreams(ctx, a, cfgs, workers); !errors.Is(err, context.Canceled) {
+				t.Errorf("procs %d workers %d: walk on a cancelled context returned %v", procs, workers, err)
+			}
+		}
+	}
+}
+
 // TestMissStreamSharedAcrossTimingConfigs is the probe-once-time-many
-// contract: one miss stream per cache geometry, built once, attached to
+// contract: one miss stream per cache geometry, all built in one walk over
+// a spans-only artifact, attached to
 // machines that differ in everything else — bus ratio (non-integral line
 // costs included), triangle buffer (overfull FIFOs included), setup cost,
 // prefetch depth, node workers, a flight recorder — gives every frame of a
@@ -46,17 +173,21 @@ func TestMissStreamSharedAcrossTimingConfigs(t *testing.T) {
 		{"bus 0.5 buffer 2", func(c *Config) { c.Bus.TexelsPerCycle = 0.5; c.TriangleBuffer = 2 }},
 		{"setup 40 prefetch 4", func(c *Config) { c.SetupCycles = 40; c.PrefetchDepth = 4 }},
 	}
-	for _, g := range geoms {
-		cfg := g.cfg
-		cfg.Procs, cfg.Distribution, cfg.TileSize = 4, distrib.BlockKind, 8
-		a, err := BuildRasterArtifact(context.Background(), frames, 4, distrib.BlockKind, 8, ArtifactOpts{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ms, err := BuildMissStreams(context.Background(), a, cfg, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
+	a, err := BuildRasterArtifact(context.Background(), frames, 4, distrib.BlockKind, 8, ArtifactOpts{SpansOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := make([]Config, len(geoms))
+	for i, g := range geoms {
+		cfgs[i] = g.cfg
+		cfgs[i].Procs, cfgs[i].Distribution, cfgs[i].TileSize = 4, distrib.BlockKind, 8
+	}
+	streams, err := BuildMissStreams(context.Background(), a, cfgs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, g := range geoms {
+		cfg, ms := cfgs[i], streams[i]
 		for _, tc := range timings {
 			c := cfg
 			tc.set(&c)
@@ -116,7 +247,7 @@ func TestMissStreamSharedAcrossTimingConfigs(t *testing.T) {
 
 // TestMissStreamRejectsMismatch: SetMissStreams accepts only streams built
 // from the attached artifact for the machine's cache geometry, and
-// BuildMissStreams refuses a spans-only artifact for a machine that probes.
+// BuildMissStreams only configurations of the artifact's node count.
 func TestMissStreamRejectsMismatch(t *testing.T) {
 	s := testScene(5, 30, 64)
 	frames := []*trace.Scene{s}
@@ -129,10 +260,7 @@ func TestMissStreamRejectsMismatch(t *testing.T) {
 	}
 	cfg := Config{Procs: 2, Bus: memory.BusConfig{TexelsPerCycle: 1}}
 	a, other := build(2, ArtifactOpts{}), build(2, ArtifactOpts{})
-	ms, err := BuildMissStreams(context.Background(), a, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := buildStreams(t, a, cfg, 0)
 	if len(ms.nodes[0].ops)+len(ms.nodes[1].ops) == 0 {
 		t.Fatal("a real cache's stream holds no ops")
 	}
@@ -167,10 +295,7 @@ func TestMissStreamRejectsMismatch(t *testing.T) {
 	if err := machine(Config{Procs: 2, Bus: memory.BusConfig{TexelsPerCycle: 3}, TriangleBuffer: 2}, a).SetMissStreams(ms); err != nil {
 		t.Errorf("stream refused by a machine of the same geometry: %v", err)
 	}
-	if _, err := BuildMissStreams(context.Background(), build(2, ArtifactOpts{SpansOnly: true}), cfg, 0); err == nil {
-		t.Error("a real cache probed a spans-only artifact")
-	}
-	if _, err := BuildMissStreams(context.Background(), a, Config{Procs: 4}, 0); err == nil {
+	if _, err := BuildMissStreams(context.Background(), a, []Config{cfg, {Procs: 4}}, 0); err == nil {
 		t.Error("a 2-node artifact was probed for 4 nodes")
 	}
 	// Re-attaching another artifact drops the streams.
@@ -195,10 +320,7 @@ func TestMissStreamCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := BuildMissStreams(context.Background(), a, Config{Procs: 16, Bus: memory.BusConfig{TexelsPerCycle: 1}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := buildStreams(t, a, Config{Procs: 16, Bus: memory.BusConfig{TexelsPerCycle: 1}}, 0)
 	frags, ops := 0, 0
 	for _, tri := range a.Frames[0].Tris {
 		for _, d := range tri.Dests {
@@ -223,10 +345,7 @@ func TestMissStreamConcurrentMachines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := BuildMissStreams(context.Background(), a, Config{Procs: 8}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := buildStreams(t, a, Config{Procs: 8}, 2)
 	buses := []float64{0.5, 1, 2, 3}
 	got := make([]string, len(buses))
 	var wg sync.WaitGroup

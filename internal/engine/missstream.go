@@ -3,10 +3,10 @@
 // fragment's probes read no clock: a node's L1/L2 hit-miss sequence is a
 // function of its footprint stream and its cache geometry alone. The bus
 // ratio, setup cost, prefetch depth and triangle buffer change only the
-// timing. A probe pass (Prober.AppendMisses) therefore walks a node's
-// precomputed work once per cache geometry into a compact miss stream, and
-// a timing pass (ProcessMisses) replays the stream into any bus and buffer
-// setting.
+// timing. A probe walk (internal/core) therefore feeds each of a node's
+// work items to one Prober per cache geometry (Prober.AppendMisses), each
+// appending to a compact miss stream, and a timing pass (ProcessMisses)
+// replays a stream into any bus and buffer setting.
 //
 // Equivalence contract: ProcessMisses is the only loop that times
 // fragments — every fragment that missed through missFragment, every other

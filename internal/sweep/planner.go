@@ -3,15 +3,16 @@
 // cache geometry, bus bandwidth or buffer depth share their raster work. The
 // planner partitions a sweep's simulations — baselines included — into
 // raster-equivalence classes keyed by Spec.RasterClassKey, rasterizes once
-// per multi-member class into a core.RasterArtifact, and fans the artifact
-// out to every member simulation. One layer down, a class's cache probes
-// depend only on its cache geometry (core.MissGeometry): the planner probes
-// the artifact once per geometry that two or more members share into
-// core.MissStreams, and those members run only the timing pass; a member
-// alone in its geometry probes as it times. Replay is byte-identical to
-// rasterizing (core's artifact and miss-stream contracts), so memoization
-// changes wall-clock only; the RunOpts.NoMemo escape hatch exists for
-// benchmarking and distrust, never for correctness.
+// per multi-member class into a spans-only core.RasterArtifact, and fans the
+// artifact out to every member simulation. One layer down, a class's cache
+// probes depend only on its cache geometry (core.MissGeometry): the planner
+// walks the artifact once per class (core.BuildMissStreams), probing every
+// cache geometry of its members at once into core.MissStreams, and every
+// member that probes runs only the timing pass. No footprint outlives the
+// walk. Replay is byte-identical to rasterizing (core's artifact and
+// miss-stream contracts), so memoization changes wall-clock only; the
+// RunOpts.NoMemo escape hatch exists for benchmarking and distrust, never
+// for correctness.
 package sweep
 
 import (
@@ -43,9 +44,10 @@ type PlanStats struct {
 	// Saved is Points+Baselines-Rasterizations. Checkpoint-restored work
 	// counts toward it: a restored simulation is a rasterization avoided.
 	Saved int `json:"saved"`
-	// Probes is how many miss-stream probe passes actually ran: one per
-	// cache geometry shared by two or more members of a memoized class. A
-	// simulation alone in its geometry or class probes as it times.
+	// Probes is how many probe walks actually ran: one per memoized class
+	// with a member that probes (any machine but a pure-scan one), covering
+	// all of the class's cache geometries. A simulation alone in its class
+	// probes as it times.
 	Probes int `json:"probes"`
 	// Checkpointed is how many simulations (rows plus speedup baselines)
 	// were restored from the checkpoint store (RunOpts.Rows) instead of
@@ -56,86 +58,71 @@ type PlanStats struct {
 }
 
 // classState is one raster-equivalence class: its identity, whether it is
-// worth memoizing, the lazily built shared artifact and, per cache geometry,
-// the lazily built shared miss streams. The mutex guards artifact
-// build-once and the member refcount; members acquire before simulating and
-// release after, so the artifact and each stream are dropped as soon as the
-// last member using them is done.
+// worth memoizing, its cache geometries, and the artifact and miss streams
+// built for it. The first member to acquire builds the artifact and walks
+// it for every geometry at once; the others block until that is done.
+// Members release after simulating, so each geometry's streams are dropped
+// when the last member using them is done, and the artifact with the last
+// member of the class.
 type classState struct {
 	procs, size int
-	// spansOnly is true when every member is a pure-scan machine (perfect
-	// cache, infinite bus), which never consults texel addresses — the
-	// artifact then skips footprint generation entirely.
-	spansOnly bool
 	// memoized is decided once membership is complete (seal): only classes
 	// with at least two members pay for an artifact.
 	memoized bool
-	// streams is filled by plan.add and only read afterwards.
-	streams map[core.MissGeometry]*streamState
+	// cfgs holds one configuration per cache geometry that probes, in
+	// first-seen order, and geoms each geometry's index in cfgs; filled by
+	// plan.add and only read afterwards.
+	cfgs  []core.Config
+	geoms map[core.MissGeometry]int
 
 	mu        sync.Mutex
-	remaining int
+	remaining int   // members not yet released
+	refs      []int // per geometry of cfgs, members not yet released
 	built     bool
+	walked    bool // a probe walk ran and succeeded
 	art       *core.RasterArtifact
+	streams   []*core.MissStreams // per geometry of cfgs
 	err       error
 }
 
-// streamState is one cache geometry's miss streams within a class, with the
-// same build-once and refcount discipline as the class artifact.
-type streamState struct {
-	shared    bool // at least two members (decided by seal): worth a stream
-	mu        sync.Mutex
-	remaining int
-	built     bool
-	ms        *core.MissStreams
-	err       error
-}
-
-// acquire returns the class artifact and, if cfg's cache geometry is
-// shared, its miss streams, building each on first use, on up to workers
-// goroutines. Concurrent members block until a build completes; a build
-// failure is remembered and returned to all.
+// acquire returns the class artifact and the miss streams of cfg's cache
+// geometry (nil for a pure-scan machine), building both on first use, on
+// up to workers goroutines. Concurrent members block until the build
+// completes; a build failure is remembered and returned to all.
 func (cs *classState) acquire(ctx context.Context, sc *trace.Scene, dk distrib.Kind, cfg core.Config, workers int) (*core.RasterArtifact, *core.MissStreams, error) {
 	cs.mu.Lock()
+	defer cs.mu.Unlock()
 	if !cs.built {
-		cs.art, cs.err = core.BuildRasterArtifact(ctx, []*trace.Scene{sc}, cs.procs, dk,
-			cs.size, core.ArtifactOpts{Workers: workers, SpansOnly: cs.spansOnly})
 		cs.built = true
+		cs.art, cs.err = core.BuildRasterArtifact(ctx, []*trace.Scene{sc}, cs.procs, dk,
+			cs.size, core.ArtifactOpts{Workers: workers, SpansOnly: true})
+		if cs.err == nil && len(cs.cfgs) > 0 {
+			cs.streams, cs.err = core.BuildMissStreams(ctx, cs.art, cs.cfgs, workers)
+			cs.walked = cs.err == nil
+		}
 	}
-	art, err := cs.art, cs.err
-	cs.mu.Unlock()
-	if err != nil {
-		return nil, nil, err
+	if cs.err != nil {
+		return nil, nil, cs.err
 	}
-	ss := cs.streams[cfg.MissGeometry()]
-	if !ss.shared {
-		return art, nil, nil
+	if i, ok := cs.geoms[cfg.MissGeometry()]; ok {
+		return cs.art, cs.streams[i], nil
 	}
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if !ss.built {
-		ss.ms, ss.err = core.BuildMissStreams(ctx, art, cfg, workers)
-		ss.built = true
-	}
-	return art, ss.ms, ss.err
+	return cs.art, nil, nil
 }
 
-// release drops one member's references; the last member using the streams
-// of geometry g frees them, and the last member of the class frees the
-// artifact.
+// release drops one member's references: the last member of geometry g
+// frees its streams, and the last member of the class the artifact.
 func (cs *classState) release(g core.MissGeometry) {
-	ss := cs.streams[g]
-	ss.mu.Lock()
-	if ss.remaining--; ss.remaining == 0 {
-		ss.ms = nil
-	}
-	ss.mu.Unlock()
 	cs.mu.Lock()
-	cs.remaining--
-	if cs.remaining == 0 {
+	defer cs.mu.Unlock()
+	if i, ok := cs.geoms[g]; ok {
+		if cs.refs[i]--; cs.refs[i] == 0 && cs.streams != nil {
+			cs.streams[i] = nil
+		}
+	}
+	if cs.remaining--; cs.remaining == 0 {
 		cs.art = nil
 	}
-	cs.mu.Unlock()
 }
 
 // plan is the class partition of one sweep. Classes are kept in first-seen
@@ -152,30 +139,27 @@ func newPlan(memo bool) *plan {
 }
 
 // add registers one simulation (a sweep point or a baseline) of machine
-// cfg with the class it belongs to and returns that class. cfg narrows the
-// class's spans-only eligibility — one member that consults addresses
-// forces full footprints for the whole class — and joins its cache
-// geometry's streams.
+// cfg with the class it belongs to and returns that class. A machine that
+// probes adds its cache geometry to the class's walk.
 func (p *plan) add(spec Spec, cfg core.Config) *classState {
 	key := spec.RasterClassKey(cfg.Procs, cfg.TileSize)
 	cs := p.byKey[key]
 	if cs == nil {
-		cs = &classState{procs: cfg.Procs, size: cfg.TileSize, spansOnly: true,
-			streams: make(map[core.MissGeometry]*streamState)}
+		cs = &classState{procs: cfg.Procs, size: cfg.TileSize, geoms: make(map[core.MissGeometry]int)}
 		p.byKey[key] = cs
 		p.order = append(p.order, cs)
 	}
 	cs.remaining++
-	g := cfg.MissGeometry()
-	if !g.PureScan {
-		cs.spansOnly = false
+	if g := cfg.MissGeometry(); !g.PureScan {
+		i, ok := cs.geoms[g]
+		if !ok {
+			i = len(cs.cfgs)
+			cs.geoms[g] = i
+			cs.cfgs = append(cs.cfgs, cfg)
+			cs.refs = append(cs.refs, 0)
+		}
+		cs.refs[i]++
 	}
-	ss := cs.streams[g]
-	if ss == nil {
-		ss = &streamState{}
-		cs.streams[g] = ss
-	}
-	ss.remaining++
 	return cs
 }
 
@@ -185,9 +169,6 @@ func (p *plan) seal(points, baselines int) {
 	p.stats = PlanStats{Points: points, Baselines: baselines, Memoized: p.memo}
 	for _, cs := range p.order {
 		cs.memoized = p.memo && cs.remaining >= 2
-		for _, ss := range cs.streams {
-			ss.shared = ss.remaining >= 2
-		}
 		p.stats.Classes++
 		if cs.memoized {
 			p.stats.Rasterizations++
@@ -198,15 +179,13 @@ func (p *plan) seal(points, baselines int) {
 	p.stats.Saved = points + baselines - p.stats.Rasterizations
 }
 
-// probes counts the probe passes that ran. Call it once every member is
+// probes counts the probe walks that ran. Call it once every member is
 // done.
 func (p *plan) probes() int {
 	n := 0
 	for _, cs := range p.order {
-		for _, ss := range cs.streams {
-			if ss.built && ss.err == nil {
-				n++
-			}
+		if cs.walked {
+			n++
 		}
 	}
 	return n

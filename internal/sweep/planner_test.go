@@ -4,8 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/memory"
+	"repro/internal/scene"
 )
 
 // runMemoPair runs the spec with and without memoization and fails unless
@@ -60,11 +65,10 @@ func TestPlannerEquivalenceMatrix(t *testing.T) {
 			if memo.Points != 10 || memo.Baselines != 5 || memo.Classes != 2 {
 				t.Errorf("%s/%s: plan = %+v", sceneName, dist, memo)
 			}
-			// Only a cache geometry with two or more members in its class
-			// gets a probe pass. In class (1,8) each of the 5 cache sizes
-			// holds a point and a baseline, so each is probed once; in class
-			// (4,8) each holds one point, which probes as it times.
-			if memo.Rasterizations != 2 || memo.Saved != 13 || memo.Probes != 5 || !memo.Memoized {
+			// Each memoized class walks its artifact once for all 5 cache
+			// sizes: class (1,8) for its points and baselines, class (4,8)
+			// for its points, one member per size.
+			if memo.Rasterizations != 2 || memo.Saved != 13 || memo.Probes != 2 || !memo.Memoized {
 				t.Errorf("%s/%s: memoized plan = %+v", sceneName, dist, memo)
 			}
 			if plain.Rasterizations != 15 || plain.Saved != 0 || plain.Probes != 0 || plain.Memoized {
@@ -91,7 +95,7 @@ func TestPlannerBusBufferAxes(t *testing.T) {
 	}
 	memo, _ := runMemoPair(t, spec, RunOpts{Parallelism: 4})
 	// 12 points + 6 baselines in 3 classes: (1,8), (4,8), (4,16), each
-	// probing its one cache geometry once.
+	// walking its one cache geometry once.
 	if memo.Points != 12 || memo.Baselines != 6 || memo.Classes != 3 || memo.Rasterizations != 3 || memo.Probes != 3 {
 		t.Errorf("plan = %+v", memo)
 	}
@@ -100,25 +104,115 @@ func TestPlannerBusBufferAxes(t *testing.T) {
 // TestPlannerProbesOncePerCacheGeometry pins the plan of a cache x bus x
 // buffer sweep (the benchmark's axes workload): 72 points and 18 baselines,
 // 90 simulations in 5 raster classes, each class probing its 3 cache
-// geometries once — 15 probe passes, where every simulation used to probe
-// — with rows byte-identical to the unmemoized run.
+// geometries once in one walk — 5 probe walks, where every simulation used
+// to probe — with rows byte-identical to the unmemoized run. It logs one
+// class's artifact and stream bytes.
 func TestPlannerProbesOncePerCacheGeometry(t *testing.T) {
 	spec := Spec{Scene: "massive11255", Scale: 0.2, Dist: "block",
 		Procs: []int{16, 64}, Sizes: []int{8, 16},
 		Caches: []int{4, 16, 64}, Buses: []float64{0.5, 1, 2},
 		Buffers: []int{20, 10000}}
 	memo, plain := runMemoPair(t, spec, RunOpts{Parallelism: 2})
-	if memo.Points+memo.Baselines != 90 || memo.Classes != 5 || memo.Rasterizations != 5 || memo.Probes != 15 {
-		t.Errorf("memoized plan = %+v, want 90 simulations in 5 classes, 5 rasterizations, 15 probes", memo)
+	if memo.Points+memo.Baselines != 90 || memo.Classes != 5 || memo.Rasterizations != 5 || memo.Probes != 5 {
+		t.Errorf("memoized plan = %+v, want 90 simulations in 5 classes, 5 rasterizations, 5 probe walks", memo)
 	}
 	if plain.Probes != 0 {
-		t.Errorf("unmemoized plan = %+v, want no probe passes", plain)
+		t.Errorf("unmemoized plan = %+v, want no probe walks", plain)
+	}
+	art, streams := acquireClass(t, spec, 16, 8, 2)
+	total := 0
+	for _, ms := range streams {
+		total += ms.Bytes()
+	}
+	t.Logf("class (16, 8): artifact %.2f MiB, %d miss streams %.2f MiB",
+		float64(art.Bytes())/(1<<20), len(streams), float64(total)/(1<<20))
+}
+
+// acquireClass plans spec's class (procs, size) alone — one member per
+// point of its cache, bus and buffer axes — and acquires it as the sweep
+// does, on workers goroutines. It returns the class artifact and the
+// stream of each cache size, in axis order.
+func acquireClass(t *testing.T, spec Spec, procs, size, workers int) (*core.RasterArtifact, []*core.MissStreams) {
+	t.Helper()
+	b, err := scene.ByName(spec.Scene, spec.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dk, err := distKind(spec.Dist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := newPlan(true)
+	var cfgs []core.Config
+	for _, kb := range spec.Caches {
+		for _, bus := range spec.Buses {
+			for _, buf := range spec.Buffers {
+				cfg := core.Config{Procs: procs, Distribution: dk, TileSize: size,
+					CacheConfig: cacheConfigKB(kb), Bus: memory.BusConfig{TexelsPerCycle: bus}, TriangleBuffer: buf}
+				cfgs = append(cfgs, cfg)
+			}
+		}
+	}
+	var cs *classState
+	for _, cfg := range cfgs {
+		cs = pl.add(spec, cfg)
+	}
+	pl.seal(len(cfgs), 0)
+	var art *core.RasterArtifact
+	var streams []*core.MissStreams
+	for i, cfg := range cfgs {
+		a, ms, err := cs.acquire(context.Background(), sc, dk, cfg, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		art = a
+		if i%(len(spec.Buses)*len(spec.Buffers)) == 0 {
+			streams = append(streams, ms)
+		}
+	}
+	for _, cfg := range cfgs {
+		cs.release(cfg.MissGeometry())
+	}
+	if cs.art != nil || slices.ContainsFunc(cs.streams, func(ms *core.MissStreams) bool { return ms != nil }) {
+		t.Error("the class kept its artifact or a stream after its last member released it")
+	}
+	return art, streams
+}
+
+// TestPlannerClassStoresNoFootprints pins the memory of a memoized class:
+// its artifact holds segments only, no footprint run, and one walk gives
+// each cache geometry of the class a stream of its own, each geometry's
+// members sharing it.
+func TestPlannerClassStoresNoFootprints(t *testing.T) {
+	spec := Spec{Scene: "truc640", Scale: 0.2, Dist: "block",
+		Caches: []int{4, 16}, Buses: []float64{1, 2}, Buffers: []int{16}}
+	for _, workers := range []int{1, 2} {
+		art, streams := acquireClass(t, spec, 4, 8, workers)
+		if art.HasFootprints {
+			t.Error("a memoized class built footprint streams")
+		}
+		for _, f := range art.Frames {
+			for _, tri := range f.Tris {
+				for _, d := range tri.Dests {
+					if d.Work.Reps != nil || d.Work.Addrs != nil {
+						t.Fatalf("a memoized class's artifact holds %d footprint runs", len(d.Work.Reps))
+					}
+				}
+			}
+		}
+		if len(streams) != 2 || streams[0] == nil || streams[1] == nil || streams[0] == streams[1] {
+			t.Errorf("workers %d: streams %v, want one per cache size", workers, streams)
+		}
 	}
 }
 
 // TestPlannerPerfectCacheSpansOnly: a pure-scan sweep (perfect cache,
-// infinite bus) memoizes through the cheaper spans-only artifact and still
-// matches the unmemoized run byte for byte.
+// infinite bus) memoizes through the spans-only artifact without a probe
+// walk and still matches the unmemoized run byte for byte.
 func TestPlannerPerfectCacheSpansOnly(t *testing.T) {
 	spec := Spec{
 		Scene:   "truc640",
@@ -129,7 +223,7 @@ func TestPlannerPerfectCacheSpansOnly(t *testing.T) {
 		Buffers: []int{16, 64, 20000},
 	}
 	memo, _ := runMemoPair(t, spec, RunOpts{Parallelism: 2})
-	if memo.Rasterizations != 2 { // classes (1,8) and (4,8)
+	if memo.Rasterizations != 2 || memo.Probes != 0 { // classes (1,8) and (4,8)
 		t.Errorf("plan = %+v", memo)
 	}
 }

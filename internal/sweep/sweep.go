@@ -383,10 +383,13 @@ type RunOpts struct {
 	// go to each machine (budget / simulations, at least 1). A sweep of
 	// many configurations therefore parallelizes across configurations; a
 	// sweep of one big configuration runs it beside its baseline, each
-	// parallelized across its nodes. A raster class's artifact and shared
-	// probe passes (its miss streams) are built as one simulation alone —
-	// with 0, on the whole budget — because every member waits for them.
-	// The setting never changes which frame driver runs, nor any result.
+	// parallelized across its nodes. A raster class's artifact and its one
+	// probe walk (its miss streams) are built as one simulation alone —
+	// with 0, on the whole budget — because every member waits for them;
+	// a walk over fewer nodes than workers splits each node's cache
+	// geometries across the spare workers, and a helper per node generates
+	// the footprints once, ahead of every group's probes. The setting
+	// never changes which frame driver runs, nor any result.
 	NodeParallelism int
 	// Progress, when non-nil, observes each configuration's lifecycle (see
 	// ProgressSink). Off costs one nil check per row; rows and results are
@@ -735,11 +738,11 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 
 	// runOne simulates one configuration, replaying the class artifact when
 	// the planner memoized the class, from the miss streams of its cache
-	// geometry when it shares one (else nil). Every member blocks on the
-	// class artifact and on its geometry's streams, so both are built on the
-	// whole budget, as if their simulation ran alone. Each worker carves the
-	// work list from slabs of its own, so a build on every worker allocates
-	// a few large blocks, not one piece per triangle.
+	// geometry unless it is a pure-scan machine. Every member blocks on the
+	// class artifact and its probe walk, so both run on the whole budget, as
+	// if their simulation ran alone. Each worker carves the work list from
+	// slabs of its own, so a build on every worker allocates a few large
+	// blocks, not one piece per triangle.
 	probePar := opts.nodeParallelism(1)
 	nodePar := opts.nodeParallelism(len(sims))
 	runOne := func(cfg core.Config, cs *classState, flightInterval float64, wantFlight bool) (*core.Result, *flight.Recorder, error) {
