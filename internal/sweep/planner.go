@@ -4,15 +4,17 @@
 // planner partitions a sweep's simulations — baselines included — into
 // raster-equivalence classes keyed by Spec.RasterClassKey, rasterizes once
 // per multi-member class into a spans-only core.RasterArtifact, and fans the
-// artifact out to every member simulation. One layer down, a class's cache
-// probes depend only on its cache geometry (core.MissGeometry): the planner
-// walks the artifact once per class (core.BuildMissStreams), probing every
-// cache geometry of its members at once into core.MissStreams, and every
-// member that probes runs only the timing pass. No footprint outlives the
-// walk. Replay is byte-identical to rasterizing (core's artifact and
-// miss-stream contracts), so memoization changes wall-clock only; the
-// RunOpts.NoMemo escape hatch exists for benchmarking and distrust, never
-// for correctness.
+// artifact out to every member simulation. A 1-processor machine has no
+// distribution, so RunWith hands every 1-processor point its baseline's
+// machine, and one class holds all of a sweep's baselines and 1-processor
+// points. One layer down, a class's cache probes depend only on its cache
+// geometry (core.MissGeometry): the planner walks the artifact once per
+// class (core.BuildMissStreams), probing every cache geometry of its
+// members at once into core.MissStreams, and every member that probes runs
+// only the timing pass. No footprint outlives the walk. Replay is
+// byte-identical to rasterizing (core's artifact and miss-stream
+// contracts), so memoization changes wall-clock only; the RunOpts.NoMemo
+// escape hatch exists for benchmarking and distrust, never for correctness.
 package sweep
 
 import (
@@ -36,10 +38,12 @@ type PlanStats struct {
 	// distinct cache/bus/buffer combination).
 	Baselines int `json:"baselines"`
 	// Classes is the number of raster-equivalence classes across points and
-	// baselines.
+	// baselines. Memoized, every 1-processor point joins its baseline's
+	// class, whatever its tile size.
 	Classes int `json:"classes"`
 	// Rasterizations is how many times a frame was actually rasterized: one
-	// per memoized class, one per member everywhere else.
+	// per memoized class, one per member everywhere else (so, memoized, one
+	// for all baselines and 1-processor points together).
 	Rasterizations int `json:"rasterizations"`
 	// Saved is Points+Baselines-Rasterizations. Checkpoint-restored work
 	// counts toward it: a restored simulation is a rasterization avoided.

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -479,22 +480,24 @@ type simulation struct {
 	i        int
 }
 
-// simulations lists what still runs, baselines first: a baseline when some
-// surviving point needs it and it was not checkpointed, a point when it was
-// not restored. The pool's one worker share is counted over this list, so
+// simulations lists what still runs, in dispatch order: every point that
+// was not restored, preceded by its baseline when that was not checkpointed
+// and no earlier point needed it, so the first row waits for one baseline,
+// not for all. The pool's one worker share is counted over this list, so
 // restored or skipped work never shrinks the share of what is left (a
 // resumed sweep's last point on one worker of four).
-func simulations(needBase, haveBase, done []bool) []simulation {
+func simulations(points []point, haveBase, done []bool) []simulation {
+	listed := slices.Clone(haveBase)
 	var sims []simulation
-	for ci := range needBase {
-		if needBase[ci] && !haveBase[ci] {
+	for i, d := range done {
+		if d {
+			continue
+		}
+		if ci := points[i].combo; !listed[ci] {
+			listed[ci] = true
 			sims = append(sims, simulation{baseline: true, i: ci})
 		}
-	}
-	for i, d := range done {
-		if !d {
-			sims = append(sims, simulation{i: i})
-		}
+		sims = append(sims, simulation{i: i})
 	}
 	return sims
 }
@@ -699,15 +702,23 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 		}
 	}
 
-	// Partition every surviving simulation — baselines first, then points —
-	// into raster-equivalence classes. With one processor every tile maps to
-	// node 0, so one (1, Sizes[0]) class serves all baselines.
-	sims := simulations(needBase, haveBase, done)
+	// Partition every surviving simulation into raster-equivalence classes.
+	// With one processor every tile maps to node 0 and the lone node never
+	// waits on its triangle buffer, so a 1-processor machine gives the same
+	// row whatever its tile size (TestSingleProcCyclesIgnoreRouting). When
+	// memoizing, every 1-processor point therefore runs as its combo's
+	// baseline machine, and one (1, Sizes[0]) class serves all of them and
+	// all baselines; rows still echo each point's own size. NoMemo keeps
+	// every point's own tile size, an independent reference.
+	sims := simulations(points, haveBase, done)
 	simConfig := func(sim simulation) core.Config {
 		if sim.baseline {
 			return mkConfig(1, spec.Sizes[0], combos[sim.i])
 		}
 		pt := points[sim.i]
+		if pt.procs == 1 && !opts.NoMemo {
+			pt.size = spec.Sizes[0]
+		}
 		return mkConfig(pt.procs, pt.size, combos[pt.combo])
 	}
 	pl := newPlan(!opts.NoMemo)
@@ -793,8 +804,9 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 		}
 	}
 
-	// One pool runs every simulation that still runs, baselines dispatched
-	// first, each on the one worker share nodePar.
+	// One pool runs every simulation that still runs, each baseline
+	// dispatched just ahead of the first point dividing by it, each on the
+	// one worker share nodePar.
 	join := &rowJoin{points: points, baseCycles: baseCycles, haveBase: haveBase,
 		waiting: make([]bool, len(points))}
 	var flights []Flight

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -155,36 +156,44 @@ func TestRunOptsNodeParallelism(t *testing.T) {
 // TestRunOptsSharesCountOnlyRunningSimulations: baselines and points run in
 // one pool on one worker share, counted over the simulations that still
 // run. Restored points and unneeded or checkpointed baselines do not shrink
-// it.
+// it, and each baseline is dispatched just ahead of the first point that
+// divides by it.
 func TestRunOptsSharesCountOnlyRunningSimulations(t *testing.T) {
 	opts := RunOpts{Parallelism: 4}
-	share := func(needBase, haveBase, done []bool) int {
-		return opts.nodeParallelism(len(simulations(needBase, haveBase, done)))
+	// 72 points over two combos, alternating; 71 restored.
+	points := make([]point, 72)
+	for i := range points {
+		points[i].combo = i % 2
 	}
-	// 72 points, 71 restored.
+	share := func(haveBase, done []bool) int {
+		return opts.nodeParallelism(len(simulations(points, haveBase, done)))
+	}
 	done := make([]bool, 72)
-	for i := 1; i < len(done); i++ {
+	for i := 0; i < len(done)-1; i++ {
 		done[i] = true
 	}
-	// Three combos: one unneeded, one checkpointed, one left to run. The
-	// last point and its baseline split the budget, two workers each.
-	needBase := []bool{false, true, true}
-	haveBase := []bool{false, true, false}
-	if got := share(needBase, haveBase, done); got != 2 {
+	// Combo 0 is unneeded (all its points restored); the last point and its
+	// unfinished combo-1 baseline split the budget, two workers each.
+	haveBase := []bool{false, false}
+	if got := share(haveBase, done); got != 2 {
 		t.Errorf("share = %d, want 2", got)
 	}
-	// With its baseline checkpointed too, the last point gets it all.
-	haveBase[2] = true
-	if got := share(needBase, haveBase, done); got != 4 {
+	// With its baseline checkpointed, the last point gets it all.
+	haveBase[1] = true
+	if got := share(haveBase, done); got != 4 {
 		t.Errorf("share with the baseline checkpointed = %d, want 4", got)
 	}
 	// Nothing restored: two baselines and 72 points soak the budget at one
-	// worker each, baselines dispatched first.
-	needBase = []bool{true, true, false}
-	haveBase = []bool{false, false, false}
-	sims := simulations(needBase, haveBase, make([]bool, 72))
-	if len(sims) != 74 || !sims[0].baseline || !sims[1].baseline || sims[2].baseline {
-		t.Errorf("fresh pool: %d simulations starting %+v, want 2 baselines then 72 points", len(sims), sims[:3])
+	// worker each, each baseline just ahead of its first point.
+	sims := simulations(points, []bool{false, false}, make([]bool, 72))
+	want := []simulation{{baseline: true, i: 0}, {i: 0}, {baseline: true, i: 1}, {i: 1}, {i: 2}}
+	if len(sims) != 74 || !slices.Equal(sims[:5], want) {
+		t.Errorf("fresh pool: %d simulations starting %+v, want 74 starting %+v", len(sims), sims[:5], want)
+	}
+	for _, sim := range sims[4:] {
+		if sim.baseline {
+			t.Errorf("fresh pool dispatches baseline %d late", sim.i)
+		}
 	}
 	if got := opts.nodeParallelism(len(sims)); got != 1 {
 		t.Errorf("fresh share = %d, want 1", got)
