@@ -67,7 +67,6 @@ func main() {
 		jobTimeout   = flag.Duration("job-timeout", 0, "per-job timeout (0 = unlimited)")
 		parallelism  = flag.Int("job-par", 1, "concurrent simulations inside one job")
 		nodePar      = flag.Int("node-par", 0, "worker bound for building and replaying each simulation's frames (0 = share the -job-par budget, 1 = one worker; results are identical at every setting)")
-		noMemo       = flag.Bool("no-memo", false, "disable cross-configuration raster memoization in sweep jobs (identical output, more rasterization work)")
 		cacheEntries = flag.Int("cache-entries", resultcache.DefaultMaxEntries, "in-memory result cache entries")
 		cacheDir     = flag.String("cache-dir", "", "on-disk result cache directory (empty = memory only)")
 		noCache      = flag.Bool("no-cache", false, "disable the result cache (every job re-simulates)")
@@ -179,7 +178,6 @@ func main() {
 		JobTimeout:      *jobTimeout,
 		Parallelism:     *parallelism,
 		NodeParallelism: *nodePar,
-		NoMemo:          *noMemo,
 		Cache:           cache,
 		Metrics:         reg,
 		OutDir:          *outDir,

@@ -31,9 +31,6 @@ type Config struct {
 	// Metrics is the registry the cluster counters are registered on —
 	// share it with the service so /metrics exposes both (nil = fresh).
 	Metrics *metrics.Registry
-	// Client performs all peer HTTP calls (nil = a client with a 30s
-	// overall timeout; individual probes use ProbeTimeout contexts).
-	Client *http.Client
 	// ProbeTimeout bounds one health probe or federated cache fetch
 	// (0 = 2s).
 	ProbeTimeout time.Duration
@@ -48,11 +45,12 @@ type Config struct {
 	// FailThreshold is how many consecutive failures — probes or passive
 	// reports from forwards and polls — mark a peer down (0 = 2).
 	FailThreshold int
-	// MaxBackoff caps the down-peer reprobe backoff (0 = 30s).
-	MaxBackoff time.Duration
 	// Logger receives peer state-transition logs (nil = discard).
 	Logger *slog.Logger
 }
+
+// maxBackoff caps the down-peer reprobe backoff.
+const maxBackoff = 30 * time.Second
 
 // peer is one remote member's health record.
 type peer struct {
@@ -109,23 +107,18 @@ func New(cfg Config) *Cluster {
 	if cfg.FailThreshold <= 0 {
 		cfg.FailThreshold = 2
 	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 30 * time.Second
-	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewRegistry()
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
 	}
 	logger := cfg.Logger
 	if logger == nil {
 		logger = logging.Discard()
 	}
 	c := &Cluster{
-		cfg:    cfg,
-		client: client,
+		cfg: cfg,
+		// Every peer call also carries its own ProbeTimeout or CallTimeout
+		// context; this is the outer bound.
+		client: &http.Client{Timeout: 30 * time.Second},
 		logger: logger,
 		peers:  make(map[string]*peer),
 	}

@@ -10,7 +10,7 @@ import (
 
 // Health tracking is two-channel. Active: Start's loop probes /healthz on
 // every due peer (healthy peers every HealthInterval, down peers on an
-// exponential backoff capped at MaxBackoff). Passive: the service reports
+// exponential backoff capped at maxBackoff). Passive: the service reports
 // the outcome of real peer traffic — forwards, polls, cache fetches —
 // through ReportFailure/ReportSuccess, so a dead peer is routed around
 // after FailThreshold failed calls without waiting for the next probe.
@@ -141,8 +141,8 @@ func (c *Cluster) ReportFailure(addr string, err error) {
 		if p.backoff < c.cfg.HealthInterval {
 			p.backoff = c.cfg.HealthInterval
 		}
-		if p.backoff > c.cfg.MaxBackoff {
-			p.backoff = c.cfg.MaxBackoff
+		if p.backoff > maxBackoff {
+			p.backoff = maxBackoff
 		}
 		p.nextProbe = now.Add(p.backoff)
 	}

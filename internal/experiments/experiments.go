@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/par"
@@ -136,19 +135,20 @@ func buildScene(ctx context.Context, name string, opt Options) (*trace.Scene, er
 // buildAllScenes constructs the full suite in parallel.
 func buildAllScenes(ctx context.Context, opt Options) (map[string]*trace.Scene, error) {
 	names := scene.Names()
-	out := make(map[string]*trace.Scene, len(names))
-	var mu sync.Mutex
+	built := make([]*trace.Scene, len(names))
 	err := par.ForEach(ctx, opt.Parallelism, len(names), func(i int) error {
 		s, err := buildScene(ctx, names[i], opt)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		out[names[i]] = s
-		mu.Unlock()
-		return nil
+		built[i] = s
+		return err
 	})
-	return out, err
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]*trace.Scene, len(names))
+	for i, n := range names {
+		out[n] = built[i]
+	}
+	return out, nil
 }
 
 // cell identifies one row among a figure's sweeps. Buffer is zero unless

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -34,8 +33,7 @@ func RunExtPrefetch(ctx context.Context, opt Options) (*Report, error) {
 		cycles float64
 		stall  float64
 	}
-	cells := make(map[int]res, len(extPrefetchDepths))
-	var mu sync.Mutex
+	cells := make([]res, len(extPrefetchDepths))
 	err = par.ForEach(ctx, opt.Parallelism, len(extPrefetchDepths), func(i int) error {
 		depth := extPrefetchDepths[i]
 		r, err := simulate(ctx, s, core.Config{
@@ -51,22 +49,20 @@ func RunExtPrefetch(ctx context.Context, opt Options) (*Report, error) {
 		for _, n := range r.Nodes {
 			stall += n.StallCycles
 		}
-		mu.Lock()
-		cells[depth] = res{cycles: r.Cycles, stall: stall}
-		mu.Unlock()
+		cells[i] = res{cycles: r.Cycles, stall: stall}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	best := cells[extPrefetchDepths[len(extPrefetchDepths)-1]].cycles
+	best := cells[len(cells)-1].cycles
 	tab := &stats.Table{
 		Caption: fmt.Sprintf("%s, 16 processors, block-16, 1 texel/pixel bus: prefetch fragment-FIFO depth", sceneName),
 		Header:  []string{"depth", "cycles", "vs deepest", "total stall cycles"},
 	}
-	for _, d := range extPrefetchDepths {
-		c := cells[d]
+	for i, d := range extPrefetchDepths {
+		c := cells[i]
 		tab.AddRow(fmt.Sprintf("%d", d), stats.F(c.cycles, 0),
 			stats.Pct(c.cycles/best-1), stats.F(c.stall, 0))
 	}
@@ -98,27 +94,19 @@ func RunExtCache(ctx context.Context, opt Options) (*Report, error) {
 		return nil, err
 	}
 
-	type key struct{ kb, ways int }
-	cells := make(map[key]float64)
-	var jobs []key
-	for _, kb := range extCacheSizesKB {
-		for _, w := range extCacheWays {
-			jobs = append(jobs, key{kb, w})
-		}
-	}
-	var mu sync.Mutex
-	err = par.ForEach(ctx, opt.Parallelism, len(jobs), func(i int) error {
-		k := jobs[i]
+	// cells is size-major: cell i is size i/len(extCacheWays), ways
+	// i%len(extCacheWays).
+	cells := make([]float64, len(extCacheSizesKB)*len(extCacheWays))
+	err = par.ForEach(ctx, opt.Parallelism, len(cells), func(i int) error {
+		kb, ways := extCacheSizesKB[i/len(extCacheWays)], extCacheWays[i%len(extCacheWays)]
 		r, err := simulate(ctx, s, core.Config{
 			Procs: 1, CacheKind: core.CacheReal,
-			CacheConfig: cache.Config{SizeBytes: k.kb * 1024, Ways: k.ways, LineBytes: 64},
+			CacheConfig: cache.Config{SizeBytes: kb * 1024, Ways: ways, LineBytes: 64},
 		})
 		if err != nil {
 			return err
 		}
-		mu.Lock()
-		cells[k] = r.TexelToFragment()
-		mu.Unlock()
+		cells[i] = r.TexelToFragment()
 		return nil
 	})
 	if err != nil {
@@ -133,10 +121,10 @@ func RunExtCache(ctx context.Context, opt Options) (*Report, error) {
 		Caption: fmt.Sprintf("%s, 1 processor, infinite bus: texel-to-fragment ratio by cache geometry", sceneName),
 		Header:  header,
 	}
-	for _, kb := range extCacheSizesKB {
+	for si, kb := range extCacheSizesKB {
 		row := []string{fmt.Sprintf("%dKB", kb)}
-		for _, w := range extCacheWays {
-			row = append(row, stats.F(cells[key{kb, w}], 2))
+		for wi := range extCacheWays {
+			row = append(row, stats.F(cells[si*len(extCacheWays)+wi], 2))
 		}
 		tab.AddRow(row...)
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/distrib"
@@ -29,8 +28,7 @@ func RunExtDynamic(ctx context.Context, opt Options) (*Report, error) {
 	type row struct {
 		static, dynScreen, dynLPT float64
 	}
-	rows := make(map[string]row, len(names))
-	var mu sync.Mutex
+	rows := make([]row, len(names))
 	err = par.ForEach(ctx, opt.Parallelism, len(names), func(i int) error {
 		s := scenes[names[i]]
 		cfg := core.Config{
@@ -55,13 +53,11 @@ func RunExtDynamic(ctx context.Context, opt Options) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		mu.Lock()
-		rows[names[i]] = row{
+		rows[i] = row{
 			static:    t1.Cycles / st.Cycles,
 			dynScreen: t1.Cycles / dScreen.Cycles,
 			dynLPT:    t1.Cycles / dLPT.Cycles,
 		}
-		mu.Unlock()
 		return nil
 	})
 	if err != nil {
@@ -72,8 +68,8 @@ func RunExtDynamic(ctx context.Context, opt Options) (*Report, error) {
 		Caption: "64 processors, block-16, perfect cache: speedup with static interleave vs dynamic tile queues",
 		Header:  []string{"scene", "static", "dynamic (screen order)", "dynamic (LPT)", "LPT gain"},
 	}
-	for _, n := range names {
-		r := rows[n]
+	for i, n := range names {
+		r := rows[i]
 		gain := 0.0
 		if r.static > 0 {
 			gain = r.dynLPT/r.static - 1

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -51,33 +50,24 @@ func RunExtL2(ctx context.Context, opt Options) (*Report, error) {
 	}
 	l2 := cache.Config{SizeBytes: l2Bytes, Ways: 8, LineBytes: 64}
 
-	type key struct {
-		tile int
-		pan  float64
-	}
 	type outcome struct {
 		coldMain uint64  // frame-1 main-memory lines (compulsory)
 		warmMain uint64  // mean frames-2+ main-memory lines
 		l2Miss   float64 // warm-frame L2 miss rate
 	}
-	cells := make(map[key]outcome)
-	var mu sync.Mutex
-	var jobs []key
-	for _, tile := range extL2Tiles {
-		for _, pan := range extL2Pans {
-			jobs = append(jobs, key{tile, pan})
-		}
-	}
-	err = par.ForEach(ctx, opt.Parallelism, len(jobs), func(i int) error {
-		k := jobs[i]
+	// cells is tile-major: cell i is tile i/len(extL2Pans), pan
+	// i%len(extL2Pans).
+	cells := make([]outcome, len(extL2Tiles)*len(extL2Pans))
+	err = par.ForEach(ctx, opt.Parallelism, len(cells), func(i int) error {
+		tile, pan := extL2Tiles[i/len(extL2Pans)], extL2Pans[i%len(extL2Pans)]
 		m, err := core.NewMachine(s, core.Config{
-			Procs: procs, Distribution: distrib.BlockKind, TileSize: k.tile,
+			Procs: procs, Distribution: distrib.BlockKind, TileSize: tile,
 			CacheKind: core.CacheReal, L2Config: l2,
 		})
 		if err != nil {
 			return err
 		}
-		seq := scene.PanSequence(s, frames, k.pan, 0)
+		seq := scene.PanSequence(s, frames, pan, 0)
 		results, err := m.RunSequenceContext(ctx, seq)
 		if err != nil {
 			return err
@@ -103,9 +93,7 @@ func RunExtL2(ctx context.Context, opt Options) (*Report, error) {
 		if warmAcc > 0 {
 			out.l2Miss = float64(warmMiss) / float64(warmAcc)
 		}
-		mu.Lock()
-		cells[k] = out
-		mu.Unlock()
+		cells[i] = out
 		return nil
 	})
 	if err != nil {
@@ -113,15 +101,15 @@ func RunExtL2(ctx context.Context, opt Options) (*Report, error) {
 	}
 
 	var tables []*stats.Table
-	for _, tile := range extL2Tiles {
+	for ti, tile := range extL2Tiles {
 		t := &stats.Table{
 			Caption: fmt.Sprintf("%s, %d processors, block-%d, per-node L2 (%d KB): main-memory traffic under viewpoint panning",
 				sceneName, procs, tile, l2Bytes/1024),
 			Header: []string{"pan px/frame", "cold main lines", "warm main lines",
 				"warm/cold", "warm L2 miss rate"},
 		}
-		for _, pan := range extL2Pans {
-			o := cells[key{tile, pan}]
+		for pi, pan := range extL2Pans {
+			o := cells[ti*len(extL2Pans)+pi]
 			ratio := 0.0
 			if o.coldMain > 0 {
 				ratio = float64(o.warmMain) / float64(o.coldMain)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"repro/internal/distrib"
 	"repro/internal/overlap"
@@ -34,33 +33,22 @@ func RunExtOverlap(ctx context.Context, opt Options) (*Report, error) {
 		measured float64
 		pred     overlap.Prediction
 	}
-	type key struct {
-		scene string
-		width int
-	}
-	cells := make(map[key]cell)
-	var jobs []key
-	for _, n := range names {
-		for _, w := range extOverlapWidths {
-			jobs = append(jobs, key{n, w})
-		}
-	}
-	var mu sync.Mutex
-	err = par.ForEach(ctx, opt.Parallelism, len(jobs), func(i int) error {
-		k := jobs[i]
-		s := scenes[k.scene]
-		d, err := distrib.NewBlock(s.Screen, procs, k.width)
+	// cells is scene-major: cell i is scene i/len(extOverlapWidths), width
+	// i%len(extOverlapWidths).
+	cells := make([]cell, len(names)*len(extOverlapWidths))
+	err = par.ForEach(ctx, opt.Parallelism, len(cells), func(i int) error {
+		s := scenes[names[i/len(extOverlapWidths)]]
+		width := extOverlapWidths[i%len(extOverlapWidths)]
+		d, err := distrib.NewBlock(s.Screen, procs, width)
 		if err != nil {
 			return err
 		}
 		_, measured := overlap.MeasureRouted(s, d)
-		pred, err := overlap.Predict(s, distrib.BlockKind, procs, k.width, 25)
+		pred, err := overlap.Predict(s, distrib.BlockKind, procs, width, 25)
 		if err != nil {
 			return err
 		}
-		mu.Lock()
-		cells[k] = cell{measured: measured, pred: pred}
-		mu.Unlock()
+		cells[i] = cell{measured: measured, pred: pred}
 		return nil
 	})
 	if err != nil {
@@ -75,11 +63,11 @@ func RunExtOverlap(ctx context.Context, opt Options) (*Report, error) {
 		Caption: "Predicted setup share of machine work (setup cycles / (setup + pixel cycles))",
 		Header:  append([]string{"width"}, names...),
 	}
-	for _, w := range extOverlapWidths {
+	for wi, w := range extOverlapWidths {
 		routedRow := []string{fmt.Sprintf("%d", w)}
 		setupRow := []string{fmt.Sprintf("%d", w)}
-		for _, n := range names {
-			c := cells[key{n, w}]
+		for ni := range names {
+			c := cells[ni*len(extOverlapWidths)+wi]
 			routedRow = append(routedRow,
 				fmt.Sprintf("%s (%s)", stats.F(c.measured, 2), stats.F(c.pred.MeanRouted, 2)))
 			setupRow = append(setupRow, stats.Pct(c.pred.SetupFraction))

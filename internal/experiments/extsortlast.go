@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/distrib"
@@ -34,8 +33,7 @@ func RunExtSortLast(ctx context.Context, opt Options) (*Report, error) {
 		middleRouted, lastRouted     uint64
 		middleImbalance, lastImbalan float64
 	}
-	rows := make(map[string]row, len(names))
-	var mu sync.Mutex
+	rows := make([]row, len(names))
 	err = par.ForEach(ctx, opt.Parallelism, len(names), func(i int) error {
 		s := scenes[names[i]]
 		base, err := simulate(ctx, s, core.Config{Procs: 1, CacheKind: core.CacheReal, Bus: bus})
@@ -55,8 +53,7 @@ func RunExtSortLast(ctx context.Context, opt Options) (*Report, error) {
 		if err != nil {
 			return err
 		}
-		mu.Lock()
-		rows[names[i]] = row{
+		rows[i] = row{
 			middleSpeedup:   base.Cycles / middle.Cycles,
 			lastSpeedup:     base.Cycles / last.Cycles,
 			middleRatio:     middle.TexelToFragment(),
@@ -66,7 +63,6 @@ func RunExtSortLast(ctx context.Context, opt Options) (*Report, error) {
 			middleImbalance: middle.PixelImbalance(),
 			lastImbalan:     last.PixelImbalance(),
 		}
-		mu.Unlock()
 		return nil
 	})
 	if err != nil {
@@ -83,8 +79,8 @@ func RunExtSortLast(ctx context.Context, opt Options) (*Report, error) {
 		Caption: "Triangle deliveries (the sort-middle overlap cost vs one-node-per-triangle sort-last)",
 		Header:  []string{"scene", "triangles", "middle routed", "last routed"},
 	}
-	for _, n := range names {
-		r := rows[n]
+	for i, n := range names {
+		r := rows[i]
 		speedTab.AddRow(n,
 			stats.F(r.middleSpeedup, 1), stats.F(r.lastSpeedup, 1),
 			stats.F(r.middleRatio, 2), stats.F(r.lastRatio, 2),

@@ -16,7 +16,7 @@ import (
 	"repro/internal/sweep"
 )
 
-// bulkSweep is a request big enough (8 points > InteractiveMaxPoints) to
+// bulkSweep is a request big enough (8 points > interactiveMaxPoints) to
 // land on the bulk scheduling band. n varies the spec so submissions get
 // distinct cache keys.
 func bulkSweep(n int) *Request {

@@ -24,20 +24,18 @@ func (c jobClass) String() string {
 }
 
 // fairQueue replaces the plain buffered channel as the worker queue: a
-// two-band (interactive over bulk) weighted-fair queue across tenants, FIFO
-// within one tenant's band. Capacity bounds total occupancy like the old
-// channel's buffer did; push is non-blocking, pop blocks on a condition
-// variable until work arrives or the queue closes.
+// two-band (interactive over bulk) fair queue across tenants, FIFO within
+// one tenant's band. Capacity bounds total occupancy like the old channel's
+// buffer did; push is non-blocking, pop blocks on a condition variable until
+// work arrives or the queue closes.
 //
-// Fairness within a band is weighted round-robin over the tenants that have
-// queued jobs: each tenant in turn dequeues up to weight(tenant) jobs before
-// the cursor advances. Tenants arrive and leave the ring as their per-band
-// FIFOs fill and drain.
+// Fairness within a band is round-robin over the tenants that have queued
+// jobs: each tenant in turn dequeues one job before the cursor advances.
+// Tenants arrive and leave the ring as their per-band FIFOs fill and drain.
 type fairQueue struct {
 	mu       sync.Mutex
 	cond     *sync.Cond
 	capacity int
-	weights  map[string]int
 	closed   bool
 	n        int
 	bands    [numClasses]band
@@ -49,28 +47,19 @@ type band struct {
 	tenants map[string]*tenantFIFO
 	ring    []string
 	cursor  int
-	credit  int // dequeues left for ring[cursor] before the cursor advances
 }
 
 type tenantFIFO struct {
 	jobs []*job
 }
 
-func newFairQueue(capacity int, weights map[string]int) *fairQueue {
-	q := &fairQueue{capacity: capacity, weights: weights}
+func newFairQueue(capacity int) *fairQueue {
+	q := &fairQueue{capacity: capacity}
 	q.cond = sync.NewCond(&q.mu)
 	for c := range q.bands {
 		q.bands[c].tenants = make(map[string]*tenantFIFO)
 	}
 	return q
-}
-
-// weight is a tenant's round-robin share (default 1).
-func (q *fairQueue) weight(tenant string) int {
-	if w := q.weights[tenant]; w > 0 {
-		return w
-	}
-	return 1
 }
 
 // push enqueues j. force bypasses the capacity bound — used when a
@@ -102,8 +91,8 @@ func (q *fairQueue) push(j *job, force bool) (ok, closed bool) {
 	return true, false
 }
 
-// popBandLocked dequeues the next job of band c under the weighted
-// round-robin discipline, or nil when the band is empty. Caller holds q.mu.
+// popBandLocked dequeues the next job of band c under the round-robin
+// discipline, or nil when the band is empty. Caller holds q.mu.
 func (q *fairQueue) popBandLocked(c jobClass) *job {
 	b := &q.bands[c]
 	if len(b.ring) == 0 {
@@ -112,21 +101,17 @@ func (q *fairQueue) popBandLocked(c jobClass) *job {
 	if b.cursor >= len(b.ring) {
 		b.cursor = 0
 	}
-	t := b.ring[b.cursor]
-	if b.credit <= 0 {
-		b.credit = q.weight(t)
-	}
-	f := b.tenants[t]
+	f := b.tenants[b.ring[b.cursor]]
 	j := f.jobs[0]
 	f.jobs = f.jobs[1:]
 	q.n--
-	b.credit--
 	if len(f.jobs) == 0 {
 		// Tenant drained: leave the ring; the cursor now points at the next
-		// tenant, whose credit starts fresh.
+		// tenant.
 		b.ring = append(b.ring[:b.cursor], b.ring[b.cursor+1:]...)
-		b.credit = 0
-	} else if b.credit <= 0 {
+	} else {
+		// Wrap now, not on the next pop: a tenant that joins the ring in
+		// between must queue behind ring[0], not jump the rotation.
 		b.cursor++
 		if b.cursor >= len(b.ring) {
 			b.cursor = 0

@@ -20,7 +20,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -50,10 +49,6 @@ type Config struct {
 	// replay its frames (0 = share the job's Parallelism budget, 1 = one
 	// worker; see sweep.RunOpts). Results are identical at every setting.
 	NodeParallelism int
-	// NoMemo disables the sweep planner's raster-artifact memoization for
-	// every sweep job (see sweep.RunOpts.NoMemo). Results are identical
-	// either way; this is an escape hatch for debugging.
-	NoMemo bool
 	// Cache, when nil, is replaced by an in-memory cache with default
 	// capacity.
 	Cache *resultcache.Cache
@@ -63,12 +58,8 @@ type Config struct {
 	// OutDir is where image-producing experiment jobs write files
 	// (default "out").
 	OutDir string
-	// Logger receives structured job/request logs. When nil, log lines are
-	// bridged to Logf if that is set, and dropped otherwise.
+	// Logger receives structured job/request logs (nil = discard).
 	Logger *slog.Logger
-	// Logf, when non-nil and Logger is nil, receives one rendered line per
-	// log record — the legacy test hook.
-	Logf func(format string, args ...any)
 	// Tracer records request and job spans (nil = a fresh tracer with
 	// default capacity). Handler serves its ring at /debug/traces.
 	Tracer *tracing.Tracer
@@ -117,14 +108,6 @@ type Config struct {
 	TenantRate float64
 	// TenantBurst is the token-bucket burst size (0 = 8).
 	TenantBurst int
-	// TenantWeights sets per-tenant weighted-fair dequeue shares (unlisted
-	// tenants weigh 1). A weight-3 tenant dequeues three jobs per
-	// round-robin turn within its scheduling band.
-	TenantWeights map[string]int
-	// InteractiveMaxPoints is the largest sweep (in rows) still scheduled
-	// on the interactive band (0 = 4). Bigger sweeps are bulk: they never
-	// delay interactive jobs, which dequeue with strict priority.
-	InteractiveMaxPoints int
 
 	// runOverride replaces job execution in tests.
 	runOverride func(ctx context.Context, req *Request) ([]byte, error)
@@ -267,7 +250,7 @@ type Server struct {
 
 	wg sync.WaitGroup
 
-	// q is the worker queue: class-banded, weighted-fair across tenants.
+	// q is the worker queue: class-banded, round-robin across tenants.
 	// rows/journalDir/quota are the durability and admission-control
 	// plumbing, nil/empty unless configured.
 	q          *fairQueue
@@ -354,14 +337,7 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 	if cfg.TenantBurst <= 0 {
 		cfg.TenantBurst = 8
 	}
-	if cfg.InteractiveMaxPoints <= 0 {
-		cfg.InteractiveMaxPoints = 4
-	}
 	logger := cfg.Logger
-	if logger == nil && cfg.Logf != nil {
-		// Legacy bridge: render records as text lines into the Logf hook.
-		logger = logging.New(logfWriter{cfg.Logf}, slog.LevelDebug, "text")
-	}
 	if logger == nil {
 		logger = logging.Discard()
 	}
@@ -376,7 +352,7 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		baseCancel: baseCancel,
 		progress:   cfg.Progress,
 		stop:       make(chan struct{}),
-		q:          newFairQueue(cfg.QueueDepth, cfg.TenantWeights),
+		q:          newFairQueue(cfg.QueueDepth),
 		jobs:       make(map[string]*job),
 	}
 	if cfg.TenantRate > 0 {
@@ -448,16 +424,6 @@ func New(ctx context.Context, cfg Config) (*Server, error) {
 		s.recoverJournal()
 	}
 	return s, nil
-}
-
-// logfWriter bridges rendered log lines into the legacy Logf test hook.
-type logfWriter struct {
-	f func(format string, args ...any)
-}
-
-func (w logfWriter) Write(p []byte) (int, error) {
-	w.f("%s", strings.TrimRight(string(p), "\n"))
-	return len(p), nil
 }
 
 // Tracer returns the server's span tracer — its ring backs /debug/traces.
@@ -554,7 +520,7 @@ func (s *Server) register(ctx context.Context, req *Request, key string, enqueue
 		id:        fmt.Sprintf("job-%06d", seq),
 		req:       req,
 		tenant:    tenantOrDefault(req.Tenant),
-		class:     classify(req, s.cfg.InteractiveMaxPoints),
+		class:     classify(req),
 		key:       key,
 		status:    StatusQueued,
 		submitted: time.Now(),
@@ -802,7 +768,6 @@ func (s *Server) execute(ctx context.Context, req *Request, ps sweep.ProgressSin
 		res, err := sweep.RunWith(ctx, *req.Sweep, sweep.RunOpts{
 			Parallelism:     s.cfg.Parallelism,
 			NodeParallelism: s.cfg.NodeParallelism,
-			NoMemo:          s.cfg.NoMemo,
 			Progress:        ps,
 			Rows:            s.rows,
 		})

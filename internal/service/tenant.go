@@ -18,11 +18,16 @@ func tenantOrDefault(t string) string {
 	return t
 }
 
+// interactiveMaxPoints is the largest sweep (in rows) still scheduled on the
+// interactive band. Bigger sweeps are bulk: they never delay interactive
+// jobs, which dequeue with strict priority.
+const interactiveMaxPoints = 4
+
 // classify assigns a request to a scheduling band: sweeps up to
-// maxInteractivePoints rows — and every experiment — count as interactive;
+// interactiveMaxPoints rows — and every experiment — count as interactive;
 // larger sweeps are bulk.
-func classify(req *Request, maxInteractivePoints int) jobClass {
-	if req.Type == "sweep" && req.Sweep.Points() > maxInteractivePoints {
+func classify(req *Request) jobClass {
+	if req.Type == "sweep" && req.Sweep.Points() > interactiveMaxPoints {
 		return classBulk
 	}
 	return classInteractive

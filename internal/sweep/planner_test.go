@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/memory"
+	"repro/internal/resultcache"
 	"repro/internal/scene"
 )
 
@@ -426,19 +427,23 @@ func TestAxisRowShape(t *testing.T) {
 	}
 }
 
-// TestPointHashDistinguishesAxes: progress hashes must differ for points
-// sharing (procs, size) but differing on an axis, and RowHash must keep its
-// historical value for axis-free specs.
+// TestPointHashDistinguishesAxes: row hashes must differ for points
+// sharing (procs, size) but differing on an axis, and an axis-free row's
+// hash must stay the result-cache key of the equivalent single-point spec.
 func TestPointHashDistinguishesAxes(t *testing.T) {
 	spec := Spec{Scene: "truc640", Caches: []int{4, 16}}
-	a := spec.pointHash(point{procs: 4, size: 8, cacheKB: 4})
-	b := spec.pointHash(point{procs: 4, size: 8, cacheKB: 16})
+	a := spec.RowHash(Row{Procs: 4, Size: 8, CacheKB: 4})
+	b := spec.RowHash(Row{Procs: 4, Size: 8, CacheKB: 16})
 	if a == b {
 		t.Error("points differing in cache size share a hash")
 	}
-	plain := Spec{Scene: "truc640"}
-	if plain.pointHash(point{procs: 4, size: 8}) != plain.RowHash(4, 8) {
-		t.Error("pointHash diverges from RowHash on an axis-free spec")
+	single := Spec{Scene: "truc640", Procs: []int{4}, Sizes: []int{8}}
+	want, err := resultcache.Key(single.WithDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := (Spec{Scene: "truc640"}).RowHash(Row{Procs: 4, Size: 8}); got != want {
+		t.Errorf("axis-free row hash %s, want the single-point spec's cache key %s", got, want)
 	}
 }
 

@@ -77,15 +77,15 @@ func TestRunWithProgressHooks(t *testing.T) {
 }
 
 func TestRowHashStableAndDistinct(t *testing.T) {
-	h1 := tinySpec.RowHash(4, 16)
-	h2 := tinySpec.RowHash(4, 16)
+	h1 := tinySpec.RowHash(Row{Procs: 4, Size: 16})
+	h2 := tinySpec.RowHash(Row{Procs: 4, Size: 16})
 	if h1 == "" || h1 != h2 {
 		t.Fatalf("RowHash not stable: %q vs %q", h1, h2)
 	}
-	if h3 := tinySpec.RowHash(1, 16); h3 == h1 {
+	if h3 := tinySpec.RowHash(Row{Procs: 1, Size: 16}); h3 == h1 {
 		t.Fatal("different procs must hash differently")
 	}
-	if h4 := tinySpec.RowHash(4, 8); h4 == h1 {
+	if h4 := tinySpec.RowHash(Row{Procs: 4, Size: 8}); h4 == h1 {
 		t.Fatal("different sizes must hash differently")
 	}
 	// The hash identifies the (procs, size) point, not the sweep's full
@@ -94,7 +94,7 @@ func TestRowHashStableAndDistinct(t *testing.T) {
 	narrow := tinySpec
 	narrow.Procs = []int{4}
 	narrow.Sizes = []int{16}
-	if narrow.RowHash(4, 16) != h1 {
+	if narrow.RowHash(Row{Procs: 4, Size: 16}) != h1 {
 		t.Fatal("RowHash must be independent of the surrounding axis lists")
 	}
 }

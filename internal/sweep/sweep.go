@@ -173,15 +173,26 @@ func distKind(name string) (distrib.Kind, error) {
 	}
 }
 
-// RowHash is the content hash identifying one (procs, size) configuration
-// point of this sweep: the result-cache hash (sha256 of canonical JSON) of
-// the defaulted spec narrowed to that single point. Progress events carry
-// it so a consumer can correlate a streamed row with the cached result the
-// equivalent single-point sweep would produce.
-func (s Spec) RowHash(procs, size int) string {
+// RowHash is the content hash identifying one row's configuration: the
+// result-cache hash (sha256 of canonical JSON) of the defaulted spec
+// narrowed to that row's point — its processor count and tile size, and its
+// value on each of the cache/bus/buffer axes the sweep uses. Progress
+// events carry it, whether the row streams live or is replayed from a
+// result document, so a consumer can correlate a row with the cached result
+// the equivalent single-point sweep would produce.
+func (s Spec) RowHash(r Row) string {
 	p := s.WithDefaults()
-	p.Procs = []int{procs}
-	p.Sizes = []int{size}
+	p.Procs = []int{r.Procs}
+	p.Sizes = []int{r.Size}
+	if len(p.Caches) > 0 {
+		p.Caches = []int{r.CacheKB}
+	}
+	if len(p.Buses) > 0 {
+		p.Buses = []float64{r.Bus}
+	}
+	if len(p.Buffers) > 0 {
+		p.Buffers = []int{r.Buffer}
+	}
 	key, err := resultcache.Key(p)
 	if err != nil {
 		return "" // unreachable for a Spec: plain struct, always encodable
@@ -214,29 +225,6 @@ func (s Spec) RasterClassKey(procs, size int) string {
 	})
 	if err != nil {
 		return "" // unreachable: plain struct, always encodable
-	}
-	return key
-}
-
-// pointHash is RowHash extended to the optional cache/bus/buffer axes: the
-// cache hash of the spec narrowed to one sweep point. For a spec without
-// those axes it equals RowHash(procs, size).
-func (s Spec) pointHash(pt point) string {
-	p := s.WithDefaults()
-	p.Procs = []int{pt.procs}
-	p.Sizes = []int{pt.size}
-	if len(p.Caches) > 0 {
-		p.Caches = []int{pt.cacheKB}
-	}
-	if len(p.Buses) > 0 {
-		p.Buses = []float64{pt.bus}
-	}
-	if len(p.Buffers) > 0 {
-		p.Buffers = []int{pt.buffer}
-	}
-	key, err := resultcache.Key(p)
-	if err != nil {
-		return "" // unreachable for a Spec: plain struct, always encodable
 	}
 	return key
 }
@@ -281,8 +269,8 @@ func (s Spec) baselinePoint(pt point) point {
 // rowCheckpointKey is the checkpoint-store key of one sweep point's row.
 func (s Spec) rowCheckpointKey(pt point) string {
 	key, err := resultcache.Key(rowCheckpointID{
-		Point:    s.pointHash(pt),
-		Baseline: s.pointHash(s.baselinePoint(pt)),
+		Point:    s.RowHash(pt.row()),
+		Baseline: s.RowHash(s.baselinePoint(pt).row()),
 	})
 	if err != nil {
 		return "" // unreachable: plain struct, always encodable
@@ -294,7 +282,7 @@ func (s Spec) rowCheckpointKey(pt point) string {
 // cycles. The "baseline:" prefix keeps it apart from row keys (which are
 // bare hex).
 func (s Spec) baselineCheckpointKey(pt point) string {
-	return "baseline:" + s.pointHash(s.baselinePoint(pt))
+	return "baseline:" + s.RowHash(s.baselinePoint(pt).row())
 }
 
 // baselineCheckpoint is the persisted slice of a baseline simulation: only
@@ -552,6 +540,12 @@ type point struct {
 	combo           int
 }
 
+// row is the position of pt's row on every sweep axis: the fields of its
+// Row that RowHash reads.
+func (pt point) row() Row {
+	return Row{Procs: pt.procs, Size: pt.size, CacheKB: pt.cacheKB, Bus: pt.bus, Buffer: pt.buffer}
+}
+
 // RunWith is the sweep runner: it expands the spec's axes into points,
 // partitions points and baselines into raster-equivalence classes (the
 // planner, planner.go), and simulates everything in one pool under one
@@ -737,7 +731,7 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 			if !done[i] {
 				continue
 			}
-			hash := spec.pointHash(pt)
+			hash := spec.RowHash(pt.row())
 			if cs, ok := opts.Progress.(RowCachedSink); ok {
 				cs.RowCached(i, len(points), rows[i], hash)
 			} else {
@@ -800,7 +794,7 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 			}
 		}
 		if opts.Progress != nil {
-			opts.Progress.RowDone(i, len(points), rows[i], spec.pointHash(pt))
+			opts.Progress.RowDone(i, len(points), rows[i], spec.RowHash(pt.row()))
 		}
 	}
 
@@ -832,7 +826,7 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 	runPoint := func(i int, cfg core.Config, cs *classState) error {
 		pt := points[i]
 		if opts.Progress != nil {
-			opts.Progress.RowStarted(i, len(points), pt.procs, pt.size, spec.pointHash(pt))
+			opts.Progress.RowStarted(i, len(points), pt.procs, pt.size, spec.RowHash(pt.row()))
 		}
 		res, rec, err := runOne(cfg, cs, spec.FlightInterval, spec.Flight)
 		if err != nil {

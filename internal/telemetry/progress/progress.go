@@ -45,7 +45,7 @@ type Event struct {
 	// terminal events published outside a sweep).
 	Total int `json:"total,omitempty"`
 	// ConfigHash identifies the row's configuration: sha256 of the sweep
-	// spec narrowed to this row's (procs, size) point.
+	// spec narrowed to this row's point (sweep.Spec.RowHash).
 	ConfigHash string `json:"config_hash,omitempty"`
 	Procs      int    `json:"procs,omitempty"`
 	Size       int    `json:"size,omitempty"`
@@ -310,7 +310,7 @@ func ReplaySweep(b *Broker, jobID string, payload []byte, cacheHit bool) {
 			Type:       "row",
 			Row:        i,
 			Total:      total,
-			ConfigHash: res.Spec.RowHash(row.Procs, row.Size),
+			ConfigHash: res.Spec.RowHash(row),
 			Procs:      row.Procs,
 			Size:       row.Size,
 			Cycles:     row.Cycles,

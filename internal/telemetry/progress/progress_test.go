@@ -238,3 +238,40 @@ func TestReplaySweep(t *testing.T) {
 		t.Fatalf("garbage payload replayed %d events, want 0", len(got))
 	}
 }
+
+// TestReplaySweepMatchesLiveHashes: on a cache-axis sweep, each replayed
+// row carries the config hash its live RowDone event carried, and rows
+// differing only in cache size hash differently.
+func TestReplaySweepMatchesLiveHashes(t *testing.T) {
+	spec := sweep.Spec{Scene: "truc640", Scale: 0.2, Procs: []int{1, 4}, Sizes: []int{16}, Caches: []int{4, 16}}
+	b := NewBroker()
+	res, err := sweep.RunWith(context.Background(), spec, sweep.RunOpts{Progress: NewSink(b, "live")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ReplaySweep(b, "replay", payload, true)
+
+	live := make(map[int]string)
+	for _, ev := range b.Events("live", 0) {
+		live[ev.Row] = ev.ConfigHash
+	}
+	replayed := b.Events("replay", 0)
+	if len(live) != len(res.Rows) || len(replayed) != len(res.Rows) {
+		t.Fatalf("%d live and %d replayed events, want one each per row (%d)",
+			len(live), len(replayed), len(res.Rows))
+	}
+	seen := make(map[string]int)
+	for _, ev := range replayed {
+		if ev.ConfigHash != live[ev.Row] {
+			t.Errorf("row %d: replayed hash %s, live hash %s", ev.Row, ev.ConfigHash, live[ev.Row])
+		}
+		if prev, dup := seen[ev.ConfigHash]; dup {
+			t.Errorf("rows %d and %d share hash %s", prev, ev.Row, ev.ConfigHash)
+		}
+		seen[ev.ConfigHash] = ev.Row
+	}
+}

@@ -1,10 +1,12 @@
 package texsim
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
+
+	"repro/internal/par"
 )
 
 // ScoredConfig is one candidate machine configuration with its measured
@@ -67,37 +69,22 @@ func Recommend(s *Scene, base Config) (*Recommendation, error) {
 	}
 
 	scored := make([]ScoredConfig, len(candidates))
-	var firstErr error
-	var mu sync.Mutex
-	sem := make(chan struct{}, runtime.NumCPU())
-	var wg sync.WaitGroup
-	for i, cfg := range candidates {
-		wg.Add(1)
-		go func(i int, cfg Config) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			res, err := Simulate(s, cfg)
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			scored[i] = ScoredConfig{
-				Config:          cfg,
-				Speedup:         baseRes.Cycles / res.Cycles,
-				Cycles:          res.Cycles,
-				TexelToFragment: res.TexelToFragment(),
-				PixelImbalance:  res.PixelImbalance(),
-			}
-		}(i, cfg)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	err = par.ForEach(context.TODO(), runtime.NumCPU(), len(candidates), func(i int) error {
+		res, err := Simulate(s, candidates[i])
+		if err != nil {
+			return err
+		}
+		scored[i] = ScoredConfig{
+			Config:          candidates[i],
+			Speedup:         baseRes.Cycles / res.Cycles,
+			Cycles:          res.Cycles,
+			TexelToFragment: res.TexelToFragment(),
+			PixelImbalance:  res.PixelImbalance(),
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.SliceStable(scored, func(i, j int) bool { return scored[i].Speedup > scored[j].Speedup })
 	return &Recommendation{
