@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/telemetry/progress"
 	"repro/internal/telemetry/tracing"
 )
 
@@ -66,14 +65,14 @@ func (s *Server) lookupCache(ctx context.Context, key string) ([]byte, bool) {
 
 // pushToOwner hands a freshly computed result to the key's rendezvous
 // owner, best effort, so federated lookups from any node find it there.
-// A no-op when there is no cluster or this node is the owner.
-func (s *Server) pushToOwner(ctx context.Context, key string, payload []byte) {
+// A no-op when there is no cluster or the owner is this node or skip.
+func (s *Server) pushToOwner(ctx context.Context, key string, payload []byte, skip string) {
 	cl := s.cfg.Cluster
 	if cl == nil {
 		return
 	}
 	owner, self := cl.Owner(key)
-	if self {
+	if self || owner == skip {
 		return
 	}
 	// The job's context may be about to die with the job; the push should
@@ -127,27 +126,21 @@ func (s *Server) submitSpill(ctx context.Context, req *Request, key string) (*jo
 		cl.ReportSuccess(addr)
 		j, _, rerr := s.register(ctx, req, key, false)
 		if rerr != nil {
-			// Drain raced the spill; release the remote job, best effort.
-			cctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Second)
-			cl.CancelJob(cctx, addr, remoteID)
-			cancel()
+			// Drain raced the spill; release the remote job.
+			s.cancelRemote(ctx, addr, remoteID)
 			return nil, rerr
 		}
-		s.mu.Lock()
-		j.status = StatusRunning
-		j.started = time.Now()
-		j.remoteAddr = addr
-		j.remoteID = remoteID
-		s.mu.Unlock()
 		cl.CountForward("spill")
 		s.mSubmitted.With(req.Type).Inc()
 		s.logger.LogAttrs(j.ctx, slog.LevelInfo, "job spilled to peer",
 			slog.String("peer", addr), slog.String("remote_id", remoteID))
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.supervisePoll(j, addr, remoteID)
-		}()
+		if s.startRemote(j, addr, remoteID) {
+			s.wg.Add(1)
+			go func() {
+				defer s.wg.Done()
+				s.supervisePoll(j, addr, remoteID)
+			}()
+		}
 		return j, nil
 	}
 	return nil, &submitError{code: 429, err: fmt.Errorf("all peers saturated")}
@@ -161,14 +154,10 @@ func (s *Server) superviseForward(j *job, target, reason string) {
 	cl := s.cfg.Cluster
 	body, err := json.Marshal(j.req)
 	if err != nil {
-		s.finalizeRemote(j, nil, false, err)
+		s.finish(j, nil, false, err)
 		return
 	}
-	ctx := j.ctx
-	if !j.traceID.IsZero() {
-		ctx = tracing.ContextWithRemoteParent(ctx, j.traceID, j.parentSpan)
-	}
-	remoteID, err := cl.ForwardJob(ctx, target, body)
+	remoteID, err := cl.ForwardJob(j.tracedCtx(), target, body)
 	if err != nil {
 		cl.CountForwardFailure()
 		if !errors.Is(err, cluster.ErrPeerSaturated) {
@@ -181,35 +170,44 @@ func (s *Server) superviseForward(j *job, target, reason string) {
 	}
 	cl.ReportSuccess(target)
 	cl.CountForward(reason)
-
-	s.mu.Lock()
-	if j.status != StatusQueued { // canceled before the forward landed
-		s.mu.Unlock()
-		cctx, cancel := context.WithTimeout(context.WithoutCancel(j.ctx), 2*time.Second)
-		cl.CancelJob(cctx, target, remoteID)
-		cancel()
-		return
+	if s.startRemote(j, target, remoteID) {
+		s.supervisePoll(j, target, remoteID)
 	}
-	j.status = StatusRunning
-	j.started = time.Now()
-	j.remoteAddr = target
-	j.remoteID = remoteID
+}
+
+// startRemote marks j running as remoteID on addr, the peer its forward
+// just landed on, and reports whether j is still live. A job canceled
+// before the forward landed is not, and its remote copy is released.
+func (s *Server) startRemote(j *job, addr, remoteID string) bool {
+	s.mu.Lock()
+	live := !j.claimed
+	if live {
+		j.status = StatusRunning
+		j.started = time.Now()
+		j.remoteAddr, j.remoteID = addr, remoteID
+	}
 	s.mu.Unlock()
-	s.supervisePoll(j, target, remoteID)
-	// supervisePoll decrements nothing; the single wg slot is released by
-	// the deferred Done above.
+	if !live {
+		s.cancelRemote(j.ctx, addr, remoteID)
+	}
+	return live
+}
+
+// cancelRemote releases job remoteID on addr, best effort, on a budget of
+// its own: ctx may already be dead.
+func (s *Server) cancelRemote(ctx context.Context, addr, remoteID string) {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*time.Second)
+	defer cancel()
+	s.cfg.Cluster.CancelJob(ctx, addr, remoteID)
 }
 
 // supervisePoll polls the peer executing job j until it reaches a
 // terminal state, the peer is lost (failover to local execution), or the
-// job is canceled. It must be called with j marked running and the wg
+// job is canceled. It must be called after startRemote and with the wg
 // slot held by the caller's goroutine.
 func (s *Server) supervisePoll(j *job, addr, remoteID string) {
 	cl := s.cfg.Cluster
-	ctx := j.ctx
-	if !j.traceID.IsZero() {
-		ctx = tracing.ContextWithRemoteParent(ctx, j.traceID, j.parentSpan)
-	}
+	ctx := j.tracedCtx()
 	t := time.NewTicker(s.cfg.PollInterval)
 	defer t.Stop()
 	consecFails := 0
@@ -217,11 +215,9 @@ func (s *Server) supervisePoll(j *job, addr, remoteID string) {
 		select {
 		case <-j.ctx.Done():
 			// Canceled via DELETE, Close, or drain timeout: release the
-			// remote job, best effort, and record the cancellation.
-			cctx, cancel := context.WithTimeout(context.WithoutCancel(j.ctx), 2*time.Second)
-			cl.CancelJob(cctx, addr, remoteID)
-			cancel()
-			s.finalizeRemote(j, nil, false, fmt.Errorf("job canceled: %w", j.ctx.Err()))
+			// remote job and record the cancellation.
+			s.cancelRemote(j.ctx, addr, remoteID)
+			s.finish(j, nil, false, fmt.Errorf("job canceled: %w", j.ctx.Err()))
 			return
 		case <-t.C:
 		}
@@ -249,10 +245,10 @@ func (s *Server) supervisePoll(j *job, addr, remoteID string) {
 				s.failover(j, addr, err)
 				return
 			}
-			s.finalizeRemote(j, payload, st.FromCache, nil)
+			s.finish(j, payload, st.FromCache, nil)
 			return
 		case StatusFailed:
-			s.finalizeRemote(j, nil, false, fmt.Errorf("peer %s: %s", addr, st.Error))
+			s.finish(j, nil, false, fmt.Errorf("peer %s: %s", addr, st.Error))
 			return
 		case StatusCanceled:
 			// The peer's job died with the peer's shutdown, not by our
@@ -279,100 +275,24 @@ func (s *Server) failover(j *job, addr string, cause error) {
 // or through cancellation.
 func (s *Server) runLocalFallback(j *job) {
 	s.mu.Lock()
-	switch j.status {
-	case StatusDone, StatusFailed, StatusCanceled:
+	if j.claimed {
 		s.mu.Unlock()
 		return
 	}
-	if s.draining {
-		s.mu.Unlock()
-		s.finalizeRemote(j, nil, false, fmt.Errorf("executing peer lost while draining"))
-		return
-	}
-	j.status = StatusQueued
-	j.remoteAddr, j.remoteID = "", ""
-	_, closed := s.q.push(j, true)
-	if closed {
-		// Drain won the race between the draining check and the push.
-		j.status = StatusRunning
-		s.mu.Unlock()
-		s.finalizeRemote(j, nil, false, fmt.Errorf("executing peer lost while draining"))
-		return
-	}
-	s.enqueuedJob(j)
-	s.mu.Unlock()
-	s.logger.LogAttrs(j.ctx, slog.LevelInfo, "job re-queued locally")
-}
-
-// finalizeRemote records the terminal state of a job that did not run
-// through a local worker (forwarded, spilled, or stolen-and-completed),
-// mirroring runJob's bookkeeping. It is a no-op if the job is already
-// terminal (a racing Cancel won).
-func (s *Server) finalizeRemote(j *job, payload []byte, fromCache bool, err error) {
-	now := time.Now()
-	s.mu.Lock()
-	switch j.status {
-	case StatusDone, StatusFailed, StatusCanceled:
-		s.mu.Unlock()
-		return
-	}
-	j.finished = now
-	j.fromCache = fromCache
-	j.leaseNonce = ""
-	switch {
-	case err == nil:
-		j.status = StatusDone
-		j.result = payload
-	case j.ctx.Err() != nil:
-		j.status = StatusCanceled
-		j.errMsg = err.Error()
-	default:
-		j.status = StatusFailed
-		j.errMsg = err.Error()
-	}
-	final := j.status
-	errMsg := j.errMsg
-	cancel := j.cancel
-	started := j.started
-	peer := j.remoteAddr
-	s.mu.Unlock()
-
-	if final == StatusDone && payload != nil && j.req.Type == "sweep" {
-		// A remotely computed sweep never streamed rows here; replay them so
-		// the origin's event stream carries the full row history before the
-		// terminal event, exactly like a local run.
-		progress.ReplaySweep(s.progress, j.id, payload, fromCache)
-	}
-	s.progress.End(j.id, string(final), errMsg)
-
-	if final == StatusDone && payload != nil {
-		// The origin keeps a local replica: clients fetch the result here,
-		// and identical future submissions hit without a hop.
-		if cerr := s.cache.Put(j.key, payload); cerr != nil {
-			s.logger.LogAttrs(j.ctx, slog.LevelWarn, "result cache write failed",
-				slog.String("error", cerr.Error()))
+	if !s.draining {
+		// A closed queue means Drain won the race between the flag and the
+		// push.
+		if _, closed := s.q.push(j, true); !closed {
+			j.status = StatusQueued
+			j.remoteAddr, j.remoteID = "", ""
+			s.enqueuedJob(j)
+			s.mu.Unlock()
+			s.logger.LogAttrs(j.ctx, slog.LevelInfo, "job re-queued locally")
+			return
 		}
 	}
-	wallFrom := started
-	if wallFrom.IsZero() {
-		wallFrom = j.submitted
-	}
-	s.mDuration.With(j.req.scene()).Observe(now.Sub(wallFrom).Seconds())
-	s.mCompleted.With(string(final)).Inc()
-	cancel()
-	level := slog.LevelInfo
-	if final == StatusFailed {
-		level = slog.LevelError
-	}
-	attrs := []slog.Attr{
-		slog.String("status", string(final)),
-		slog.Bool("cache_hit", fromCache),
-		slog.String("peer", peer),
-	}
-	if err != nil {
-		attrs = append(attrs, slog.String("error", err.Error()))
-	}
-	s.logger.LogAttrs(j.ctx, level, "job finished", attrs...)
+	s.mu.Unlock()
+	s.finish(j, nil, false, fmt.Errorf("executing peer lost while draining"))
 }
 
 // --- work stealing: giving side ---------------------------------------
@@ -403,8 +323,8 @@ func (s *Server) handleSteal(w http.ResponseWriter, r *http.Request) {
 	}
 	s.dequeuedJob(j)
 	s.mu.Lock()
-	if j.status != StatusQueued {
-		// Canceled while queued; its terminal state is already recorded.
+	if j.claimed {
+		// Canceled while queued; finish records its terminal state.
 		s.mu.Unlock()
 		w.WriteHeader(http.StatusNoContent)
 		return
@@ -430,7 +350,7 @@ func (s *Server) handleSteal(w http.ResponseWriter, r *http.Request) {
 	body, err := json.Marshal(j.req)
 	if err != nil {
 		// Unmarshalable requests cannot be submitted; defensive only.
-		s.finalizeRemote(j, nil, false, err)
+		s.finish(j, nil, false, err)
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
@@ -438,26 +358,31 @@ func (s *Server) handleSteal(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// watchLease re-queues a stolen job whose thief went quiet. Invalidating
-// the nonce first makes the handoff race-free: either the completion
-// arrives while the nonce is live and wins, or the watchdog fires, the
-// nonce dies, and the late completion is stale.
+// watchLease ends a stolen job's lease: it re-queues the job when the thief
+// goes quiet, and finishes it canceled when it is canceled here first.
+// Invalidating the nonce first makes either handoff race-free: the
+// completion arrives while the nonce is live and wins, or the nonce dies
+// and the late completion is stale.
 func (s *Server) watchLease(j *job, nonce string) {
 	defer s.wg.Done()
 	t := time.NewTimer(s.cfg.LeaseTimeout)
 	defer t.Stop()
 	select {
 	case <-j.ctx.Done():
-		// Completed (finalize cancels the job context) or canceled.
-		return
+		// Finished (finish cancels the job context) or canceled.
 	case <-t.C:
 	}
 	s.mu.Lock()
-	if j.status != StatusRunning || j.leaseNonce != nonce {
+	if j.claimed || j.leaseNonce != nonce {
 		s.mu.Unlock()
 		return
 	}
 	j.leaseNonce = ""
+	if j.ctx.Err() != nil {
+		s.mu.Unlock()
+		s.finish(j, nil, false, fmt.Errorf("job canceled: %w", j.ctx.Err()))
+		return
+	}
 	j.stolenBy = ""
 	j.remoteAddr = ""
 	s.mu.Unlock()
@@ -498,7 +423,7 @@ func (s *Server) handleComplete(w http.ResponseWriter, r *http.Request) {
 	} else if len(comp.Payload) == 0 {
 		err = fmt.Errorf("thief %s posted an empty completion", thief)
 	}
-	s.finalizeRemote(j, comp.Payload, false, err)
+	s.finish(j, comp.Payload, false, err)
 	writeJSON(w, http.StatusOK, map[string]any{"accepted": true})
 }
 
@@ -553,9 +478,9 @@ func (s *Server) stealOnce(ctx context.Context) bool {
 	return false
 }
 
-// runStolen executes one stolen job and posts the result back to its
-// origin (which still owns the client-facing record), then lands the
-// result in the key owner's cache — the ownership handoff.
+// runStolen runs one stolen job through the execute step and posts the
+// result back to its origin, which still owns the client-facing record
+// and finishes it.
 func (s *Server) runStolen(ctx context.Context, origin string, sj *cluster.StolenJob) {
 	cl := s.cfg.Cluster
 	if tid, sid, ok := tracing.ParseTraceparent(sj.Traceparent); ok {
@@ -571,36 +496,13 @@ func (s *Server) runStolen(ctx context.Context, origin string, sj *cluster.Stole
 	if err == nil {
 		err = req.normalize()
 	}
-	var payload []byte
-	if err == nil {
-		s.mRunning.Add(1)
-		payload, err = func() (p []byte, err error) {
-			defer func() {
-				if r := recover(); r != nil {
-					s.mPanics.Inc()
-					err = fmt.Errorf("stolen job panicked: %v", r)
-				}
-			}()
-			if v, ok := s.lookupCache(ctx, sj.Key); ok {
-				return v, nil
-			}
-			rctx := ctx
-			if s.cfg.JobTimeout > 0 {
-				var cancel context.CancelFunc
-				rctx, cancel = context.WithTimeout(rctx, s.cfg.JobTimeout)
-				defer cancel()
-			}
-			return s.execute(rctx, &req, nil)
-		}()
-		s.mRunning.Add(-1)
-	}
-
 	comp := cluster.Completion{JobID: sj.JobID, LeaseNonce: sj.LeaseNonce}
+	if err == nil {
+		comp.Payload, _, err = s.compute(ctx, sj.Key, &req, nil, origin)
+	}
 	if err != nil {
 		comp.Error = err.Error()
 		span.SetError(err)
-	} else {
-		comp.Payload = payload
 	}
 	accepted, cerr := cl.Complete(ctx, origin, comp)
 	switch {
@@ -611,17 +513,6 @@ func (s *Server) runStolen(ctx context.Context, origin string, sj *cluster.Stole
 		span.SetError(cerr)
 	case !accepted:
 		span.SetAttr("stale", "true")
-	}
-	if err == nil {
-		if cerr := s.cache.Put(sj.Key, payload); cerr != nil {
-			s.logger.LogAttrs(ctx, slog.LevelWarn, "result cache write failed",
-				slog.String("error", cerr.Error()))
-		}
-		if owner, self := cl.Owner(sj.Key); !self && owner != origin {
-			pctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 5*time.Second)
-			cl.PushCached(pctx, owner, sj.Key, payload)
-			cancel()
-		}
 	}
 }
 

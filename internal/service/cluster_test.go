@@ -9,6 +9,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -787,5 +790,176 @@ func TestClusterStatusSingleNode(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("steal endpoint on single node returned %d, want 404", resp.StatusCode)
+	}
+}
+
+// stealBlockedVictim boots two nodes, holds node 0's one worker with a
+// blocker job, queues a node-0-owned victim behind it, and steals the
+// victim as a fake thief that never runs it. mod tunes node 0's config.
+// The blocker is released when the test ends.
+func stealBlockedVictim(t *testing.T, mod func(cfg *Config)) ([]*clusterNode, jobView, cluster.StolenJob) {
+	t.Helper()
+	release := make(chan struct{})
+	blockerKey := new(atomic.Value)
+	blockerKey.Store("")
+	nodes := newClusterNodes(t, 2, func(i int, cfg *Config) {
+		if i == 0 {
+			cfg.Workers = 1
+			cfg.QueueDepth = 8
+			mod(cfg)
+		}
+		cfg.runOverride = func(ctx context.Context, req *Request) ([]byte, error) {
+			key, _ := resultcache.Key(req)
+			if key == blockerKey.Load().(string) {
+				select {
+				case <-release:
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				}
+			}
+			return echoPayload(t, req), nil
+		}
+	})
+	t.Cleanup(func() { close(release) })
+	seen := map[string]bool{}
+	blocker := specOwnedBy(t, nodes, 0, seen)
+	blockerKey.Store(keyOf(t, blocker))
+	vBlock, code := postJobWith(t, nodes[0].ts, blocker, nil)
+	if code != http.StatusAccepted {
+		t.Fatalf("blocker returned %d", code)
+	}
+	waitRunning(t, nodes[0].ts, vBlock.ID)
+	victim, code := postJobWith(t, nodes[0].ts, specOwnedBy(t, nodes, 0, seen), nil)
+	if code != http.StatusAccepted {
+		t.Fatalf("victim returned %d", code)
+	}
+	resp := postSteal(t, nodes[0].ts, "http://fake-thief:1")
+	if resp.code != http.StatusOK || resp.job.JobID != victim.ID {
+		t.Fatalf("steal returned %d for %q, want 200 for %q", resp.code, resp.job.JobID, victim.ID)
+	}
+	return nodes, victim, resp.job
+}
+
+// postCompletion posts a thief's completion to ts and returns the code.
+func postCompletion(t *testing.T, ts *httptest.Server, comp cluster.Completion) int {
+	t.Helper()
+	body, err := json.Marshal(comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/api/v1/cluster/complete", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestStolenJobLeavesNoJournal: a stolen job that its thief completes
+// leaves the origin's journal like any finished job, so a resumed restart
+// does not run it again.
+func TestStolenJobLeavesNoJournal(t *testing.T) {
+	dir := t.TempDir()
+	nodes, victim, stolen := stealBlockedVictim(t, func(cfg *Config) { cfg.CheckpointDir = dir })
+	entry := filepath.Join(dir, "jobs", victim.ID+".json")
+	if _, err := os.Stat(entry); err != nil {
+		t.Fatalf("stolen job not journaled: %v", err)
+	}
+	if code := postCompletion(t, nodes[0].ts, cluster.Completion{
+		JobID: stolen.JobID, LeaseNonce: stolen.LeaseNonce, Payload: json.RawMessage(`{"stolen":true}`),
+	}); code != http.StatusOK {
+		t.Fatalf("completion returned %d, want 200", code)
+	}
+	if d := waitDone(t, nodes[0].ts, victim.ID); d.Status != StatusDone {
+		t.Fatalf("victim ended %s: %s", d.Status, d.Error)
+	}
+	if _, err := os.Stat(entry); !os.IsNotExist(err) {
+		t.Fatalf("journal entry of a finished stolen job still there (stat: %v)", err)
+	}
+}
+
+// TestCancelStolenJob: DELETE on a stolen job whose thief stays silent
+// cancels it at once, not at lease expiry, and the thief's later
+// completion is refused as stale.
+func TestCancelStolenJob(t *testing.T) {
+	const lease = 10 * time.Second
+	nodes, victim, stolen := stealBlockedVictim(t, func(cfg *Config) { cfg.LeaseTimeout = lease })
+	req, err := http.NewRequest(http.MethodDelete, nodes[0].ts.URL+"/api/v1/jobs/"+victim.ID, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("cancel returned %d", resp.StatusCode)
+	}
+	var v jobView
+	for deadline := time.Now().Add(lease / 5); ; time.Sleep(5 * time.Millisecond) {
+		getJSON(t, nodes[0].ts.URL+"/api/v1/jobs/"+victim.ID, &v)
+		if v.Status == StatusCanceled {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("stolen job still %s %v after DELETE (lease %v)", v.Status, lease/5, lease)
+		}
+	}
+	if code := postCompletion(t, nodes[0].ts, cluster.Completion{
+		JobID: stolen.JobID, LeaseNonce: stolen.LeaseNonce, Payload: json.RawMessage(`{"late":true}`),
+	}); code != http.StatusConflict {
+		t.Fatalf("completion of a canceled job returned %d, want 409", code)
+	}
+	if d := waitDone(t, nodes[0].ts, victim.ID); d.Status != StatusCanceled {
+		t.Fatalf("canceled job became %s after a late completion", d.Status)
+	}
+}
+
+// TestRemoteResultPersistedBeforeDone: by the time a routed job reads done
+// on its origin, the origin's cache replica holds the result and the
+// completed-jobs counter includes it. The record is polled in-process, so
+// the check runs the moment Done is published. The origin's cache has a
+// disk tier, as texsimd's -cache-dir gives it, so its writes take a while.
+func TestRemoteResultPersistedBeforeDone(t *testing.T) {
+	nodes := newClusterNodes(t, 2, func(i int, cfg *Config) {
+		if i == 0 {
+			cache, err := resultcache.New(resultcache.Config{Dir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Cache = cache
+		}
+		cfg.runOverride = func(ctx context.Context, req *Request) ([]byte, error) {
+			return echoPayload(t, req), nil
+		}
+	})
+	origin := nodes[0].srv
+	seen := map[string]bool{}
+	for n := int64(1); n <= 10; n++ {
+		spec := specOwnedBy(t, nodes, 1, seen)
+		v, code := postJobWith(t, nodes[0].ts, spec, nil)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit returned %d", code)
+		}
+		var snap job
+		for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+			snap, _ = origin.snapshot(v.ID)
+			if snap.status == StatusDone || snap.status == StatusFailed || snap.status == StatusCanceled {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %s never finished", v.ID)
+			}
+		}
+		if snap.status != StatusDone {
+			t.Fatalf("job %s ended %s: %s", v.ID, snap.status, snap.errMsg)
+		}
+		if _, ok := origin.cache.Peek(keyOf(t, spec)); !ok {
+			t.Fatalf("job %d: done before the origin's cache replica was written", n)
+		}
+		if got := origin.mCompleted.With(string(StatusDone)).Value(); got < n {
+			t.Fatalf("job %d: done with texsimd_jobs_completed_total{status=\"done\"} = %d", n, got)
+		}
 	}
 }

@@ -98,9 +98,6 @@ func (q *fairQueue) popBandLocked(c jobClass) *job {
 	if len(b.ring) == 0 {
 		return nil
 	}
-	if b.cursor >= len(b.ring) {
-		b.cursor = 0
-	}
 	f := b.tenants[b.ring[b.cursor]]
 	j := f.jobs[0]
 	f.jobs = f.jobs[1:]
@@ -110,12 +107,12 @@ func (q *fairQueue) popBandLocked(c jobClass) *job {
 		// tenant.
 		b.ring = append(b.ring[:b.cursor], b.ring[b.cursor+1:]...)
 	} else {
-		// Wrap now, not on the next pop: a tenant that joins the ring in
-		// between must queue behind ring[0], not jump the rotation.
 		b.cursor++
-		if b.cursor >= len(b.ring) {
-			b.cursor = 0
-		}
+	}
+	// Wrap now, not on the next pop: a tenant that joins the ring in
+	// between must queue behind ring[0], not jump the rotation.
+	if b.cursor >= len(b.ring) {
+		b.cursor = 0
 	}
 	return j
 }

@@ -123,3 +123,19 @@ func TestFairQueueCapacity(t *testing.T) {
 		t.Errorf("pop on a closed, drained queue returned %v, %v", j, ok)
 	}
 }
+
+// TestFairQueueDrainWrap: when the last tenant in the ring drains, the
+// rotation is back at the first at once, so a tenant joining before the
+// next pop waits behind it instead of jumping it.
+func TestFairQueueDrainWrap(t *testing.T) {
+	q := newFairQueue(16)
+	pushAll(t, q,
+		qjob("a1", "a", classBulk), qjob("a2", "a", classBulk),
+		qjob("b1", "b", classBulk))
+	got := popIDs(t, q, 2)
+	pushAll(t, q, qjob("c1", "c", classBulk))
+	got = append(got, popIDs(t, q, 2)...)
+	if want := []string{"a1", "b1", "a2", "c1"}; !slices.Equal(got, want) {
+		t.Errorf("dequeue order %v, want %v", got, want)
+	}
+}

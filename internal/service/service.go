@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"os"
@@ -208,6 +209,9 @@ type job struct {
 	started   time.Time
 	finished  time.Time
 	cancel    context.CancelFunc // non-nil from submission until finish
+	// claimed is set once, by finish: the job is ending, and its terminal
+	// status follows as soon as finish has persisted everything.
+	claimed bool
 
 	// requestID correlates the job's log lines and spans with the HTTP
 	// request that submitted it (the submit span's ID, or the job ID for
@@ -227,6 +231,15 @@ type job struct {
 	remoteID   string
 	stolenBy   string
 	leaseNonce string
+}
+
+// tracedCtx is j's context joined to the submitter's trace (stored on the
+// record at submit time), for the spans and peer calls made on j's behalf.
+func (j *job) tracedCtx() context.Context {
+	if j.traceID.IsZero() {
+		return j.ctx
+	}
+	return tracing.ContextWithRemoteParent(j.ctx, j.traceID, j.parentSpan)
 }
 
 // Server is the simulation service. Create with New, expose with Handler,
@@ -621,139 +634,173 @@ func (s *Server) worker() {
 	}
 }
 
-// runJob executes one job with panic isolation.
+// runJob runs one popped job through the execute step and the finish step.
 func (s *Server) runJob(j *job) {
 	s.mu.Lock()
-	if j.status != StatusQueued { // canceled while queued
+	if j.claimed { // canceled while queued; finish did the bookkeeping
 		s.mu.Unlock()
-		s.journalRemove(j.id)
 		return
 	}
 	j.status = StatusRunning
 	j.started = time.Now()
 	s.mu.Unlock()
-	s.mRunning.Add(1)
-	s.mTenantRunning.With(j.tenant).Add(1)
-	defer func() {
-		s.mRunning.Add(-1)
-		s.mTenantRunning.With(j.tenant).Add(-1)
-	}()
 	s.mQueueWait.With(j.req.Type).Observe(j.started.Sub(j.submitted).Seconds())
 
-	// The run span joins the submitter's trace (stored on the job record at
-	// submit time), so /debug/traces shows the HTTP submit span and the
-	// worker-side run span under one trace ID however long the queue wait.
-	spanCtx := j.ctx
-	if !j.traceID.IsZero() {
-		spanCtx = tracing.ContextWithRemoteParent(spanCtx, j.traceID, j.parentSpan)
-	}
-	_, span := s.tracer.StartSpan(spanCtx, "job "+j.req.Type)
+	// The run span joins the submitter's trace, so /debug/traces shows the
+	// HTTP submit span and the worker-side run span under one trace ID
+	// however long the queue wait.
+	_, span := s.tracer.StartSpan(j.tracedCtx(), "job "+j.req.Type)
 	span.SetAttr("job_id", j.id)
 	span.SetAttr("request_id", j.requestID)
 	span.SetAttr("scene", j.req.scene())
 
-	ctx := j.ctx
-	if s.cfg.JobTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
-		defer cancel()
+	var sink sweep.ProgressSink
+	if j.req.Type == "sweep" {
+		sink = progress.NewSink(s.progress, j.id)
 	}
-
-	payload, fromCache, err := func() (payload []byte, fromCache bool, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				s.mPanics.Inc()
-				err = fmt.Errorf("job panicked: %v", r)
-			}
-		}()
-		if cached, ok := s.lookupCache(ctx, j.key); ok {
-			if j.req.Type == "sweep" {
-				// The stream still shows per-row completion — instant, and
-				// marked as cache hits.
-				progress.ReplaySweep(s.progress, j.id, cached, true)
-			}
-			return cached, true, nil
-		}
-		var sink sweep.ProgressSink
-		if j.req.Type == "sweep" {
-			sink = progress.NewSink(s.progress, j.id)
-		}
-		payload, err = s.execute(ctx, j.req, sink)
-		if err != nil {
-			return nil, false, err
-		}
-		if cerr := s.cache.Put(j.key, payload); cerr != nil {
-			// A cold disk tier is an availability loss, not a job failure.
-			s.logger.LogAttrs(j.ctx, slog.LevelWarn, "result cache write failed",
-				slog.String("error", cerr.Error()))
-		}
-		// Ownership handoff: a result computed on a non-owner node (spill,
-		// failover, or a shrunken alive set) is pushed to the key's owner so
-		// future federated lookups from any node find it there.
-		s.pushToOwner(ctx, j.key, payload)
-		return payload, false, nil
-	}()
-
-	now := time.Now()
-	wall := now.Sub(j.started).Seconds()
-	s.mDuration.With(j.req.scene()).Observe(wall)
-
-	// The simulated work is accounted before the terminal status is
-	// published, so a client that sees the job finished finds its cycles in
-	// the node's metrics.
-	if err == nil && !fromCache && j.req.Type == "sweep" {
-		var res sweep.Result
-		if json.Unmarshal(payload, &res) == nil {
-			s.mSimCycles.Add(int64(res.SimulatedCycles))
-			if wall > 0 {
-				s.mCPS.Set(res.SimulatedCycles / wall)
-			}
-		}
-	}
-	// The entry goes before the terminal status is published, so a client
-	// that sees the job finished never finds it still journaled.
-	s.journalRemove(j.id)
-	s.mu.Lock()
-	j.finished = now
-	j.fromCache = fromCache
-	switch {
-	case err == nil:
-		j.status = StatusDone
-		j.result = payload
-	case ctx.Err() != nil:
-		// Cancelled via DELETE, shutdown, or the per-job timeout.
-		j.status = StatusCanceled
-		j.errMsg = err.Error()
-	default:
-		j.status = StatusFailed
-		j.errMsg = err.Error()
-	}
-	final := j.status
-	errMsg := j.errMsg
-	j.cancel()
-	s.mu.Unlock()
-
-	s.progress.End(j.id, string(final), errMsg)
-	s.mCompleted.With(string(final)).Inc()
+	payload, fromCache, err := s.compute(j.ctx, j.key, j.req, sink, "")
+	final := s.finish(j, payload, fromCache, err)
 	span.SetAttr("status", string(final))
 	span.SetAttr("cache_hit", strconv.FormatBool(fromCache))
 	if err != nil {
 		span.SetError(err)
 	}
 	span.End()
+}
+
+// compute is the execute step of every job that runs on this node, queued
+// here or stolen from a peer. Under the job timeout and with panics
+// isolated, it serves key from the federated cache or runs req, caches a
+// fresh result and hands it to the key's owner — unless the owner is
+// origin, the node the result goes back to anyway. sink, when non-nil,
+// observes a sweep's rows.
+func (s *Server) compute(ctx context.Context, key string, req *Request, sink sweep.ProgressSink, origin string) (payload []byte, fromCache bool, err error) {
+	tenant := tenantOrDefault(req.Tenant)
+	s.mRunning.Add(1)
+	s.mTenantRunning.With(tenant).Add(1)
+	defer func() {
+		s.mRunning.Add(-1)
+		s.mTenantRunning.With(tenant).Add(-1)
+	}()
+	if s.cfg.JobTimeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.JobTimeout)
+		defer cancel()
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			s.mPanics.Inc()
+			payload, fromCache, err = nil, false, fmt.Errorf("job panicked: %v", r)
+		}
+	}()
+	if cached, ok := s.lookupCache(ctx, key); ok {
+		return cached, true, nil
+	}
+	payload, err = s.execute(ctx, req, sink)
+	if err != nil {
+		return nil, false, err
+	}
+	if cerr := s.cache.Put(key, payload); cerr != nil {
+		// A cold disk tier is an availability loss, not a job failure.
+		s.logger.LogAttrs(ctx, slog.LevelWarn, "result cache write failed",
+			slog.String("error", cerr.Error()))
+	}
+	s.pushToOwner(ctx, key, payload, origin)
+	return payload, false, nil
+}
+
+// finish is the finish step, the only code that makes a job terminal, for
+// local runs, forwarded and stolen jobs and cancellations alike. It claims
+// j under s.mu, and is a no-op returning "" when another path has claimed
+// it already; otherwise it returns the final status. Everything a client
+// may look for once the job reads finished — a remote result's cache
+// replica, the replayed rows, the metrics, the journal removal — is done
+// before the status is published.
+func (s *Server) finish(j *job, payload []byte, fromCache bool, err error) Status {
+	s.mu.Lock()
+	if j.claimed {
+		s.mu.Unlock()
+		return ""
+	}
+	j.claimed = true
+	j.leaseNonce = "" // a thief's completion is stale from here on
+	final := StatusDone
+	switch {
+	case err == nil:
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded), j.ctx.Err() != nil:
+		// Cancelled via DELETE, shutdown, or the per-job timeout.
+		final = StatusCanceled
+	default:
+		final = StatusFailed
+	}
+	started, peer := j.started, j.remoteAddr
+	s.mu.Unlock()
+
+	now := time.Now()
+	if final == StatusDone {
+		if peer != "" {
+			// The origin keeps a local replica of a result computed
+			// elsewhere: clients fetch it here, and identical future
+			// submissions hit without a hop.
+			if cerr := s.cache.Put(j.key, payload); cerr != nil {
+				s.logger.LogAttrs(j.ctx, slog.LevelWarn, "result cache write failed",
+					slog.String("error", cerr.Error()))
+			}
+		}
+		if j.req.Type == "sweep" && (peer != "" || fromCache) {
+			// Rows that never streamed here are replayed, so the event
+			// stream carries the full row history before the terminal event.
+			progress.ReplaySweep(s.progress, j.id, payload, fromCache)
+		}
+	}
+	var wall float64
+	if !started.IsZero() {
+		wall = now.Sub(started).Seconds()
+		if final == StatusDone && peer == "" && !fromCache && j.req.Type == "sweep" {
+			var res sweep.Result
+			if json.Unmarshal(payload, &res) == nil {
+				s.mSimCycles.Add(int64(res.SimulatedCycles))
+				if wall > 0 {
+					s.mCPS.Set(res.SimulatedCycles / wall)
+				}
+			}
+		}
+		s.mDuration.With(j.req.scene()).Observe(wall)
+	}
+	s.mCompleted.With(string(final)).Inc()
+	s.journalRemove(j.id)
+
+	var errMsg string
+	if err != nil {
+		errMsg = err.Error()
+	}
+	s.mu.Lock()
+	j.finished = now
+	j.fromCache = fromCache
+	j.status = final
+	j.result = payload
+	j.errMsg = errMsg
+	s.mu.Unlock()
+	j.cancel()
+	s.progress.End(j.id, string(final), errMsg)
+
 	level := slog.LevelInfo
 	if final == StatusFailed {
 		level = slog.LevelError
 	}
-	logAttrs := []slog.Attr{
+	attrs := []slog.Attr{
 		slog.String("status", string(final)),
 		slog.Float64("wall_seconds", wall),
 		slog.Bool("cache_hit", fromCache),
 	}
-	if err != nil {
-		logAttrs = append(logAttrs, slog.String("error", err.Error()))
+	if peer != "" {
+		attrs = append(attrs, slog.String("peer", peer))
 	}
-	s.logger.LogAttrs(j.ctx, level, "job finished", logAttrs...)
+	if err != nil {
+		attrs = append(attrs, slog.String("error", errMsg))
+	}
+	s.logger.LogAttrs(j.ctx, level, "job finished", attrs...)
+	return final
 }
 
 // execute runs the actual simulation work and returns the result payload.
@@ -794,8 +841,9 @@ func (s *Server) execute(ctx context.Context, req *Request, ps sweep.ProgressSin
 	return nil, fmt.Errorf("unknown job type %q", req.Type)
 }
 
-// Cancel cancels a job: queued jobs never run, running jobs have their
-// context cancelled. Finished jobs are left untouched (reported by the
+// Cancel cancels a job: a queued job finishes canceled without running, a
+// running one has its context cancelled and finishes through whatever runs
+// or supervises it. Finished jobs are left untouched (reported by the
 // returned status).
 func (s *Server) Cancel(id string) (Status, bool) {
 	s.mu.Lock()
@@ -804,23 +852,16 @@ func (s *Server) Cancel(id string) (Status, bool) {
 		s.mu.Unlock()
 		return "", false
 	}
-	st := j.status
-	if st == StatusQueued {
-		j.status = StatusCanceled
-		j.finished = time.Now()
-		j.errMsg = "canceled before start"
-	}
-	cancel := j.cancel
+	st, claimed := j.status, j.claimed
 	s.mu.Unlock()
-
-	if st == StatusQueued {
-		s.journalRemove(id)
-		s.mCompleted.With(string(StatusCanceled)).Inc()
-		s.progress.End(id, string(StatusCanceled), "canceled before start")
-		return StatusCanceled, true
-	}
-	if st == StatusRunning {
-		cancel() // runJob records the terminal state
+	switch {
+	case claimed: // already finishing
+	case st == StatusQueued:
+		if final := s.finish(j, nil, false, fmt.Errorf("canceled before start: %w", context.Canceled)); final != "" {
+			return final, true
+		}
+	case st == StatusRunning:
+		j.cancel()
 	}
 	return st, true
 }
