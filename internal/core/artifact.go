@@ -1,9 +1,11 @@
 // The raster artifact: the frame path's build step — rasterization, span
 // demultiplexing and, optionally, per-fragment texel address generation —
-// as a first-class value. Every frame the machine simulates is first built
-// into a FrameArtifact by buildFrameArtifact, the one rasterize→demux loop,
-// and then replayed by one of the two frame drivers (parallel.go, core.go)
-// or by the dynamic or sort-last machine's own (dynamic.go, sortlast.go).
+// as a first-class value, for frames timed many times. A frame timed once
+// streams (stream.go) and is never built. Every other frame is built into a
+// FrameArtifact by buildFrameArtifact, whose per-triangle step (demux) is
+// the one rasterize→demux step the stream shares, and then replayed by one
+// of the two frame drivers (parallel.go, core.go) or by the dynamic or
+// sort-last machine's own (dynamic.go, sortlast.go).
 //
 // Every destination points at its source triangle, whose texture binding
 // engine.ProcessTriangle generates the footprints from while timing. A
@@ -20,12 +22,12 @@
 //
 // Equivalence contract: a machine with an artifact attached produces
 // byte-identical results (cycles, counters, cache statistics, FIFO peaks) to
-// the same machine building its frames in memory, on both drivers: the
-// footprint streams come from engine.TriangleWork.AppendFootprints, which
-// steps u/v exactly as engine.ProcessTriangle does; the machine probes them
-// per work item, or ahead of time into shared miss streams, or, without
-// streams of either kind, times the item live; and every engine path times
-// each fragment through the one timing loop, engine.Engine.ProcessMisses.
+// the same machine streaming its frames, on both drivers: the footprint
+// streams come from engine.TriangleWork.AppendFootprints, which steps u/v
+// exactly as engine.ProcessTriangle does; the machine probes them per work
+// item, or ahead of time into shared miss streams, or, without streams of
+// either kind, times the item live; and every engine path times each
+// fragment through the one timing loop, engine.Engine.ProcessMisses.
 package core
 
 import (
@@ -109,7 +111,15 @@ type ArtifactDest struct {
 // work returns d's live work item: its segments under the source
 // triangle's texture binding, resolved in mgr.
 func (d *ArtifactDest) work(mgr *texture.Manager) engine.TriangleWork {
-	return engine.TriangleWork{Tex: mgr.Texture(d.src.TexID), Map: d.src.Tex, LOD: d.src.Tex.LOD(), Segments: d.Work.Segments}
+	w := boundWork(mgr, d.src)
+	w.Segments = d.Work.Segments
+	return w
+}
+
+// boundWork returns a work item of triangle t with no segments: t's
+// texture binding, its texture resolved in mgr and its level of detail.
+func boundWork(mgr *texture.Manager, t *geom.Triangle) engine.TriangleWork {
+	return engine.TriangleWork{Tex: mgr.Texture(t.TexID), Map: t.Tex, LOD: t.Tex.LOD()}
 }
 
 // process times d live on engine e, arriving at arrival, and returns the
@@ -306,20 +316,14 @@ func buildFrameArtifact(ctx context.Context, f *trace.Scene, d distrib.Distribut
 	return fa, nil
 }
 
-// artifactScratch is one build worker's reusable demux buffers and the
-// slabs its work items are carved from.
+// artifactScratch is one build worker's demux scratch and the slabs its
+// work items are carved from.
 type artifactScratch struct {
-	route   []int
-	spanBuf []raster.Span
-	spans   [][]engine.Segment // per-proc owned segments of one triangle
+	*demuxScratch
 	// addrs and reps hold one destination's footprint stream while it is
 	// generated, before it is copied into the slabs.
 	addrs []texture.Addr
 	reps  []int32
-	// emit appends one owned segment of row y to its owner's spans; made
-	// once per worker so demultiplexing a span allocates nothing.
-	y    uint16
-	emit func(proc, x0, x1 int)
 
 	destSlab slab[ArtifactDest]
 	segSlab  slab[engine.Segment]
@@ -328,7 +332,25 @@ type artifactScratch struct {
 }
 
 func newArtifactScratch(procs int) *artifactScratch {
-	w := &artifactScratch{
+	return &artifactScratch{demuxScratch: newDemuxScratch(procs)}
+}
+
+// demuxScratch is one worker's reusable route and demux buffers: the
+// rasterize→demux step (demux) writes a triangle's per-node owned segments
+// here, for a builder to carve into a work list or for the frame stream to
+// time at once.
+type demuxScratch struct {
+	route   []int
+	spanBuf []raster.Span
+	spans   [][]engine.Segment // per-proc owned segments of one triangle
+	// emit appends one owned segment of row y to its owner's spans; made
+	// once per worker so demultiplexing a span allocates nothing.
+	y    uint16
+	emit func(proc, x0, x1 int)
+}
+
+func newDemuxScratch(procs int) *demuxScratch {
+	w := &demuxScratch{
 		route: make([]int, 0, procs),
 		spans: make([][]engine.Segment, procs),
 	}
@@ -379,23 +401,36 @@ func (s *slab[T]) carve(src []T) []T {
 	return piece
 }
 
-// buildTriangle rasterizes triangle i once and demultiplexes its spans per
-// owning node: the machine's one rasterize→demux step. It points every
-// destination at the source triangle and, with footprints, generates the
-// destination's texel address stream (engine.TriangleWork.AppendFootprints).
-// The destinations, their segments and their streams are carved from w's
-// slabs.
-func buildTriangle(w *artifactScratch, d distrib.Distribution, rast *raster.Rasterizer, mgr *texture.Manager, f *trace.Scene, i int, footprints bool) ArtifactTriangle {
-	t := &f.Triangles[i]
-	dests := d.Route(t.BBox(), w.route[:0])
+// routeTriangle returns the nodes t's bounding box routes t to, in route
+// order, in w's route buffer: valid until the next call.
+func (w *demuxScratch) routeTriangle(d distrib.Distribution, t *geom.Triangle) []int {
+	w.route = d.Route(t.BBox(), w.route[:0])
+	return w.route
+}
+
+// demux rasterizes t once on screen and demultiplexes its spans per owning
+// node: the machine's one rasterize→demux step. dests is t's route
+// (routeTriangle); on return w.spans[p] holds node p's owned segments for
+// every p in dests, none for a node whose tiles meet only t's bounding box.
+func (w *demuxScratch) demux(d distrib.Distribution, rast *raster.Rasterizer, screen geom.Rect, t *geom.Triangle, dests []int) {
 	for _, p := range dests {
 		w.spans[p] = w.spans[p][:0]
 	}
-	w.spanBuf = rast.AppendSpans(*t, f.Screen, w.spanBuf[:0])
+	w.spanBuf = rast.AppendSpans(*t, screen, w.spanBuf[:0])
 	for _, sp := range w.spanBuf {
 		w.y = uint16(sp.Y)
 		d.ForEachOwnedSegment(sp.Y, sp.X0, sp.X1, w.emit)
 	}
+}
+
+// buildTriangle routes and demultiplexes triangle i (demux) and carves its
+// destinations from w's slabs: every destination points at the source
+// triangle and holds its owned segments and, with footprints, its texel
+// address stream (engine.TriangleWork.AppendFootprints).
+func buildTriangle(w *artifactScratch, d distrib.Distribution, rast *raster.Rasterizer, mgr *texture.Manager, f *trace.Scene, i int, footprints bool) ArtifactTriangle {
+	t := &f.Triangles[i]
+	dests := w.routeTriangle(d, t)
+	w.demux(d, rast, f.Screen, t, dests)
 	out := ArtifactTriangle{Dests: w.destSlab.take(len(dests))}
 	for j, p := range dests {
 		dest := &out.Dests[j]
@@ -409,7 +444,6 @@ func buildTriangle(w *artifactScratch, d distrib.Distribution, rast *raster.Rast
 			dest.Work.Reps = w.repSlab.carve(w.reps)
 		}
 	}
-	w.route = dests[:0]
 	return out
 }
 
@@ -426,7 +460,7 @@ func checkScreen(r geom.Rect) error {
 }
 
 // SetRasterArtifact attaches a prebuilt raster artifact: subsequent runs
-// replay it instead of rasterizing, with byte-identical results. The
+// replay it instead of streaming their frames, with byte-identical results. The
 // artifact must match the machine's scene, screen and distribution. The
 // caller must run the machine on the frames the
 // artifact was built from — identity is sanity-checked per run by name,

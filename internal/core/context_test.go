@@ -68,7 +68,7 @@ func TestReplayContextCancelled(t *testing.T) {
 		if _, err := m.RunContext(ctx); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", c.name, err)
 		}
-		if got := m.decoupled(a.Frames[0]); got != (c.name == "decoupled") {
+		if got := m.decoupled(a.Counts(0)); got != (c.name == "decoupled") {
 			t.Errorf("%s: dispatch rule picked decoupled = %v", c.name, got)
 		}
 	}

@@ -10,25 +10,25 @@
 // owning no fragment, and pays at least the triangle setup cost — the
 // small-triangle overhead of the paper's section 2.3.
 //
-// Every frame runs in two steps. Build: each triangle is rasterized and
-// demultiplexed once into the frame's work list (artifact.go), in memory or
-// from a prebuilt raster artifact. Replay: one dispatch rule hands the list
-// to one of two drivers, with the node-internal pixel pipeline timed by
-// internal/engine. The FIFO-coupled driver (replayCoupled) is one pass over
-// the frame's (triangle, node) work items in submission order: a direct
-// recurrence on the distributor's cycle, where a push into a full FIFO
-// waits for that FIFO's oldest item to pop. That back-pressure is what
+// A frame timed once streams (stream.go): each triangle is routed,
+// rasterized, demultiplexed to its owning nodes and timed at once, and the
+// frame's work list is never stored. A frame timed many times is built
+// once into a work list (artifact.go) and replayed. Either way one dispatch
+// rule picks one of two drivers, with the node-internal pixel pipeline
+// timed by internal/engine. The FIFO-coupled driver (coupledClock) is one
+// pass over the frame's (triangle, node) work items in submission order: a
+// direct recurrence on the distributor's cycle, where a push into a full
+// FIFO waits for that FIFO's oldest item to pop. That back-pressure is what
 // couples nodes together and makes the triangle-buffer-size experiment
 // (paper §8) meaningful. When no FIFO can overfill, the nodes are
-// independent and the decoupled driver (parallel.go) times each node's list
-// on its own, concurrently. Both drivers give byte-identical results
-// wherever the rule allows either.
+// independent and the decoupled driver (parallel.go) times each node's
+// work on its own, concurrently. The drivers give byte-identical results
+// wherever the rule allows either, streamed or replayed.
 //
-// The package models three machines, each a routing plus a driver over the
-// one build:
+// The package models three machines, each a routing plus a driver:
 //
 //   - sort-middle, the paper's machine: routed by the configured
-//     distribution, timed by the dispatch rule's driver;
+//     distribution, streamed or replayed by the dispatch rule's driver;
 //   - the dynamic tile queue of the paper's §9 (dynamic.go): routed one node
 //     per tile, each tile's list then timed whole on the engine that frees
 //     first;
@@ -283,11 +283,11 @@ type Machine struct {
 	lastFIFOPeaks []int
 	// flight, when non-nil, records every node's per-phase cycle timeline.
 	flight *flight.Recorder
-	// nodePar bounds the workers that build and replay a frame (see
+	// nodePar bounds the workers that stream, build or replay a frame (see
 	// SetNodeParallelism); 0 means runtime.GOMAXPROCS(0).
 	nodePar int
-	// artifact, when non-nil, supplies every frame's prebuilt work list in
-	// place of an in-memory build (see SetRasterArtifact).
+	// artifact, when non-nil, supplies every frame's prebuilt work list to
+	// replay in place of the stream (see SetRasterArtifact).
 	artifact *RasterArtifact
 	// streams, when non-nil, holds the artifact's miss streams for this
 	// machine's cache geometry (see SetMissStreams); without them, a run
@@ -296,12 +296,13 @@ type Machine struct {
 	streams *MissStreams
 	// frame is the index of the frame being timed.
 	frame int
-	// parallelFrames counts frames timed by the decoupled driver, so tests
-	// can assert which driver actually ran.
+	// parallelFrames counts frames timed by the decoupled driver, streamed
+	// or replayed, so tests can assert which driver actually ran.
 	parallelFrames int
 	// replay is the machine model's driver: when non-nil, it times every
-	// frame in place of the dispatch rule. The dynamic tile queue and
-	// sort-last set it; tests set it to force one driver or the reference.
+	// frame, built in memory unless an artifact is attached, in place of the
+	// stream and the dispatch rule. The dynamic tile queue and sort-last set
+	// it; tests set it to force one driver or the reference.
 	replay func(*Machine, context.Context, *FrameArtifact) error
 }
 
@@ -482,18 +483,23 @@ func (m *Machine) RunSequenceContext(ctx context.Context, frames []*trace.Scene)
 	return results, nil
 }
 
-// runFrame simulates frame fi: it takes the frame's work list from the
-// attached artifact, to be replayed, or builds it in memory without
-// footprint streams, to be timed live, and drops it after the frame. It
-// then replays the list on the driver the dispatch rule
-// (decoupled, parallel.go) picks. The two drivers agree byte for byte
-// wherever the rule allows either.
+// runFrame simulates frame fi. A frame timed once streams (stream.go): the
+// sort-middle machine with no artifact attached routes, rasterizes and times
+// each triangle as it goes, and keeps no work list. A frame timed many
+// times is built once and replayed: the attached artifact's, replayed on
+// the driver the dispatch rule (decoupled, parallel.go) picks, or, on a
+// machine with a driver of its own, a work list built in memory and dropped
+// after the frame. The stream and the two replay drivers agree byte for
+// byte wherever the rule allows either.
 func (m *Machine) runFrame(ctx context.Context, fi int, f *trace.Scene) error {
 	m.frame = fi
 	var fa *FrameArtifact
-	if m.artifact != nil {
+	switch {
+	case m.artifact != nil:
 		fa = m.artifact.Frames[fi]
-	} else {
+	case m.replay == nil:
+		return m.streamFrame(ctx, f)
+	default:
 		var err error
 		fa, err = buildFrameArtifact(ctx, f, m.dist, m.rast, m.mgr, m.nodeParallelism(), false)
 		if err != nil {
@@ -504,7 +510,7 @@ func (m *Machine) runFrame(ctx context.Context, fi int, f *trace.Scene) error {
 	switch {
 	case m.replay != nil:
 		return m.replay(m, ctx, fa)
-	case m.decoupled(fa):
+	case m.decoupled(fa.counts):
 		return m.replayParallel(ctx, fa)
 	}
 	return m.replayCoupled(ctx, fa)
@@ -578,25 +584,16 @@ func SpeedupContext(ctx context.Context, scene *trace.Scene, cfg Config) (speedu
 	return single.Cycles / parallel.Cycles, single, parallel, nil
 }
 
-// replayCoupled is the FIFO-coupled driver: one pass over the frame's
-// destinations in submission order, with the distributor's clock as a
-// direct recurrence. Destination k of node d is pushed at the distributor's
-// cycle t and pops at max(t, ready), where ready is the ceiling of the
-// node's previous completion. A push into a full FIFO first blocks: the
-// distributor starts a new step at the cycle the FIFO's oldest item pops.
-// Any frame may run here; the §8 buffering study with overfull FIFOs and
-// flight-recorded runs must. See DESIGN.md §8 for why this reproduces the
-// event-driven machine exactly, same-cycle ordering included.
+// replayCoupled is the FIFO-coupled driver of a stored frame: one pass over
+// the frame's destinations in submission order through the coupled
+// recurrence (coupledClock). Any frame may run here; the §8 buffering study
+// with overfull FIFOs and flight-recorded runs must.
 func (m *Machine) replayCoupled(ctx context.Context, fa *FrameArtifact) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	b := m.cfg.TriangleBuffer
-	fifos := make([]coupledFIFO, m.cfg.Procs)
-	for d := range fifos {
-		fifos[d].ring = make([]fifoItem, min(b, fa.counts[d]))
-	}
-	t, s, n := 0.0, 0, 0 // distributor cycle, step, destinations pushed
+	c := newCoupledClock(m.cfg.TriangleBuffer, fa.counts)
+	n := 0 // destinations pushed
 	for i := range fa.Tris {
 		for j := range fa.Tris[i].Dests {
 			if n++; n%ctxPollTriangles == 0 {
@@ -605,25 +602,69 @@ func (m *Machine) replayCoupled(ctx context.Context, fa *FrameArtifact) error {
 				}
 			}
 			dst := &fa.Tris[i].Dests[j]
-			q := &fifos[dst.Node]
-			q.drain(t, s)
-			if q.pushed-q.popped == b {
-				// Full: block until the oldest item pops.
-				t, s = q.ring[q.popped%len(q.ring)].pop, s+1
-				q.drain(t, s)
-			}
-			pop := math.Max(t, q.ready)
-			q.ready = math.Ceil(m.process(dst.Node, q.pushed, dst, pop))
-			q.ring[q.pushed%len(q.ring)] = fifoItem{pop: pop, step: s}
-			q.pushed++
-			q.peak = max(q.peak, q.pushed-q.popped)
+			k, pop := c.push(dst.Node)
+			c.finish(dst.Node, pop, m.process(dst.Node, k, dst, pop))
 		}
 	}
-	m.lastFIFOPeaks = m.lastFIFOPeaks[:0]
-	for d := range fifos {
-		m.lastFIFOPeaks = append(m.lastFIFOPeaks, fifos[d].peak)
-	}
+	m.lastFIFOPeaks = c.peaks(m.lastFIFOPeaks[:0])
 	return nil
+}
+
+// coupledClock is the FIFO-coupled recurrence: the distributor's cycle as
+// it pushes a frame's destinations in submission order, each through push
+// and then finish. Destination k of node d is pushed at the distributor's
+// cycle t and pops at max(t, ready), where ready is the ceiling of the
+// node's previous completion. A push into a full FIFO first blocks: the
+// distributor starts a new step at the cycle the FIFO's oldest item pops.
+// See DESIGN.md §8 for why this reproduces the event-driven machine
+// exactly, same-cycle ordering included.
+type coupledClock struct {
+	buffer int
+	fifos  []coupledFIFO
+	t      float64 // distributor cycle
+	s      int     // distributor step
+}
+
+// newCoupledClock returns the clock of a frame that routes counts[d]
+// triangles to node d, each node's FIFO buffer items deep.
+func newCoupledClock(buffer int, counts []int) *coupledClock {
+	c := &coupledClock{buffer: buffer, fifos: make([]coupledFIFO, len(counts))}
+	for d := range c.fifos {
+		c.fifos[d].ring = make([]fifoItem, min(buffer, counts[d]))
+	}
+	return c
+}
+
+// push pushes node d's next destination, blocking first while d's FIFO is
+// full, and returns the destination's index among d's this frame and the
+// cycle d pops it.
+func (c *coupledClock) push(d int) (k int, pop float64) {
+	q := &c.fifos[d]
+	q.drain(c.t, c.s)
+	if q.pushed-q.popped == c.buffer {
+		// Full: block until the oldest item pops.
+		c.t, c.s = q.ring[q.popped%len(q.ring)].pop, c.s+1
+		q.drain(c.t, c.s)
+	}
+	return q.pushed, math.Max(c.t, q.ready)
+}
+
+// finish records that the destination push just returned for node d, popped
+// at pop, completes at done.
+func (c *coupledClock) finish(d int, pop, done float64) {
+	q := &c.fifos[d]
+	q.ready = math.Ceil(done)
+	q.ring[q.pushed%len(q.ring)] = fifoItem{pop: pop, step: c.s}
+	q.pushed++
+	q.peak = max(q.peak, q.pushed-q.popped)
+}
+
+// peaks appends every node's FIFO peak occupancy to dst.
+func (c *coupledClock) peaks(dst []int) []int {
+	for d := range c.fifos {
+		dst = append(dst, c.fifos[d].peak)
+	}
+	return dst
 }
 
 // coupledFIFO is one node's triangle FIFO on the coupled driver: its ring

@@ -15,18 +15,19 @@ import (
 // FuzzFrameDrivers is the cross-driver differential oracle: a random small
 // scene — or, on odd seeds, a two-frame sequence — on a random machine must
 // give the event-driven reference's results, byte for byte, on the forced
-// FIFO-coupled driver, under the default dispatch rule, replaying a
-// memoized artifact with footprint streams, replaying a spans-only artifact
-// (timed live), and timing from the miss streams of a two-geometry probe
-// walk over the spans-only artifact: one stream shared by machines on both
-// drivers and at a second bus ratio and buffer depth, the other timing a
-// machine of the second geometry. With record set, every run also records an auto-interval flight
-// trace, which must match the reference's byte for byte too. Every run must
-// conserve the fragments a single node draws and hold the model's physical
-// invariants (checkInvariants). The same input, with degenerate and
-// off-screen triangles mixed into the scene, also holds sort-last in both
-// assignments and, on block inputs, the dynamic tile queue in both orders to
-// their hand-written references.
+// FIFO-coupled driver, under the default dispatch rule (the frame stream,
+// on GOMAXPROCS workers and on one), replaying a memoized artifact with
+// footprint streams, replaying a spans-only artifact (timed live), and
+// timing from the miss streams of a two-geometry probe walk over the
+// spans-only artifact: one stream shared by machines on both drivers and at
+// a second bus ratio and buffer depth, the other timing a machine of the
+// second geometry. With record set, every run also records an
+// auto-interval flight trace, which must match the reference's byte for
+// byte too. Every run must conserve the fragments a single node draws and
+// hold the model's physical invariants (checkInvariants). The same input,
+// with degenerate and off-screen triangles mixed into the scene, also holds
+// sort-last in both assignments and, on block inputs, the dynamic tile
+// queue in both orders to their hand-written references.
 func FuzzFrameDrivers(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(4), uint8(0), uint8(16), uint8(0), uint8(1), uint16(9999), false, false)
 	f.Add(int64(2), uint8(60), uint8(8), uint8(1), uint8(2), uint8(1), uint8(2), uint16(7), false, true)
@@ -130,6 +131,7 @@ func FuzzFrameDrivers(f *testing.F) {
 		}{
 			{"forced coupled", nil, nil, forceCoupled},
 			{"default dispatch", nil, nil, nil},
+			{"default dispatch, one worker", nil, nil, func(m *Machine) { m.SetNodeParallelism(1) }},
 			{"memoized artifact", a, nil, nil},
 			{"spans-only artifact", spans, nil, nil},
 			{"shared stream", spans, shared, nil},

@@ -12,7 +12,7 @@
 // either frame driver.
 //
 // Equivalence contract: a machine timing from miss streams gives results
-// byte-identical to rasterizing in memory (cycles, counters, cache
+// byte-identical to streaming the frame live (cycles, counters, cache
 // statistics, FIFO peaks and flight traces), by engine.ProcessMisses's
 // contract; the cache and L2 statistics are the probe walk's, snapshotted
 // at every frame boundary because RunSequence reports per-frame deltas.

@@ -3,12 +3,14 @@
 // machine's nodes are fully independent — each drains its own queue with no
 // cross-node coupling. In that regime (the paper's "big enough" buffer
 // assumption, used by every experiment except the §8 buffering study) this
-// file times every node's work list on its own, the nodes concurrently via
-// internal/par.
+// file times every node's stored work list on its own, the nodes
+// concurrently via internal/par; a streamed frame (stream.go) splits its
+// nodes across the workers the same way and times each triangle as it is
+// demultiplexed.
 //
 // Equivalence contract: the decoupled driver produces byte-identical results
 // (cycles, counters, cache statistics, FIFO peaks) to the FIFO-coupled
-// driver (replayCoupled). With no push ever blocking, that driver's
+// driver (coupledClock). With no push ever blocking, that driver's
 // recurrence reduces to this file's arithmetic: every push at cycle 0, a
 // node's k-th pop at the ceiling of its (k−1)-th completion, and a FIFO peak
 // equal to the node's count. The one dispatch rule (decoupled) therefore
@@ -23,12 +25,12 @@
 // driver is still the cheaper one.
 //
 // Concurrent node timing scales only if node state shares no CPU cache
-// line: par.ForEach hands consecutive nodes to different workers, and
-// newEngines allocates node p's engine, cache and bus right before node
-// p+1's. Each of those types ends in a 64-byte pad, and the prefetch ring is
-// allocated in whole lines plus one, so no two workers write one line; the
-// layout tests in internal/engine, internal/cache and internal/memory guard
-// this.
+// line: par.ForEach hands consecutive nodes to different workers, and so
+// does the stream, and newEngines allocates node p's engine, cache and bus
+// right before node p+1's. Each of those types ends in a 64-byte pad, and
+// the prefetch ring is allocated in whole lines plus one, so no two workers
+// write one line; the layout tests in internal/engine, internal/cache and
+// internal/memory guard this.
 package core
 
 import (
@@ -40,9 +42,10 @@ import (
 )
 
 // SetNodeParallelism bounds how many concurrent workers the machine may use
-// to build a frame's work list and to replay independent node pipelines.
-// n <= 0 restores the default, runtime.GOMAXPROCS(0); n == 1 runs both on a
-// single worker. Which driver times a frame does not depend on n, and
+// to time independent node pipelines, streamed or replayed, and to build
+// the work list of a machine with a driver of its own. n <= 0 restores the
+// default, runtime.GOMAXPROCS(0); n == 1 runs everything on a single
+// worker. Which driver times a frame does not depend on n, and
 // results are byte-identical at every setting — the knob trades wall-clock
 // for cores, never accuracy.
 func (m *Machine) SetNodeParallelism(n int) {
@@ -62,14 +65,14 @@ func (m *Machine) nodeParallelism() int {
 // microseconds, rare enough to stay invisible in profiles.
 const ctxPollTriangles = 1 << 10
 
-// decoupled is the dispatch rule: it reports whether frame fa may run on the
-// decoupled driver, i.e. whether no recorder is attached and no triangle FIFO
-// can ever back-pressure.
-func (m *Machine) decoupled(fa *FrameArtifact) bool {
+// decoupled is the dispatch rule: it reports whether a frame that routes
+// counts[p] triangles to node p may run decoupled, i.e. whether no recorder
+// is attached and no triangle FIFO can ever back-pressure.
+func (m *Machine) decoupled(counts []int) bool {
 	if m.flight != nil {
 		return false
 	}
-	for _, n := range fa.counts {
+	for _, n := range counts {
 		if n > m.cfg.TriangleBuffer {
 			return false
 		}

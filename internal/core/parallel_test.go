@@ -264,9 +264,9 @@ func TestSetNodeParallelismDefaults(t *testing.T) {
 }
 
 // BenchmarkNodeScaling times one paper-scale frame (truc640 at scale 0.5, 64
-// nodes, block-16, 16 KB caches, ratio-1 bus) built and replayed on one
-// worker and then on two, on the same machine, and reports the ratio as the
-// "x" metric. It has no threshold: the ratio is what the host gives, and a
+// nodes, block-16, 16 KB caches, ratio-1 bus) streamed on one worker and
+// then on two, on the same machine, and reports the ratio as the "x"
+// metric. It has no threshold: the ratio is what the host gives, and a
 // shared host is noisy. Below ~2x on an idle 2-core host, look for node
 // state that shares a cache line between nodes first (TestNodeStateIsPadded
 // and its siblings guard the known objects).

@@ -28,8 +28,12 @@ type Distribution interface {
 	// at least the setup cost for it).
 	Route(bbox geom.Rect, dst []int) []int
 	// ForEachOwnedSegment splits the pixel row segment [x0, x1) on row y into
-	// maximal runs with a single owner, calling fn for each in left-to-right
-	// order. This is the demultiplexing step between the shared rasterizer
+	// runs that each lie in one owner's region, calling fn for each in
+	// left-to-right order: the cuts at every tile boundary for a block
+	// distribution, even between adjacent tiles of one owner (so on one
+	// processor at every boundary), and the whole segment for SLI. Runs are
+	// not merged, so the segments a processor receives depend on the tile
+	// size. This is the demultiplexing step between the shared rasterizer
 	// and the per-processor scan loops.
 	ForEachOwnedSegment(y, x0, x1 int, fn func(proc, x0, x1 int))
 }
@@ -124,7 +128,8 @@ func (b *Block) Route(bbox geom.Rect, dst []int) []int {
 	})
 }
 
-// ForEachOwnedSegment implements Distribution.
+// ForEachOwnedSegment implements Distribution: one run per tile the
+// segment crosses.
 func (b *Block) ForEachOwnedSegment(y, x0, x1 int, fn func(proc, x0, x1 int)) {
 	ty := (y - b.screen.Y0) / b.width
 	rowBase := ty * b.rowStride
