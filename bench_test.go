@@ -121,11 +121,11 @@ func benchMachineThroughput(b *testing.B, nodePar int) {
 	b.ReportMetric(float64(frags)/b.Elapsed().Seconds(), "frags/s")
 }
 
-// BenchmarkMachineThroughput is the shipping default: the frame built and
-// replayed with a GOMAXPROCS worker bound.
+// BenchmarkMachineThroughput is the shipping default: the frame streamed
+// with a GOMAXPROCS worker bound.
 func BenchmarkMachineThroughput(b *testing.B) { benchMachineThroughput(b, 0) }
 
-// BenchmarkMachineThroughputSerial builds and replays on one worker — the
+// BenchmarkMachineThroughputSerial streams the frame on one worker — the
 // before side of the node-parallel speedup.
 func BenchmarkMachineThroughputSerial(b *testing.B) { benchMachineThroughput(b, 1) }
 

@@ -3,9 +3,9 @@
 // as a first-class value, for frames timed many times. A frame timed once
 // streams (stream.go) and is never built. Every other frame is built into a
 // FrameArtifact by buildFrameArtifact, whose per-triangle step (demux) is
-// the one rasterize→demux step the stream shares, and then replayed by one
-// of the two frame drivers (parallel.go, core.go) or by the dynamic or
-// sort-last machine's own (dynamic.go, sortlast.go).
+// the one rasterize→demux step the stream shares, and then walked in
+// submission order on either clock (stream.go), or, for the dynamic tile
+// queue, built in memory and timed tile by tile (dynamic.go).
 //
 // Every destination points at its source triangle, whose texture binding
 // engine.ProcessTriangle generates the footprints from while timing. A
@@ -22,7 +22,7 @@
 //
 // Equivalence contract: a machine with an artifact attached produces
 // byte-identical results (cycles, counters, cache statistics, FIFO peaks) to
-// the same machine streaming its frames, on both drivers: the footprint
+// the same machine streaming its frames, on both clocks: the footprint
 // streams come from engine.TriangleWork.AppendFootprints, which steps u/v
 // exactly as engine.ProcessTriangle does; the machine probes them per work
 // item, or ahead of time into shared miss streams, or, without streams of
@@ -86,10 +86,10 @@ type FrameArtifact struct {
 	// Tris holds the routed triangles in submission order.
 	Tris []ArtifactTriangle
 	// counts is each node's routed triangle count — its FIFO occupancy at
-	// time zero on the coupled driver. Derived by finalize.
+	// time zero on the coupled clock. Derived by finalize.
 	counts []int
 	// perNode indexes each node's work in submission order. Derived by
-	// finalize; shared replays only read it.
+	// finalize; probe walks and the tile queue only read it.
 	perNode [][]*ArtifactDest
 }
 
@@ -123,9 +123,9 @@ func boundWork(mgr *texture.Manager, t *geom.Triangle) engine.TriangleWork {
 }
 
 // process times d live on engine e, arriving at arrival, and returns the
-// completion time: the step every driver takes per work item that has
-// neither a footprint stream nor a miss stream. mgr resolves the source
-// triangle's texture.
+// completion time: the step for a stored work item that has neither a
+// footprint stream nor a miss stream. mgr resolves the source triangle's
+// texture.
 func (d *ArtifactDest) process(e *engine.Engine, mgr *texture.Manager, arrival float64) float64 {
 	w := d.work(mgr)
 	return e.ProcessTriangle(arrival, &w)
@@ -212,15 +212,8 @@ func BuildRasterArtifact(ctx context.Context, frames []*trace.Scene, procs int, 
 			return nil, fmt.Errorf("core: frame %d screen %v differs from frame 0's %v",
 				i, f.Screen, first.Screen)
 		}
-		if len(f.Textures) != len(first.Textures) {
-			return nil, fmt.Errorf("core: frame %d has %d textures, frame 0 has %d",
-				i, len(f.Textures), len(first.Textures))
-		}
-		for j, ts := range f.Textures {
-			if ts != first.Textures[j] {
-				return nil, fmt.Errorf("core: frame %d texture %d is %v, frame 0 has %v",
-					i, j, ts, first.Textures[j])
-			}
+		if err := checkTextures(f.Textures, first.Textures, "frame 0"); err != nil {
+			return nil, fmt.Errorf("core: frame %d %w", i, err)
 		}
 	}
 	if err := checkScreen(first.Screen); err != nil {
@@ -337,8 +330,8 @@ func newArtifactScratch(procs int) *artifactScratch {
 
 // demuxScratch is one worker's reusable route and demux buffers: the
 // rasterize→demux step (demux) writes a triangle's per-node owned segments
-// here, for a builder to carve into a work list or for the frame stream to
-// time at once.
+// here, for a builder to carve into a work list or for the frame walk or
+// sort-last to time at once.
 type demuxScratch struct {
 	route   []int
 	spanBuf []raster.Span
@@ -459,8 +452,23 @@ func checkScreen(r geom.Rect) error {
 	return nil
 }
 
+// checkTextures returns how texture table got differs from want, the table
+// of whom: nil when they are equal. The frames of a sequence and the
+// artifacts of a machine must share its texture table.
+func checkTextures(got, want []trace.TexSize, whom string) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("has %d textures, %s has %d", len(got), whom, len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return fmt.Errorf("texture %d is %v, %s has %v", i, got[i], whom, want[i])
+		}
+	}
+	return nil
+}
+
 // SetRasterArtifact attaches a prebuilt raster artifact: subsequent runs
-// replay it instead of streaming their frames, with byte-identical results. The
+// walk it instead of streaming their frames, with byte-identical results. The
 // artifact must match the machine's scene, screen and distribution. The
 // caller must run the machine on the frames the
 // artifact was built from — identity is sanity-checked per run by name,
@@ -477,15 +485,8 @@ func (m *Machine) SetRasterArtifact(a *RasterArtifact) error {
 	if a.Screen != m.scene.Screen {
 		return fmt.Errorf("core: artifact screen %v, machine screen %v", a.Screen, m.scene.Screen)
 	}
-	if len(a.Textures) != len(m.scene.Textures) {
-		return fmt.Errorf("core: artifact has %d textures, machine %d",
-			len(a.Textures), len(m.scene.Textures))
-	}
-	for i, ts := range a.Textures {
-		if ts != m.scene.Textures[i] {
-			return fmt.Errorf("core: artifact texture %d is %v, machine has %v",
-				i, ts, m.scene.Textures[i])
-		}
+	if err := checkTextures(a.Textures, m.scene.Textures, "the machine"); err != nil {
+		return fmt.Errorf("core: artifact %w", err)
 	}
 	if a != m.artifact {
 		m.artifact, m.streams = a, nil

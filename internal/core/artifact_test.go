@@ -73,8 +73,9 @@ func runArtifactPair(t *testing.T, frames []*trace.Scene, cfg Config, nodePar in
 
 // TestArtifactReplayEquivalenceMatrix pins the replay contract across
 // benchmark scenes, every distribution family, every cache kind, both
-// drivers and one or four workers: replaying an artifact must be
-// indistinguishable from building each frame in memory.
+// drivers and one, three or four workers (three split the 8 nodes
+// unevenly): replaying an artifact must be indistinguishable from building
+// each frame in memory.
 func TestArtifactReplayEquivalenceMatrix(t *testing.T) {
 	dists := []struct {
 		kind distrib.Kind
@@ -89,7 +90,7 @@ func TestArtifactReplayEquivalenceMatrix(t *testing.T) {
 		s := benchSceneFor(t, name, 0.1)
 		for _, d := range dists {
 			for _, ck := range caches {
-				for _, nodePar := range []int{1, 4} {
+				for _, nodePar := range []int{1, 3, 4} {
 					cfg := Config{
 						Procs: 8, Distribution: d.kind, TileSize: d.tile,
 						CacheKind: ck,

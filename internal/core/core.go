@@ -10,31 +10,33 @@
 // owning no fragment, and pays at least the triangle setup cost — the
 // small-triangle overhead of the paper's section 2.3.
 //
-// A frame timed once streams (stream.go): each triangle is routed,
-// rasterized, demultiplexed to its owning nodes and timed at once, and the
-// frame's work list is never stored. A frame timed many times is built
-// once into a work list (artifact.go) and replayed. Either way one dispatch
-// rule picks one of two drivers, with the node-internal pixel pipeline
-// timed by internal/engine. The FIFO-coupled driver (coupledClock) is one
-// pass over the frame's (triangle, node) work items in submission order: a
-// direct recurrence on the distributor's cycle, where a push into a full
-// FIFO waits for that FIFO's oldest item to pop. That back-pressure is what
-// couples nodes together and makes the triangle-buffer-size experiment
-// (paper §8) meaningful. When no FIFO can overfill, the nodes are
-// independent and the decoupled driver (parallel.go) times each node's
-// work on its own, concurrently. The drivers give byte-identical results
-// wherever the rule allows either, streamed or replayed.
+// Every sort-middle frame is timed by one walk over its (triangle, node)
+// work items in submission order (stream.go), with the node-internal pixel
+// pipeline timed by internal/engine. A frame timed once streams: each
+// triangle is routed, rasterized and demultiplexed when the walk reaches
+// it, and the frame's work list is never stored. A frame timed many times
+// is built once into a work list (artifact.go) and walked from there. One
+// dispatch rule picks the walk's clock. The FIFO-coupled clock
+// (coupledClock) runs on one worker: a direct recurrence on the
+// distributor's cycle, where a push into a full FIFO waits for that FIFO's
+// oldest item to pop. That back-pressure is what couples nodes together
+// and makes the triangle-buffer-size experiment (paper §8) meaningful.
+// When no FIFO can overfill, the nodes are independent, and the decoupled
+// clock (parallel.go) times each worker's share of the nodes on its own,
+// concurrently. Both clocks give byte-identical results wherever the rule
+// allows either, streamed or stored.
 //
-// The package models three machines, each a routing plus a driver:
+// The package models three machines, each a routing plus a way to time a
+// frame:
 //
 //   - sort-middle, the paper's machine: routed by the configured
-//     distribution, streamed or replayed by the dispatch rule's driver;
+//     distribution, walked on the dispatch rule's clock;
 //   - the dynamic tile queue of the paper's §9 (dynamic.go): routed one node
-//     per tile, each tile's list then timed whole on the engine that frees
-//     first;
+//     per tile, its frame built in memory and each tile's list timed whole
+//     on the engine that frees first;
 //   - sort-last, the paper's [13]/[14] contrast (sortlast.go): routed to one
-//     node owning the whole screen, each triangle then timed on the engine
-//     its submission index selects.
+//     node owning the whole screen, each triangle streamed and timed on the
+//     engine its submission index selects.
 package core
 
 import (
@@ -283,11 +285,11 @@ type Machine struct {
 	lastFIFOPeaks []int
 	// flight, when non-nil, records every node's per-phase cycle timeline.
 	flight *flight.Recorder
-	// nodePar bounds the workers that stream, build or replay a frame (see
+	// nodePar bounds the workers that walk or build a frame (see
 	// SetNodeParallelism); 0 means runtime.GOMAXPROCS(0).
 	nodePar int
 	// artifact, when non-nil, supplies every frame's prebuilt work list to
-	// replay in place of the stream (see SetRasterArtifact).
+	// walk in place of the stream (see SetRasterArtifact).
 	artifact *RasterArtifact
 	// streams, when non-nil, holds the artifact's miss streams for this
 	// machine's cache geometry (see SetMissStreams); without them, a run
@@ -296,14 +298,14 @@ type Machine struct {
 	streams *MissStreams
 	// frame is the index of the frame being timed.
 	frame int
-	// parallelFrames counts frames timed by the decoupled driver, streamed
-	// or replayed, so tests can assert which driver actually ran.
+	// parallelFrames counts frames walked on the decoupled clock, streamed
+	// or stored, so tests can assert which clock actually ran.
 	parallelFrames int
-	// replay is the machine model's driver: when non-nil, it times every
-	// frame, built in memory unless an artifact is attached, in place of the
-	// stream and the dispatch rule. The dynamic tile queue and sort-last set
-	// it; tests set it to force one driver or the reference.
-	replay func(*Machine, context.Context, *FrameArtifact) error
+	// timeFrame is the machine model's per-frame hook: when non-nil, it
+	// times every frame in place of the walk and the dispatch rule. The
+	// dynamic tile queue and sort-last set it; tests set it to force the
+	// coupled clock or the event-driven reference.
+	timeFrame func(*Machine, context.Context, *trace.Scene) error
 }
 
 // NewMachine builds a sort-middle machine for the scene, its screen
@@ -318,10 +320,10 @@ func NewMachine(scene *trace.Scene, cfg Config) (*Machine, error) {
 }
 
 // newMachine builds the machine every model shares: cfg.Procs engines, fed
-// frames built with the distribution route returns for the defaulted cfg
-// (its node count need not be cfg.Procs) and timed by replay, or by the
-// dispatch rule when replay is nil.
-func newMachine(scene *trace.Scene, cfg Config, route func(Config) (distrib.Distribution, error), replay func(*Machine, context.Context, *FrameArtifact) error) (*Machine, error) {
+// frames routed by the distribution route returns for the defaulted cfg
+// (its node count need not be cfg.Procs) and timed by timeFrame, or by the
+// walk when timeFrame is nil.
+func newMachine(scene *trace.Scene, cfg Config, route func(Config) (distrib.Distribution, error), timeFrame func(*Machine, context.Context, *trace.Scene) error) (*Machine, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -341,13 +343,13 @@ func newMachine(scene *trace.Scene, cfg Config, route func(Config) (distrib.Dist
 		return nil, err
 	}
 	return &Machine{
-		cfg:     cfg,
-		scene:   scene,
-		dist:    d,
-		rast:    raster.New(scene.Screen),
-		mgr:     mgr,
-		engines: newEngines(cfg),
-		replay:  replay,
+		cfg:       cfg,
+		scene:     scene,
+		dist:      d,
+		rast:      raster.New(scene.Screen),
+		mgr:       mgr,
+		engines:   newEngines(cfg),
+		timeFrame: timeFrame,
 	}, nil
 }
 
@@ -427,15 +429,8 @@ func (m *Machine) RunSequenceContext(ctx context.Context, frames []*trace.Scene)
 		if err := f.Validate(); err != nil {
 			return nil, fmt.Errorf("core: frame %d: %w", i, err)
 		}
-		if len(f.Textures) != len(m.scene.Textures) {
-			return nil, fmt.Errorf("core: frame %d has %d textures, machine was built with %d",
-				i, len(f.Textures), len(m.scene.Textures))
-		}
-		for j, ts := range f.Textures {
-			if ts != m.scene.Textures[j] {
-				return nil, fmt.Errorf("core: frame %d texture %d is %v, machine has %v",
-					i, j, ts, m.scene.Textures[j])
-			}
+		if err := checkTextures(f.Textures, m.scene.Textures, "the machine"); err != nil {
+			return nil, fmt.Errorf("core: frame %d %w", i, err)
 		}
 	}
 	if m.artifact != nil {
@@ -483,37 +478,23 @@ func (m *Machine) RunSequenceContext(ctx context.Context, frames []*trace.Scene)
 	return results, nil
 }
 
-// runFrame simulates frame fi. A frame timed once streams (stream.go): the
-// sort-middle machine with no artifact attached routes, rasterizes and times
-// each triangle as it goes, and keeps no work list. A frame timed many
-// times is built once and replayed: the attached artifact's, replayed on
-// the driver the dispatch rule (decoupled, parallel.go) picks, or, on a
-// machine with a driver of its own, a work list built in memory and dropped
-// after the frame. The stream and the two replay drivers agree byte for
-// byte wherever the rule allows either.
+// runFrame times frame fi: by the machine model's own hook if it has one,
+// else by one walk over the frame's work items (stream.go), streamed or
+// taken from the attached artifact, on the clock the dispatch rule
+// (decoupled, parallel.go) picks from the frame's per-node counts.
 func (m *Machine) runFrame(ctx context.Context, fi int, f *trace.Scene) error {
 	m.frame = fi
-	var fa *FrameArtifact
-	switch {
-	case m.artifact != nil:
-		fa = m.artifact.Frames[fi]
-	case m.replay == nil:
-		return m.streamFrame(ctx, f)
-	default:
-		var err error
-		fa, err = buildFrameArtifact(ctx, f, m.dist, m.rast, m.mgr, m.nodeParallelism(), false)
-		if err != nil {
-			return err
-		}
-		fa.finalize(m.dist.NumProcs())
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	switch {
-	case m.replay != nil:
-		return m.replay(m, ctx, fa)
-	case m.decoupled(fa.counts):
-		return m.replayParallel(ctx, fa)
+	if m.timeFrame != nil {
+		return m.timeFrame(m, ctx, f)
 	}
-	return m.replayCoupled(ctx, fa)
+	counts := m.counts(f)
+	if m.decoupled(counts) {
+		return m.walkDecoupled(ctx, f, counts)
+	}
+	return m.walkCoupled(ctx, f, counts)
 }
 
 // nodeResult snapshots engine e's cumulative counters, with fifoPeak as
@@ -584,27 +565,18 @@ func SpeedupContext(ctx context.Context, scene *trace.Scene, cfg Config) (speedu
 	return single.Cycles / parallel.Cycles, single, parallel, nil
 }
 
-// replayCoupled is the FIFO-coupled driver of a stored frame: one pass over
-// the frame's destinations in submission order through the coupled
-// recurrence (coupledClock). Any frame may run here; the §8 buffering study
-// with overfull FIFOs and flight-recorded runs must.
-func (m *Machine) replayCoupled(ctx context.Context, fa *FrameArtifact) error {
-	if err := ctx.Err(); err != nil {
-		return err
+// walkCoupled times frame f on one worker through the FIFO-coupled clock.
+// Any frame may run here; the §8 buffering study with overfull FIFOs and
+// flight-recorded runs must. counts are the frame's per-node routed
+// triangles.
+func (m *Machine) walkCoupled(ctx context.Context, f *trace.Scene, counts []int) error {
+	c := newCoupledClock(m.cfg.TriangleBuffer, counts)
+	all := make([]bool, m.cfg.Procs)
+	for p := range all {
+		all[p] = true
 	}
-	c := newCoupledClock(m.cfg.TriangleBuffer, fa.counts)
-	n := 0 // destinations pushed
-	for i := range fa.Tris {
-		for j := range fa.Tris[i].Dests {
-			if n++; n%ctxPollTriangles == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			dst := &fa.Tris[i].Dests[j]
-			k, pop := c.push(dst.Node)
-			c.finish(dst.Node, pop, m.process(dst.Node, k, dst, pop))
-		}
+	if err := m.walk(ctx, f, c, all); err != nil {
+		return err
 	}
 	m.lastFIFOPeaks = c.peaks(m.lastFIFOPeaks[:0])
 	return nil
@@ -635,9 +607,9 @@ func newCoupledClock(buffer int, counts []int) *coupledClock {
 	return c
 }
 
-// push pushes node d's next destination, blocking first while d's FIFO is
-// full, and returns the destination's index among d's this frame and the
-// cycle d pops it.
+// push pushes node d's next work item, blocking first while d's FIFO is
+// full, and returns the item's index among d's this frame and the cycle d
+// pops it.
 func (c *coupledClock) push(d int) (k int, pop float64) {
 	q := &c.fifos[d]
 	q.drain(c.t, c.s)
@@ -649,8 +621,8 @@ func (c *coupledClock) push(d int) (k int, pop float64) {
 	return q.pushed, math.Max(c.t, q.ready)
 }
 
-// finish records that the destination push just returned for node d, popped
-// at pop, completes at done.
+// finish records that the item push just returned for node d, popped at
+// pop, completes at done.
 func (c *coupledClock) finish(d int, pop, done float64) {
 	q := &c.fifos[d]
 	q.ready = math.Ceil(done)
@@ -667,7 +639,7 @@ func (c *coupledClock) peaks(dst []int) []int {
 	return dst
 }
 
-// coupledFIFO is one node's triangle FIFO on the coupled driver: its ring
+// coupledFIFO is one node's triangle FIFO on the coupled clock: its ring
 // holds the timing of the items pushed but not yet known to have popped,
 // never more than the FIFO's capacity.
 type coupledFIFO struct {

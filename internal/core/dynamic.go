@@ -52,9 +52,9 @@ func SimulateDynamic(scene *trace.Scene, cfg Config, order DynamicOrder) (*Resul
 
 // SimulateDynamicContext is SimulateDynamic with cancellation.
 //
-// The machine builds its frame with one node per tile: a block distribution
-// over tilesX*tilesY nodes has row stride tilesX, so node k owns exactly
-// tile k, and the frame's per-node work lists are the tile queue's entries.
+// The machine routes with one node per tile: a block distribution over
+// tilesX*tilesY nodes has row stride tilesX, so node k owns exactly tile k,
+// and the frame's per-node work lists are the tile queue's entries.
 func SimulateDynamicContext(ctx context.Context, scene *trace.Scene, cfg Config, order DynamicOrder) (*Result, error) {
 	route := func(c Config) (distrib.Distribution, error) {
 		if c.Distribution != distrib.BlockKind {
@@ -64,25 +64,30 @@ func SimulateDynamicContext(ctx context.Context, scene *trace.Scene, cfg Config,
 		tiles := ((scene.Screen.Width() + w - 1) / w) * ((scene.Screen.Height() + w - 1) / w)
 		return distrib.NewBlock(scene.Screen, tiles, w)
 	}
-	replay := func(m *Machine, ctx context.Context, fa *FrameArtifact) error {
-		return m.replayDynamic(ctx, fa, order)
+	timeFrame := func(m *Machine, ctx context.Context, f *trace.Scene) error {
+		return m.dynamicFrame(ctx, f, order)
 	}
-	m, err := newMachine(scene, cfg, route, replay)
+	m, err := newMachine(scene, cfg, route, timeFrame)
 	if err != nil {
 		return nil, err
 	}
 	return m.RunContext(ctx)
 }
 
-// replayDynamic is the tile queue's driver. Tiles with work join the queue
-// in screen order, or for LPT in descending order of their estimated work,
-// Σ max(pixels, setup) over the tile's triangles. Each tile in turn goes
-// whole to the engine that frees first (the lowest index on ties), which
-// times the tile's triangles back to back.
-func (m *Machine) replayDynamic(ctx context.Context, fa *FrameArtifact, order DynamicOrder) error {
-	if err := ctx.Err(); err != nil {
+// dynamicFrame times frame f on the tile queue. The queue needs every
+// tile's whole list before it can time any, so, alone among the machine
+// models, it builds the frame's work list in memory first, on the machine's
+// node workers, and drops it after the frame. Tiles with work join the
+// queue in screen order, or for LPT in descending order of their estimated
+// work, Σ max(pixels, setup) over the tile's triangles. Each tile in turn
+// goes whole to the engine that frees first (the lowest index on ties),
+// which times the tile's triangles back to back.
+func (m *Machine) dynamicFrame(ctx context.Context, f *trace.Scene, order DynamicOrder) error {
+	fa, err := buildFrameArtifact(ctx, f, m.dist, m.rast, m.mgr, m.nodeParallelism(), false)
+	if err != nil {
 		return err
 	}
+	fa.finalize(m.dist.NumProcs())
 	type tile struct {
 		work []*ArtifactDest
 		est  float64

@@ -9,7 +9,7 @@
 // them to one engine.Prober per geometry (Prober.AppendMisses) and drops
 // them, so no footprint outlives its item. Every machine the streams are
 // attached to runs only the timing pass (engine.Engine.ProcessMisses), on
-// either frame driver.
+// either clock of the frame walk.
 //
 // Equivalence contract: a machine timing from miss streams gives results
 // byte-identical to streaming the frame live (cycles, counters, cache
@@ -17,10 +17,11 @@
 // contract; the cache and L2 statistics are the probe walk's, snapshotted
 // at every frame boundary because RunSequence reports per-frame deltas.
 //
-// The dynamic tile queue and sort-last never take an artifact, so they
-// never time from streams: which engine times a work item depends on when
-// the engines free up, so a per-engine access order — and with it a
-// per-engine miss stream — is not known before timing.
+// The dynamic tile queue and sort-last time frames with hooks of their own
+// and never take an artifact, so they never time from streams: which
+// engine times a work item depends on when the engines free up, so a
+// per-engine access order — and with it a per-engine miss stream — is not
+// known before timing.
 package core
 
 import (
@@ -410,11 +411,12 @@ func (m *Machine) SetMissStreams(s *MissStreams) error {
 }
 
 // process times node p's k-th work item of the current frame, d, arriving
-// at arrival, and returns its completion time: the one step every driver
-// takes per work item. With miss streams attached it runs the timing pass
+// at arrival, and returns its completion time: the one step the walk takes
+// per stored work item. With miss streams attached it runs the timing pass
 // on the item's stream, with an artifact that carries footprints it
-// replays the item's footprints, and any other item — a frame built in
-// memory, or a spans-only artifact — is timed live.
+// replays the item's footprints, and any other item — a spans-only
+// artifact's, or one of a frame built in memory — is timed live. Only the
+// live item resolves its triangle's texture binding.
 func (m *Machine) process(p, k int, d *ArtifactDest, arrival float64) float64 {
 	e := m.engines[p]
 	switch {

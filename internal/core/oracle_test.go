@@ -17,15 +17,33 @@ import (
 // machine the way the paper's ASF simulator does: a distributor process and
 // one process per node on the sim kernel, exchanging (triangle, node) work
 // items through bounded FIFOs with producer back-pressure. Production times
-// the same machine with replayCoupled's direct recurrence; every
+// the same machine with coupledClock's direct recurrence; every
 // equivalence test takes its reference results from here.
 
-// forceOracle sends every frame of m to the event-driven reference.
-func forceOracle(m *Machine) { m.replay = (*Machine).replayOracle }
+// forceOracle sends every frame of m to the event-driven reference: the
+// attached artifact's stored frame or, with none attached, the frame built
+// in memory.
+func forceOracle(m *Machine) {
+	m.timeFrame = func(m *Machine, ctx context.Context, f *trace.Scene) error {
+		if m.artifact != nil {
+			return m.replayOracle(ctx, m.artifact.Frames[m.frame])
+		}
+		fa, err := buildFrameArtifact(ctx, f, m.dist, m.rast, m.mgr, m.nodeParallelism(), false)
+		if err != nil {
+			return err
+		}
+		fa.finalize(m.cfg.Procs)
+		return m.replayOracle(ctx, fa)
+	}
+}
 
-// forceCoupled sends every frame of m to replayCoupled, whatever the
-// dispatch rule would pick.
-func forceCoupled(m *Machine) { m.replay = (*Machine).replayCoupled }
+// forceCoupled sends every frame of m to the walk on the coupled clock,
+// whatever the dispatch rule would pick.
+func forceCoupled(m *Machine) {
+	m.timeFrame = func(m *Machine, ctx context.Context, f *trace.Scene) error {
+		return m.walkCoupled(ctx, f, m.counts(f))
+	}
+}
 
 // oracleCheckEvents is how many events fire between context polls.
 const oracleCheckEvents = 1 << 14
@@ -117,8 +135,9 @@ func (n *oracleNode) step(now sim.Time) {
 
 // The hand-written references for the two extension machines: the dynamic
 // tile queue and sort-last each rasterize, route and time the scene in one
-// loop of their own. Production builds both through buildFrameArtifact and
-// times them with replayDynamic and replaySortLast;
+// loop of their own. Production times the tile queue with dynamicFrame,
+// which builds its frame through buildFrameArtifact, and streams sort-last
+// through sortLastFrame;
 // TestExtensionMachinesMatchOracle and FuzzFrameDrivers hold the two to
 // these loops byte for byte.
 

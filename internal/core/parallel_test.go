@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"encoding/json"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/cache"
 	"repro/internal/distrib"
@@ -86,19 +88,23 @@ func TestParallelKernelEquivalenceMatrix(t *testing.T) {
 
 // TestParallelKernelRandomScenes covers geometry the benchmark builders do
 // not produce (degenerate and offscreen triangles from the random generator)
-// at several tile sizes and processor counts.
+// at several tile sizes and processor counts, on buses of 1 and 3 texels
+// per cycle. On the ratio-3 bus completions are fractional, so a pop that
+// skipped the ceiling of the previous completion would show.
 func TestParallelKernelRandomScenes(t *testing.T) {
 	for _, seed := range []int64{3, 19} {
 		s := testScene(seed, 80, 128)
 		for _, procs := range []int{2, 5, 16} {
 			for _, tile := range []int{2, 16, 64} {
-				m := runKernelPair(t, s, Config{
-					Procs: procs, TileSize: tile,
-					Bus: memory.BusConfig{TexelsPerCycle: 1},
-				})
-				if m.parallelFrames == 0 {
-					t.Errorf("seed%d/p%d/t%d: decoupled driver never engaged",
-						seed, procs, tile)
+				for _, bus := range []float64{1, 3} {
+					m := runKernelPair(t, s, Config{
+						Procs: procs, TileSize: tile,
+						Bus: memory.BusConfig{TexelsPerCycle: bus},
+					})
+					if m.parallelFrames == 0 {
+						t.Errorf("seed%d/p%d/t%d/bus%v: decoupled driver never engaged",
+							seed, procs, tile, bus)
+					}
 				}
 			}
 		}
@@ -260,6 +266,29 @@ func TestSetNodeParallelismDefaults(t *testing.T) {
 	m.Run()
 	if m.parallelFrames != 1 {
 		t.Errorf("one worker: decoupled driver ran %d of 1 frames", m.parallelFrames)
+	}
+}
+
+// TestDecoupledClocksShareNoLine: every worker's decoupled clock is written
+// on each of its work items, so no two workers' clocks may share a 64-byte
+// line, whatever the machine's node count.
+func TestDecoupledClocksShareNoLine(t *testing.T) {
+	for _, procs := range []int{1, 3, 5, 8, 64} {
+		owner := map[uintptr]int{}
+		clocks := make([]decoupledClock, 4)
+		for k := range clocks {
+			c := newDecoupledClock(procs)
+			clocks[k] = c
+			first := uintptr(unsafe.Pointer(&c[0]))
+			last := first + uintptr(cap(c))*unsafe.Sizeof(c[0]) - 1
+			for line := first / 64; line <= last/64; line++ {
+				if other, ok := owner[line]; ok {
+					t.Fatalf("p%d: the clocks of workers %d and %d share the line at %#x", procs, other, k, line*64)
+				}
+				owner[line] = k
+			}
+		}
+		runtime.KeepAlive(clocks)
 	}
 }
 

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/distrib"
 	"repro/internal/memory"
 	"repro/internal/scene"
 	"repro/internal/trace"
@@ -153,6 +155,10 @@ func TestRunSequenceFrameAccounting(t *testing.T) {
 	}
 }
 
+// TestRunSequenceRejectsMismatchedTextures: a frame whose texture table
+// differs from the machine's is refused by the run, by the artifact build
+// beside another frame, and, built into an artifact of its own, by
+// SetRasterArtifact.
 func TestRunSequenceRejectsMismatchedTextures(t *testing.T) {
 	s := benchSceneFor(t, "blowout775", 0.2)
 	other := *s
@@ -164,6 +170,18 @@ func TestRunSequenceRejectsMismatchedTextures(t *testing.T) {
 	}
 	if _, err := m.RunSequence([]*trace.Scene{s, &other}); err == nil {
 		t.Error("mismatched texture table accepted")
+	}
+	if _, err := BuildRasterArtifact(context.Background(), []*trace.Scene{s, &other}, 2,
+		distrib.BlockKind, 16, ArtifactOpts{SpansOnly: true}); err == nil {
+		t.Error("artifact built from frames with mismatched texture tables")
+	}
+	a, err := BuildRasterArtifact(context.Background(), []*trace.Scene{&other}, 2,
+		distrib.BlockKind, 16, ArtifactOpts{SpansOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetRasterArtifact(a); err == nil {
+		t.Error("artifact with a mismatched texture table attached")
 	}
 }
 

@@ -54,57 +54,55 @@ func SimulateSortLast(scene *trace.Scene, cfg Config, assign SortLastAssignment)
 }
 
 // SimulateSortLastContext is SimulateSortLast with cancellation.
-//
-// The machine builds its frame for a single node that owns the whole
-// screen, so every on-screen triangle is routed once with all its spans;
-// the driver then deals the triangles to the engines.
 func SimulateSortLastContext(ctx context.Context, scene *trace.Scene, cfg Config, assign SortLastAssignment) (*Result, error) {
-	route := func(Config) (distrib.Distribution, error) {
-		return distrib.NewSLI(scene.Screen, 1, 1)
-	}
-	replay := func(m *Machine, ctx context.Context, fa *FrameArtifact) error {
-		return m.replaySortLast(ctx, fa, assign)
-	}
-	m, err := newMachine(scene, cfg, route, replay)
+	m, err := newSortLastMachine(scene, cfg, assign)
 	if err != nil {
 		return nil, err
 	}
 	return m.RunContext(ctx)
 }
 
-// replaySortLast is the sort-last driver: it times each routed triangle on
-// the engine its submission index assigns, as soon as that engine is free.
-// Degenerate triangles draw nothing and are skipped, though the build
-// routes them. The build drops off-screen triangles, so the driver recovers
-// each triangle's submission index by walking the machine's scene in step:
-// an in-memory build points every destination at its source triangle.
-func (m *Machine) replaySortLast(ctx context.Context, fa *FrameArtifact, assign SortLastAssignment) error {
-	if err := ctx.Err(); err != nil {
-		return err
+// newSortLastMachine builds the sort-last machine. It routes for a single
+// node that owns the whole screen, so every on-screen triangle is routed
+// once with all its spans, and times each frame with sortLastFrame.
+func newSortLastMachine(scene *trace.Scene, cfg Config, assign SortLastAssignment) (*Machine, error) {
+	route := func(Config) (distrib.Distribution, error) {
+		return distrib.NewSLI(scene.Screen, 1, 1)
 	}
-	tris := m.scene.Triangles
-	ti := 0
-	for i := range fa.Tris {
+	return newMachine(scene, cfg, route, func(m *Machine, ctx context.Context, f *trace.Scene) error {
+		return m.sortLastFrame(ctx, f, assign)
+	})
+}
+
+// sortLastFrame times frame f on the sort-last machine. It streams each
+// triangle through the one route→demux step and times it on the engine its
+// submission index assigns, as soon as that engine is free; nothing of the
+// frame is stored. A triangle that routes nowhere (off screen) or is
+// degenerate draws nothing and is skipped.
+func (m *Machine) sortLastFrame(ctx context.Context, f *trace.Scene, assign SortLastAssignment) error {
+	w := newDemuxScratch(1)
+	for i := range f.Triangles {
 		if i%ctxPollTriangles == 0 && i > 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		d := &fa.Tris[i].Dests[0]
-		for &tris[ti] != d.src {
-			ti++
-		}
-		if d.src.Degenerate() {
+		t := &f.Triangles[i]
+		dests := w.routeTriangle(m.dist, t)
+		if len(dests) == 0 || t.Degenerate() {
 			continue
 		}
-		node := ti % m.cfg.Procs
+		w.demux(m.dist, m.rast, f.Screen, t, dests)
+		node := i % m.cfg.Procs
 		if assign == SortLastChunked {
-			node = (ti / SortLastChunkSize) % m.cfg.Procs
+			node = (i / SortLastChunkSize) % m.cfg.Procs
 		}
 		// Timed live: a sort-last machine never takes an artifact, so it
 		// has no miss streams (missstream.go says why).
+		work := boundWork(m.mgr, t)
+		work.Segments = w.spans[0]
 		e := m.engines[node]
-		d.process(e, m.mgr, e.Time())
+		e.ProcessTriangle(e.Time(), &work)
 	}
 	m.lastFIFOPeaks = make([]int, m.cfg.Procs)
 	return nil

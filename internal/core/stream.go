@@ -1,49 +1,102 @@
-// The frame stream: a frame timed once is never stored. The paper's
-// distributor routes each rasterized triangle straight into the nodes'
-// triangle FIFOs, and a sort-middle machine with no raster artifact
-// attached times its frames the same way, in two passes over the frame's
-// triangles:
+// The frame walk: every sort-middle frame is timed by one walk over its
+// (triangle, node) work items in submission order, the order in which the
+// paper's distributor pushes them into the nodes' triangle FIFOs. The walk
+// has two settings: where the items come from, and which clock times them.
 //
-//   - a route-only pass counts each node's routed triangles, which is all
-//     the dispatch rule (decoupled) reads and all the coupled recurrence
-//     sizes its FIFO rings from;
-//   - a timing pass takes one triangle at a time: it routes it,
-//     rasterizes and demultiplexes it (demux, the step the artifact
-//     builder shares), resolves its texture and level of detail once, and
-//     times every destination at once on its node's engine.
+// A frame timed once streams. With no raster artifact attached, the walk
+// routes, rasterizes and demultiplexes each triangle when it reaches it
+// (demux, the step the artifact builder shares), resolves its texture and
+// level of detail once, and times every destination at once on its node's
+// engine; nothing of the triangle outlives it. A frame timed many times
+// comes from the attached artifact's stored frame, each item timed from its
+// miss stream, its stored footprints or, in a spans-only artifact, live
+// (Machine.process).
 //
-// In the FIFO-coupled regime the timing pass runs on one worker, through
-// the coupled recurrence (coupledClock) in submission order. In the
-// decoupled regime each of the machine's W node workers times its own
-// nodes, worker k the nodes p with p mod W = k, and rasterizes only the
-// triangles routed to them; a triangle routed to nodes of two workers is
-// rasterized by both.
+// Every item goes to a clock. The FIFO-coupled clock (coupledClock) times
+// the whole frame on one worker. When the dispatch rule (decoupled,
+// parallel.go) finds that no FIFO can fill, each of the machine's W node
+// workers walks the frame on a decoupled clock of its own (decoupledClock)
+// and times only its nodes, worker k the nodes p with p mod W = k. A
+// streamed triangle that reaches none of a worker's nodes is not
+// rasterized by that worker; one routed to nodes of two workers is
+// rasterized by both. The rule reads each node's routed triangle count:
+// the stored frame's, or a route-only pass over the streamed one (counts).
 //
 // Equivalence contract: a streamed frame gives byte-identical results to
-// the same frame built into a work list and replayed on either driver —
-// the same demux step produces the same segments, each node sees its work
-// items in submission order, and each item is timed by
-// engine.Engine.ProcessTriangle from the same arrival. Only the memory
+// the same frame's stored work list, on either clock — the same demux step
+// produces the same segments, each node sees its work items in submission
+// order, and each item is timed from the same arrival. Only the memory
 // differs: the stream holds one triangle's segments per worker, a stored
 // frame every destination's.
 package core
 
 import (
 	"context"
-	"math"
 	"slices"
 
 	"repro/internal/engine"
-	"repro/internal/par"
 	"repro/internal/trace"
 )
 
-// streamFrame times frame f without storing its work list: it counts each
-// node's routed triangles and then times the frame in the regime the
-// dispatch rule picks for those counts.
-func (m *Machine) streamFrame(ctx context.Context, f *trace.Scene) error {
-	if err := ctx.Err(); err != nil {
-		return err
+// clock times one worker's share of a frame's work items, each through push
+// and then finish: push returns node p's next item's index among p's this
+// frame and the cycle p pops it, and finish records that the item, popped
+// at pop, completes at done.
+type clock interface {
+	push(p int) (k int, pop float64)
+	finish(p int, pop, done float64)
+}
+
+// walk times frame f's work items of the nodes p with mine[p] set on clock
+// c, in submission order: the attached artifact's stored items, or with
+// none attached the items of each triangle as it is demultiplexed.
+func (m *Machine) walk(ctx context.Context, f *trace.Scene, c clock, mine []bool) error {
+	var stored []ArtifactTriangle
+	n := len(f.Triangles)
+	if m.artifact != nil {
+		stored = m.artifact.Frames[m.frame].Tris
+		n = len(stored)
+	}
+	w := newDemuxScratch(m.cfg.Procs)
+	var work engine.TriangleWork
+	for i := range n {
+		if i%ctxPollTriangles == 0 && i > 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if stored != nil {
+			for j := range stored[i].Dests {
+				if d := &stored[i].Dests[j]; mine[d.Node] {
+					q, pop := c.push(d.Node)
+					c.finish(d.Node, pop, m.process(d.Node, q, d, pop))
+				}
+			}
+			continue
+		}
+		t := &f.Triangles[i]
+		dests := w.routeTriangle(m.dist, t)
+		if !slices.ContainsFunc(dests, func(p int) bool { return mine[p] }) {
+			continue
+		}
+		w.demux(m.dist, m.rast, f.Screen, t, dests)
+		work = boundWork(m.mgr, t)
+		for _, p := range dests {
+			if mine[p] {
+				work.Segments = w.spans[p]
+				_, pop := c.push(p)
+				c.finish(p, pop, m.engines[p].ProcessTriangle(pop, &work))
+			}
+		}
+	}
+	return nil
+}
+
+// counts returns each node's routed triangle count in frame f: the stored
+// frame's, or with no artifact attached a route-only pass over f.
+func (m *Machine) counts(f *trace.Scene) []int {
+	if m.artifact != nil {
+		return m.artifact.Frames[m.frame].counts
 	}
 	counts := make([]int, m.cfg.Procs)
 	w := newDemuxScratch(m.cfg.Procs)
@@ -52,80 +105,5 @@ func (m *Machine) streamFrame(ctx context.Context, f *trace.Scene) error {
 			counts[p]++
 		}
 	}
-	if m.decoupled(counts) {
-		return m.streamDecoupled(ctx, f, counts)
-	}
-	return m.streamCoupled(ctx, f, w, counts)
-}
-
-// streamCoupled times frame f on one worker through the coupled recurrence,
-// each destination as its triangle is demultiplexed into w. counts are
-// the frame's per-node routed triangles.
-func (m *Machine) streamCoupled(ctx context.Context, f *trace.Scene, w *demuxScratch, counts []int) error {
-	c := newCoupledClock(m.cfg.TriangleBuffer, counts)
-	err := m.streamTriangles(ctx, f, w, 0, 1, func(p int, work *engine.TriangleWork) {
-		_, pop := c.push(p)
-		c.finish(p, pop, m.engines[p].ProcessTriangle(pop, work))
-	})
-	if err != nil {
-		return err
-	}
-	m.lastFIFOPeaks = c.peaks(m.lastFIFOPeaks[:0])
-	return nil
-}
-
-// streamDecoupled times frame f in the decoupled regime: worker k of W
-// walks the whole frame and times nodes k, k+W, k+2W, … with the decoupled
-// driver's arithmetic — the first pop at cycle 0, each later pop at the
-// ceiling of the node's previous completion. counts are the frame's
-// per-node routed triangles, which are also the FIFO peaks.
-func (m *Machine) streamDecoupled(ctx context.Context, f *trace.Scene, counts []int) error {
-	procs := m.cfg.Procs
-	workers := min(m.nodeParallelism(), procs)
-	err := par.ForEach(ctx, workers, workers, func(k int) error {
-		// ready[j] is when node k+j*workers next pops; the slice is the
-		// worker's own, so no other worker writes its cache lines.
-		ready := make([]float64, (procs-k+workers-1)/workers)
-		return m.streamTriangles(ctx, f, newDemuxScratch(procs), k, workers, func(p int, work *engine.TriangleWork) {
-			j := p / workers
-			ready[j] = math.Ceil(m.engines[p].ProcessTriangle(ready[j], work))
-		})
-	})
-	if err != nil {
-		return err
-	}
-	m.lastFIFOPeaks = append(m.lastFIFOPeaks[:0], counts...)
-	m.parallelFrames++
-	return nil
-}
-
-// streamTriangles walks frame f in submission order for worker k of
-// workers: it routes each triangle and, if the triangle reaches one of the
-// worker's nodes (p mod workers = k), demultiplexes it into w and calls
-// time with each such node, in route order, and its work item. The
-// triangle's texture and level of detail are resolved once for all its
-// nodes.
-func (m *Machine) streamTriangles(ctx context.Context, f *trace.Scene, w *demuxScratch, k, workers int, time func(p int, work *engine.TriangleWork)) error {
-	var work engine.TriangleWork
-	for i := range f.Triangles {
-		if i%ctxPollTriangles == 0 && i > 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		t := &f.Triangles[i]
-		dests := w.routeTriangle(m.dist, t)
-		if !slices.ContainsFunc(dests, func(p int) bool { return p%workers == k }) {
-			continue
-		}
-		w.demux(m.dist, m.rast, f.Screen, t, dests)
-		work = boundWork(m.mgr, t)
-		for _, p := range dests {
-			if p%workers == k {
-				work.Segments = w.spans[p]
-				time(p, &work)
-			}
-		}
-	}
-	return nil
+	return counts
 }

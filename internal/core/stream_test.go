@@ -140,25 +140,44 @@ func TestStreamedFrameMatchesArtifact(t *testing.T) {
 // TestLiveFrameStoresNoWorkList pins the stream's memory property: a live
 // run of a paper-scale frame allocates a small fraction of the work list
 // the same frame takes stored. Building the frame in memory before timing
-// it allocated more than the whole list (its perNode index on top).
+// it allocated more than the whole list (its perNode index on top). The
+// sort-last machine streams too: its run must allocate a small fraction of
+// the same frame's one-node work list. What a streamed run does
+// allocate is mostly each engine's op scratch, which grows to the largest
+// triangle the engine times (about 25 KB per engine for sort-last's whole
+// triangles here), so the sort-last leg runs 4 engines.
 func TestLiveFrameStoresNoWorkList(t *testing.T) {
 	s := benchSceneFor(t, "truc640", 0.25)
-	a, err := BuildRasterArtifact(context.Background(), []*trace.Scene{s}, 64,
-		distrib.BlockKind, 16, ArtifactOpts{SpansOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := NewMachine(s, Config{Procs: 64, Distribution: distrib.BlockKind, TileSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	m.Run()
-	runtime.ReadMemStats(&after)
-	alloc := after.TotalAlloc - before.TotalAlloc
-	t.Logf("live run allocated %d bytes; the stored work list takes %d", alloc, a.Bytes())
-	if 4*alloc >= uint64(a.Bytes()) {
-		t.Errorf("live run allocated %d bytes, want less than a quarter of the %d-byte work list", alloc, a.Bytes())
+	for _, c := range []struct {
+		name      string
+		listNodes int // the node count of the stored work list the run is held to
+		machine   func() (*Machine, error)
+	}{
+		{"sort-middle", 64, func() (*Machine, error) {
+			return NewMachine(s, Config{Procs: 64, Distribution: distrib.BlockKind, TileSize: 16})
+		}},
+		{"sort-last", 1, func() (*Machine, error) {
+			return newSortLastMachine(s, Config{Procs: 4}, SortLastChunked)
+		}},
+	} {
+		a, err := BuildRasterArtifact(context.Background(), []*trace.Scene{s}, c.listNodes,
+			distrib.BlockKind, 16, ArtifactOpts{SpansOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := c.machine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		m.Run()
+		runtime.ReadMemStats(&after)
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: live run allocated %d bytes; the stored work list takes %d", c.name, alloc, a.Bytes())
+		if 4*alloc >= uint64(a.Bytes()) {
+			t.Errorf("%s: live run allocated %d bytes, want less than a quarter of the %d-byte work list",
+				c.name, alloc, a.Bytes())
+		}
 	}
 }

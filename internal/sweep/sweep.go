@@ -378,7 +378,7 @@ type RunOpts struct {
 	// a walk over fewer nodes than workers splits each node's cache
 	// geometries across the spare workers, and a helper per node generates
 	// the footprints once, ahead of every group's probes. The setting
-	// never changes which frame driver runs, nor any result.
+	// never changes which clock times a frame, nor any result.
 	NodeParallelism int
 	// Progress, when non-nil, observes each configuration's lifecycle (see
 	// ProgressSink). Off costs one nil check per row; rows and results are
