@@ -144,9 +144,9 @@ func (b *Block) ForEachOwnedSegment(y, x0, x1 int, fn func(proc, x0, x1 int)) {
 	}
 }
 
-// SLI is the scan-line-interleaved distribution: groups of Lines adjacent
-// rows assigned round-robin, as in the Voodoo2 (1 line) and 3DLabs JetStream
-// (4 lines) products the paper cites.
+// SLI is the scan-line-interleaved distribution: groups of adjacent rows,
+// all of one height, assigned round-robin, as in the Voodoo2 (1 line) and
+// 3DLabs JetStream (4 lines) products the paper cites.
 type SLI struct {
 	screen geom.Rect
 	lines  int
@@ -173,9 +173,6 @@ func (s *SLI) NumProcs() int { return s.procs }
 
 // Screen implements Distribution.
 func (s *SLI) Screen() geom.Rect { return s.screen }
-
-// Lines returns the group height in rows.
-func (s *SLI) Lines() int { return s.lines }
 
 // Owner implements Distribution.
 func (s *SLI) Owner(x, y int) int {

@@ -30,9 +30,6 @@ func (v Vec2) Scale(s float64) Vec2 { return Vec2{v.X * s, v.Y * s} }
 // Cross returns the z component of the cross product v × w.
 func (v Vec2) Cross(w Vec2) float64 { return v.X*w.Y - v.Y*w.X }
 
-// Dot returns the dot product v · w.
-func (v Vec2) Dot(w Vec2) float64 { return v.X*w.X + v.Y*w.Y }
-
 // Len returns the Euclidean length of v.
 func (v Vec2) Len() float64 { return math.Hypot(v.X, v.Y) }
 
@@ -80,26 +77,6 @@ func (r Rect) Intersect(s Rect) Rect {
 		return Rect{}
 	}
 	return out
-}
-
-// Intersects reports whether r and s share at least one pixel.
-func (r Rect) Intersects(s Rect) bool { return !r.Intersect(s).Empty() }
-
-// Union returns the smallest rectangle containing both r and s. The union of
-// an empty rectangle with s is s.
-func (r Rect) Union(s Rect) Rect {
-	if r.Empty() {
-		return s
-	}
-	if s.Empty() {
-		return r
-	}
-	return Rect{
-		X0: min(r.X0, s.X0),
-		Y0: min(r.Y0, s.Y0),
-		X1: max(r.X1, s.X1),
-		Y1: max(r.Y1, s.Y1),
-	}
 }
 
 func (r Rect) String() string {

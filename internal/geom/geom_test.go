@@ -21,9 +21,6 @@ func TestVec2Ops(t *testing.T) {
 	if got := a.Cross(b); got != 1*(-4)-2*3 {
 		t.Errorf("Cross = %v", got)
 	}
-	if got := a.Dot(b); got != 3-8 {
-		t.Errorf("Dot = %v", got)
-	}
 	if got := b.Len(); got != 5 {
 		t.Errorf("Len = %v", got)
 	}
@@ -69,24 +66,6 @@ func TestRectIntersect(t *testing.T) {
 		if got := c.b.Intersect(c.a); got != c.want {
 			t.Errorf("case %d: Intersect not symmetric: %v", i, got)
 		}
-		if c.a.Intersects(c.b) != !c.want.Empty() {
-			t.Errorf("case %d: Intersects disagrees with Intersect", i)
-		}
-	}
-}
-
-func TestRectUnion(t *testing.T) {
-	a := Rect{0, 0, 2, 2}
-	b := Rect{5, 5, 7, 9}
-	u := a.Union(b)
-	if u != (Rect{0, 0, 7, 9}) {
-		t.Errorf("Union = %v", u)
-	}
-	if got := (Rect{}).Union(b); got != b {
-		t.Errorf("empty union b = %v", got)
-	}
-	if got := a.Union(Rect{}); got != a {
-		t.Errorf("a union empty = %v", got)
 	}
 }
 

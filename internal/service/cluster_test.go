@@ -878,6 +878,59 @@ func TestStolenJobLeavesNoJournal(t *testing.T) {
 	}
 }
 
+// TestJournalRoutedJob: a job the origin routes to its owner is journaled
+// on the origin while the owner holds it, so a new origin that resumes
+// from the same directory, as after a crash, reruns it.
+func TestJournalRoutedJob(t *testing.T) {
+	dir := t.TempDir()
+	release := make(chan struct{})
+	nodes := newClusterNodes(t, 2, func(i int, cfg *Config) {
+		if i == 0 {
+			cfg.CheckpointDir = dir
+		}
+		cfg.runOverride = func(ctx context.Context, req *Request) ([]byte, error) {
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			return echoPayload(t, req), nil
+		}
+	})
+	t.Cleanup(func() { close(release) })
+	spec := specOwnedBy(t, nodes, 1, map[string]bool{})
+	v, code := postJobWith(t, nodes[0].ts, spec, nil)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit returned %d", code)
+	}
+	waitRunning(t, nodes[0].ts, v.ID)
+	if getJSON(t, nodes[0].ts.URL+"/api/v1/jobs/"+v.ID, &v); v.Peer != nodes[1].ts.URL {
+		t.Fatalf("job peer = %q, want %q", v.Peer, nodes[1].ts.URL)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "jobs", v.ID+".json")); err != nil {
+		t.Fatalf("routed job not journaled while its owner holds it: %v", err)
+	}
+
+	var rerun atomic.Value
+	srv, err := New(context.Background(), Config{
+		Workers:       1,
+		CheckpointDir: dir,
+		Resume:        true,
+		runOverride: func(ctx context.Context, req *Request) ([]byte, error) {
+			rerun.Store(echoPayload(t, req))
+			return []byte(`{}`), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	waitFor(t, func() bool { return rerun.Load() != nil }, "the journaled routed job to rerun")
+	if got, want := string(rerun.Load().([]byte)), fmt.Sprintf(`{"key":%q}`, keyOf(t, spec)); got != want {
+		t.Fatalf("rerun request = %s, want %s", got, want)
+	}
+}
+
 // TestCancelStolenJob: DELETE on a stolen job whose thief stays silent
 // cancels it at once, not at lease expiry, and the thief's later
 // completion is refused as stale.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -204,12 +205,22 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeAPIError(w, status, defaultErrorCode(status), 0, err)
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeRequest reads a submitted job request: at most 1 MiB, and no
+// field the Request type does not declare.
+func decodeRequest(w http.ResponseWriter, body io.ReadCloser) (*Request, error) {
 	var req Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		return nil, fmt.Errorf("decoding request: %w", err)
+	}
+	return &req, nil
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeRequest(w, r.Body)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	// The header wins over the body field: proxies injecting tenant
@@ -220,7 +231,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// A submission a peer already routed here must run here: re-forwarding
 	// it could loop. Plain client submissions are free to be routed.
 	routed := r.Header.Get(cluster.RoutedHeader) != ""
-	j, err := s.submit(r.Context(), &req, routed, false)
+	j, err := s.submit(r.Context(), req, routed, false)
 	if err != nil {
 		var se *submitError
 		if errors.As(err, &se) {

@@ -511,13 +511,14 @@ func (s *Server) submit(ctx context.Context, req *Request, routed, exempt bool) 
 	return j, nil
 }
 
-// register creates and records a job for a normalized request. With
-// enqueue it also journals the job and pushes it onto the worker queue,
-// reporting a full queue through enqueued=false (in which case the job is
-// NOT registered, its journal entry is removed and its ID is reused when no
+// register creates, journals and records a job for a normalized request.
+// With enqueue it also pushes the job onto the worker queue, reporting a
+// full queue through enqueued=false (in which case the job is NOT
+// registered, its journal entry is removed and its ID is reused when no
 // later ID was handed out). Without enqueue the job is registered but owned
 // by the caller — the cluster forwarding paths, which supervise it instead
-// of a local worker.
+// of a local worker; its journal entry still lets a restarted origin rerun
+// it if the origin dies while a peer holds it.
 func (s *Server) register(ctx context.Context, req *Request, key string, enqueue bool) (j *job, enqueued bool, err error) {
 	jctx, cancel := context.WithCancel(s.baseCtx)
 	s.mu.Lock()
@@ -555,12 +556,10 @@ func (s *Server) register(ctx context.Context, req *Request, key string, enqueue
 		attrs = append(attrs, slog.String("trace_id", j.traceID.String()))
 	}
 	j.ctx = logging.WithAttrs(jctx, attrs...)
-	if enqueue {
-		// Journal before the job becomes poppable: a worker may finish it
-		// at once, and an entry written after its removal would outlive the
-		// job and rerun it on the next resume.
-		s.journalAdd(j)
-	}
+	// Journal before the job becomes visible: a worker or supervisor may
+	// finish it at once, and an entry written after its removal would
+	// outlive the job and rerun it on the next resume.
+	s.journalAdd(j)
 	s.mu.Lock()
 	// The push happens under s.mu so it cannot race with Drain flipping the
 	// draining flag and closing the queue; it is non-blocking, so the lock
@@ -576,9 +575,7 @@ func (s *Server) register(ctx context.Context, req *Request, key string, enqueue
 		}
 		s.mu.Unlock()
 		cancel()
-		if enqueue {
-			s.journalRemove(j.id)
-		}
+		s.journalRemove(j.id)
 		if full {
 			return nil, false, nil
 		}

@@ -198,6 +198,8 @@ func TestSubmitValidation(t *testing.T) {
 		{Type: "experiment", Experiment: &ExperimentSpec{ID: "zzz"}}, // unknown experiment
 		{Type: "sweep", Sweep: &sweep.Spec{Scene: "truc640"},
 			Experiment: &ExperimentSpec{ID: "table1"}}, // both specs
+		{Type: "sweep", Sweep: &sweep.Spec{Scene: "truc640", Procs: []int{1_000_000_000}}}, // too many processors
+		overflowSweep(), // 2^65 points
 	}
 	for i, req := range bad {
 		if _, code := postJob(t, ts, req); code != http.StatusBadRequest {

@@ -33,9 +33,6 @@ func NewFIFO[T any](s *Simulator, capacity int) *FIFO[T] {
 	return &FIFO[T]{sim: s, buf: make([]T, capacity)}
 }
 
-// Cap returns the FIFO capacity.
-func (f *FIFO[T]) Cap() int { return len(f.buf) }
-
 // Len returns the current occupancy.
 func (f *FIFO[T]) Len() int { return f.count }
 

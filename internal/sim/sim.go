@@ -71,9 +71,6 @@ func New() *Simulator {
 // Now returns the current simulated time.
 func (s *Simulator) Now() Time { return s.now }
 
-// Pending returns the number of scheduled events not yet fired.
-func (s *Simulator) Pending() int { return len(s.events) }
-
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
 // it would silently corrupt causality.
 func (s *Simulator) At(t Time, fn Event) {

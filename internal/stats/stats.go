@@ -39,16 +39,6 @@ func Summarize(xs []float64) Summary {
 	return s
 }
 
-// Imbalance returns (max − mean)/mean of xs as a fraction; 0 for degenerate
-// inputs. It is the paper's Figure 5 load-balancing metric.
-func Imbalance(xs []float64) float64 {
-	s := Summarize(xs)
-	if s.Mean == 0 {
-		return 0
-	}
-	return s.Max/s.Mean - 1
-}
-
 // Percentile returns the p-th percentile (0–100) of xs using linear
 // interpolation; NaN for empty input.
 func Percentile(xs []float64, p float64) float64 {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestSummarize(t *testing.T) {
@@ -17,33 +16,6 @@ func TestSummarize(t *testing.T) {
 	}
 	if z := Summarize(nil); z.N != 0 || z.Mean != 0 {
 		t.Errorf("empty summary = %+v", z)
-	}
-}
-
-func TestImbalance(t *testing.T) {
-	if got := Imbalance([]float64{10, 10, 10, 10}); got != 0 {
-		t.Errorf("balanced imbalance = %v", got)
-	}
-	// One node does all the work of 4: max=40, mean=10 → 300%.
-	if got := Imbalance([]float64{40, 0, 0, 0}); math.Abs(got-3) > 1e-12 {
-		t.Errorf("worst-case imbalance = %v, want 3", got)
-	}
-	if got := Imbalance([]float64{0, 0}); got != 0 {
-		t.Errorf("zero-work imbalance = %v", got)
-	}
-}
-
-func TestImbalanceNonNegativeProperty(t *testing.T) {
-	f := func(xs []float64) bool {
-		for _, x := range xs {
-			if x < 0 || math.IsNaN(x) || math.IsInf(x, 0) || x > 1e12 {
-				return true // domain: non-negative finite work
-			}
-		}
-		return Imbalance(xs) >= -1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
 	}
 }
 

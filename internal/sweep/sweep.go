@@ -89,6 +89,16 @@ func (s Spec) WithDefaults() Spec {
 	return s
 }
 
+// Bounds on what one spec may ask for: specs arrive from outside the
+// program, and every point, node and cache line costs memory. Each sits far
+// above the largest sweep the paper's figures and the benchmark run (72
+// points, 64 processors, 128 KB caches).
+const (
+	maxPoints  = 4096
+	maxProcs   = 1024
+	maxCacheKB = 4096
+)
+
 // Validate rejects specs the simulator would reject, with CLI/API-friendly
 // messages. It validates the defaulted form.
 func (s Spec) Validate() error {
@@ -103,8 +113,8 @@ func (s Spec) Validate() error {
 		return err
 	}
 	for _, p := range s.Procs {
-		if p <= 0 {
-			return fmt.Errorf("procs: %d must be positive", p)
+		if p <= 0 || p > maxProcs {
+			return fmt.Errorf("procs: %d must be in [1, %d]", p, maxProcs)
 		}
 	}
 	for _, w := range s.Sizes {
@@ -128,8 +138,8 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("caches: cache-size axis requires the real cache model, not %q", s.Cache)
 	}
 	for _, kb := range s.Caches {
-		if kb <= 0 {
-			return fmt.Errorf("caches: %d KB must be positive", kb)
+		if kb <= 0 || kb > maxCacheKB {
+			return fmt.Errorf("caches: %d KB must be in [1, %d]", kb, maxCacheKB)
 		}
 		if err := cacheConfigKB(kb).Validate(); err != nil {
 			return fmt.Errorf("caches: %d KB: %w", kb, err)
@@ -150,6 +160,16 @@ func (s Spec) Validate() error {
 		if b <= 0 {
 			return fmt.Errorf("buffers: %d must be positive", b)
 		}
+	}
+	// With every axis at most maxPoints long, Points' product of five
+	// lengths stays below 2^60 and cannot wrap.
+	for _, n := range []int{len(s.Procs), len(s.Sizes), len(s.Caches), len(s.Buses), len(s.Buffers)} {
+		if n > maxPoints {
+			return fmt.Errorf("an axis of %d values exceeds the %d-point limit", n, maxPoints)
+		}
+	}
+	if n := s.Points(); n > maxPoints {
+		return fmt.Errorf("%d points exceed the %d-point limit", n, maxPoints)
 	}
 	return nil
 }

@@ -40,6 +40,42 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// repeated returns n copies of v.
+func repeated[T any](v T, n int) []T {
+	out := make([]T, n)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}
+
+// TestValidateBounds: a spec's point count, processor counts and cache
+// sizes are bounded, including a point count whose product would wrap.
+func TestValidateBounds(t *testing.T) {
+	cases := []struct {
+		name string
+		spec Spec
+		ok   bool
+	}{
+		{"procs at limit", Spec{Procs: []int{maxProcs}}, true},
+		{"procs over limit", Spec{Procs: []int{maxProcs + 1}}, false},
+		{"a billion procs", Spec{Procs: []int{1_000_000_000}}, false},
+		{"cache at limit", Spec{Caches: []int{maxCacheKB}}, true},
+		{"cache over limit", Spec{Caches: []int{2 * maxCacheKB}}, false},
+		{"a petabyte cache", Spec{Caches: []int{1 << 40}}, false},
+		{"points at limit", Spec{Procs: repeated(1, 64), Sizes: repeated(4, maxPoints/64)}, true},
+		{"points over limit", Spec{Procs: repeated(1, maxPoints+1), Sizes: []int{4}}, false},
+		{"points wrap to 0", Spec{Procs: repeated(1, 8192), Sizes: repeated(4, 8192),
+			Caches: repeated(16, 8192), Buses: repeated(1.0, 8192), Buffers: repeated(1, 8192)}, false},
+	}
+	for _, c := range cases {
+		c.spec.Scene = "truc640"
+		if err := c.spec.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
 func TestRunRowShape(t *testing.T) {
 	res, err := RunWith(context.Background(), tinySpec, RunOpts{Parallelism: 2})
 	if err != nil {

@@ -297,3 +297,22 @@ func TestBitset(t *testing.T) {
 		t.Errorf("count = %d, want 3", got)
 	}
 }
+
+func FuzzReadBinary(f *testing.F) {
+	var seed bytes.Buffer
+	if err := Write(&seed, smallScene()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed.Bytes())
+	f.Add([]byte("TTRC"))
+	f.Add([]byte(""))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// Must never panic; on success the scene must validate.
+		s, err := Read(bytes.NewReader(data))
+		if err == nil {
+			if vErr := s.Validate(); vErr != nil {
+				t.Errorf("Read accepted invalid scene: %v", vErr)
+			}
+		}
+	})
+}
