@@ -42,13 +42,14 @@ type Model interface {
 	// leaving the model exactly as 8 Access calls would, and returns a mask
 	// with bit i set when foot[i] missed.
 	AccessFootprint(foot *[8]texture.Addr) (missMask uint8)
-	// RepeatHits reports whether re-accessing a trilinear footprint (at most
-	// 8 addresses, at most 2 distinct lines per set and mip level) that the
-	// immediately preceding accesses fully touched is guaranteed to hit on
-	// every address AND to leave the replacement state exactly as a real
-	// re-access would. When true, a caller replaying a run of fragments with
-	// identical footprints may account the repeats via AddHits instead of
-	// calling Access — the engine's precomputed-replay fast path.
+	// RepeatHits reports whether re-accessing the lines of a trilinear
+	// footprint (at most 8 addresses, at most 2 distinct lines per set and
+	// mip level) that the immediately preceding accesses fully touched, in
+	// the same order, is guaranteed to hit on every address AND to leave the
+	// replacement state exactly as a real re-access would. When true, a
+	// caller running a run of fragments whose footprints touch the same
+	// lines in the same order may account the repeats via AddHits instead
+	// of calling Access — the engine's repeat fast path.
 	RepeatHits() bool
 	// AddHits accounts n accesses that are known to hit without looking
 	// them up. Only meaningful when RepeatHits reports true.
@@ -63,7 +64,7 @@ type Model interface {
 type Config struct {
 	SizeBytes int // total capacity
 	Ways      int // associativity
-	LineBytes int // line size (must match the texture blocking: 64)
+	LineBytes int // line size: must be texture.LineBytes, one 4×4 texel block
 }
 
 // PaperConfig is the 16 KB 4-way 64 B-line configuration used throughout the
@@ -76,6 +77,12 @@ func PaperConfig() Config {
 func (c Config) Validate() error {
 	if c.SizeBytes <= 0 || c.Ways <= 0 || c.LineBytes <= 0 {
 		return fmt.Errorf("cache: non-positive geometry %+v", c)
+	}
+	// The engine skips probing a fragment whose footprint lies in the same
+	// texture lines as the one before it (texture.Sampler.Next), which holds
+	// only when a cache line is exactly one texture block.
+	if c.LineBytes != texture.LineBytes {
+		return fmt.Errorf("cache: line %d bytes, want the texture block's %d", c.LineBytes, texture.LineBytes)
 	}
 	lines := c.SizeBytes / c.LineBytes
 	if lines*c.LineBytes != c.SizeBytes {
@@ -99,10 +106,9 @@ func (c Config) Sets() int { return c.SizeBytes / c.LineBytes / c.Ways }
 // rotate — fast enough for the hundreds of millions of accesses a full-frame
 // simulation performs.
 type SetAssoc struct {
-	cfg      Config
-	ways     int
-	setMask  uint32
-	lineBits uint
+	cfg     Config
+	ways    int
+	setMask uint32
 	// tags[set*ways : (set+1)*ways], MRU first. The sentinel invalidTag marks
 	// an empty way.
 	tags  []uint32
@@ -118,16 +124,11 @@ func New(cfg Config) *SetAssoc {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	lineBits := uint(0)
-	for 1<<lineBits < cfg.LineBytes {
-		lineBits++
-	}
 	c := &SetAssoc{
-		cfg:      cfg,
-		ways:     cfg.Ways,
-		setMask:  uint32(cfg.Sets() - 1),
-		lineBits: lineBits,
-		tags:     make([]uint32, cfg.Sets()*cfg.Ways),
+		cfg:     cfg,
+		ways:    cfg.Ways,
+		setMask: uint32(cfg.Sets() - 1),
+		tags:    make([]uint32, cfg.Sets()*cfg.Ways),
 	}
 	c.Reset()
 	return c
@@ -139,7 +140,7 @@ func (c *SetAssoc) Config() Config { return c.cfg }
 // Access implements Model.
 func (c *SetAssoc) Access(addr texture.Addr) bool {
 	c.stats.Accesses++
-	if c.lookup(uint32(addr) >> c.lineBits) {
+	if c.lookup(uint32(addr) >> texture.LineShift) {
 		return true
 	}
 	c.stats.Misses++
@@ -156,7 +157,7 @@ func (c *SetAssoc) AccessFootprint(foot *[8]texture.Addr) (missMask uint8) {
 	c.stats.Accesses += 8
 	prev := invalidTag
 	for i, a := range foot {
-		line := uint32(a) >> c.lineBits
+		line := uint32(a) >> texture.LineShift
 		if line == prev {
 			continue
 		}
@@ -292,8 +293,8 @@ func (c *None) AccessFootprint(*[8]texture.Addr) uint8 {
 // Stats implements Model.
 func (c *None) Stats() Stats { return c.stats }
 
-// RepeatHits implements Model: nothing ever hits, so repeated footprints
-// must be replayed as real (missing) accesses.
+// RepeatHits implements Model: nothing ever hits, so repeated lines must be
+// replayed as real (missing) accesses.
 func (c *None) RepeatHits() bool { return false }
 
 // AddHits implements Model. Never reached through the engine (RepeatHits is

@@ -19,6 +19,8 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 16384, Ways: 4, LineBytes: 0},
 		{SizeBytes: 16384 + 1, Ways: 4, LineBytes: 64}, // not multiple of line
 		{SizeBytes: 64 * 12, Ways: 4, LineBytes: 64},   // 3 sets: not pow2
+		{SizeBytes: 16384, Ways: 4, LineBytes: 32},     // half a texture block
+		{SizeBytes: 16384, Ways: 4, LineBytes: 128},    // two texture blocks
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

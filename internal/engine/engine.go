@@ -101,8 +101,8 @@ type Engine struct {
 
 	time     float64 // local pipeline clock: when the node goes idle
 	stats    Stats
-	foot     [8]texture.Addr
-	pureScan bool // perfect cache + infinite bus: skip texel generation
+	foot     [8]texture.Addr // the last footprint Sampler.Next wrote
+	pureScan bool            // perfect cache + infinite bus: skip texel generation
 	// ring holds the retire times of the last len(ring) fragments: the
 	// prefetch fragment FIFO. A fragment's line fetches are issued when the
 	// fragment PrefetchDepth slots earlier retires (when it enters the FIFO).
@@ -246,9 +246,10 @@ func (e *Engine) StartTriangle(arrival float64) float64 {
 // scanning; a clipped sliver still costs the full setup time). Each
 // fragment's trilinear footprint is generated here, from the mip pair
 // resolved once for the triangle, and probed — the L1, and the L2 for what
-// missed — into the engine's op scratch; a fragment that repeats the
-// previous fragment's footprint, when the cache guarantees such repeats
-// hit, is counted as a hit without a lookup. ProcessMisses then times the
+// missed — into the engine's op scratch; a fragment whose footprint touches
+// the previous fragment's lines in the same order, when the cache
+// guarantees such repeats hit, is counted as a hit without a lookup or even
+// a new footprint (texture.Sampler.Next). ProcessMisses then times the
 // ops. This is Prober.AppendMisses's probe loop with the footprints
 // generated instead of read from a recorded stream.
 func (e *Engine) ProcessTriangle(arrival float64, w *TriangleWork) float64 {
@@ -258,8 +259,6 @@ func (e *Engine) ProcessTriangle(arrival float64, w *TriangleWork) float64 {
 	ops := e.opScratch(w.Segments)
 	smp := w.Tex.Sampler(w.LOD)
 	repeatFast := e.probe.L1.RepeatHits()
-	var prev [8]texture.Addr
-	first := true
 	hits, repeats := 0, 0
 	for _, sp := range w.Segments {
 		yc := float64(sp.Y) + 0.5
@@ -267,18 +266,14 @@ func (e *Engine) ProcessTriangle(arrival float64, w *TriangleWork) float64 {
 		u := w.Map.U0 + w.Map.DuDx*xc + w.Map.DuDy*yc
 		v := w.Map.V0 + w.Map.DvDx*xc + w.Map.DvDy*yc
 		for x := sp.X0; x < sp.X1; x++ {
-			smp.Footprint(u, v, &e.foot)
-			if repeatFast && !first && sameFootprint(&e.foot, &prev) {
+			if smp.Next(u, v, &e.foot) && repeatFast {
 				repeats++
 				hits++
+			} else if missMask := e.probe.L1.AccessFootprint(&e.foot); missMask == 0 {
+				hits++
 			} else {
-				if missMask := e.probe.L1.AccessFootprint(&e.foot); missMask == 0 {
-					hits++
-				} else {
-					ops = append(appendHits(ops, hits), e.probe.misses(missMask, &e.foot))
-					hits = 0
-				}
-				prev, first = e.foot, false
+				ops = append(appendHits(ops, hits), e.probe.misses(missMask, &e.foot))
+				hits = 0
 			}
 			u += w.Map.DuDx
 			v += w.Map.DvDx
@@ -370,18 +365,6 @@ func (e *Engine) hitFragments(s float64, n int) float64 {
 		e.retire(s)
 	}
 	return s
-}
-
-// sameFootprint reports a == b, element by element: the compiler turns a
-// whole-array comparison into a memequal call, which costs more than the
-// early exit this loop usually takes.
-func sameFootprint(a, b *[8]texture.Addr) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // retire records a fragment retiring at s in the prefetch ring.

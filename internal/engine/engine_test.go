@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -263,24 +264,64 @@ type noRepeat struct{ cache.Model }
 
 func (noRepeat) RepeatHits() bool { return false }
 
+// perFragment is w's footprint stream with one run per fragment, each
+// footprint built on its own by Sampler.Footprint with ProcessTriangle's
+// u/v stepping: replayed on a noRepeat engine, the reference that skips no
+// repeat, of texels or of lines.
+func perFragment(w *TriangleWork) PrecomputedWork {
+	pw := PrecomputedWork{Segments: w.Segments}
+	smp := w.Tex.Sampler(w.LOD)
+	var foot [8]texture.Addr
+	for _, sp := range w.Segments {
+		yc := float64(sp.Y) + 0.5
+		xc := float64(sp.X0) + 0.5
+		u := w.Map.U0 + w.Map.DuDx*xc + w.Map.DuDy*yc
+		v := w.Map.V0 + w.Map.DvDx*xc + w.Map.DvDy*yc
+		for x := sp.X0; x < sp.X1; x++ {
+			smp.Footprint(u, v, &foot)
+			pw.Addrs = append(pw.Addrs, foot[:]...)
+			pw.Reps = append(pw.Reps, 1)
+			u += w.Map.DuDx
+			v += w.Map.DvDx
+		}
+	}
+	return pw
+}
+
+// minifiedWork is a minified triangle (lod 0, one texel per pixel along
+// x): no fragment repeats the texels of the one before it, but most repeat
+// its lines.
+func minifiedWork(tex *texture.Texture, i int) *TriangleWork {
+	return &TriangleWork{
+		Tex: tex, Map: geom.TexMap{U0: 0.5 + float64(3*i), V0: 1.25, DuDx: 1, DvDy: 1}, LOD: 0,
+		Segments: []Segment{{Y: uint16(i), X0: 0, X1: 40}, {Y: uint16(i + 1), X0: 5, X1: 70}},
+	}
+}
+
 // TestPrecomputedMatchesProcessTriangle: replaying Precompute's stream
 // times every triangle exactly as generating its footprints on the fly, and
-// both match an engine that skips no repeated footprint — on a real cache,
-// on the cacheless model (no repeat skipping), with an L2 behind each, and
-// on a magnified triangle whose fragments repeat footprints in long runs.
+// both match an engine that skips no repeated footprint and builds each
+// one on its own — on a real cache, on the cacheless model (no repeat
+// skipping), with an L2 behind each, on a magnified triangle whose
+// fragments repeat footprints in long runs and on a minified one whose
+// fragments repeat only lines.
 func TestPrecomputedMatchesProcessTriangle(t *testing.T) {
+	small := func() cache.Model { return cache.New(cache.Config{SizeBytes: 2048, Ways: 4, LineBytes: 64}) }
 	cases := []struct {
-		name    string
-		model   func() cache.Model
-		l2      bool
-		magnify bool
+		name  string
+		model func() cache.Model
+		l2    bool
+		tri   string // "", "magnified" or "minified"
 	}{
-		{"paper", func() cache.Model { return cache.New(cache.PaperConfig()) }, false, false},
-		{"none", func() cache.Model { return cache.NewNone() }, false, false},
-		{"paper+l2", func() cache.Model { return cache.New(cache.Config{SizeBytes: 2048, Ways: 4, LineBytes: 64}) }, true, false},
-		{"none+l2", func() cache.Model { return cache.NewNone() }, true, false},
-		{"paper magnified", func() cache.Model { return cache.New(cache.PaperConfig()) }, false, true},
-		{"paper+l2 magnified", func() cache.Model { return cache.New(cache.Config{SizeBytes: 2048, Ways: 4, LineBytes: 64}) }, true, true},
+		{"paper", func() cache.Model { return cache.New(cache.PaperConfig()) }, false, ""},
+		{"none", func() cache.Model { return cache.NewNone() }, false, ""},
+		{"paper+l2", small, true, ""},
+		{"none+l2", func() cache.Model { return cache.NewNone() }, true, ""},
+		{"paper magnified", func() cache.Model { return cache.New(cache.PaperConfig()) }, false, "magnified"},
+		{"paper+l2 magnified", small, true, "magnified"},
+		{"paper minified", func() cache.Model { return cache.New(cache.PaperConfig()) }, false, "minified"},
+		{"none+l2 minified", func() cache.Model { return cache.NewNone() }, true, "minified"},
+		{"paper+l2 minified", small, true, "minified"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -300,15 +341,18 @@ func TestPrecomputedMatchesProcessTriangle(t *testing.T) {
 					Tex: tex, Map: geom.TexMap{U0: float64(3 * i), DuDx: 0.5, DvDy: 0.75}, LOD: 0.25,
 					Segments: []Segment{{Y: uint16(i), X0: 0, X1: 40}, {Y: uint16(i + 1), X0: 5, X1: 70}},
 				}
-				if tc.magnify {
+				switch tc.tri {
+				case "magnified":
 					w.Map = geom.TexMap{U0: float64(5 * i), V0: 2, DuDx: 0.1, DvDx: 0.02, DvDy: 0.1}
 					w.LOD = -2
+				case "minified":
+					w = minifiedWork(tex, i)
 				}
-				pw := w.Precompute()
+				pw, each := w.Precompute(), perFragment(w)
 				frags += pw.Frags()
 				runs += len(pw.Reps)
 				arrival := float64(10 * i)
-				want := ref.ProcessTriangle(arrival, w)
+				want := ref.ProcessPrecomputed(arrival, &each)
 				if got := direct.ProcessTriangle(arrival, w); got != want {
 					t.Fatalf("triangle %d: direct done %v, reference %v", i, got, want)
 				}
@@ -316,8 +360,8 @@ func TestPrecomputedMatchesProcessTriangle(t *testing.T) {
 					t.Fatalf("triangle %d: replay done %v, reference %v", i, got, want)
 				}
 			}
-			if tc.magnify && runs*4 > frags {
-				t.Fatalf("magnified triangles: %d runs over %d fragments, want long repeat runs", runs, frags)
+			if tc.tri == "magnified" && runs*4 > frags || tc.tri == "minified" && runs*4 > frags*3 {
+				t.Fatalf("%s triangles: %d runs over %d fragments, want repeat runs", tc.tri, runs, frags)
 			}
 			type counters struct {
 				Time      float64
@@ -356,27 +400,42 @@ func (c *countingCache) AccessFootprint(foot *[8]texture.Addr) uint8 {
 
 // TestProcessTriangleSkipsRepeatedFootprints: the live path looks up one
 // footprint per run Precompute would record, when the cache guarantees
-// repeat hits, and every fragment's otherwise.
+// repeat hits, and every fragment's otherwise — on a magnified triangle,
+// whose fragments repeat texels, and on a minified one, whose fragments
+// never repeat texels but repeat lines.
 func TestProcessTriangleSkipsRepeatedFootprints(t *testing.T) {
 	tex := texture.NewManager().MustAdd(256, 256)
-	w := &TriangleWork{
+	magnified := &TriangleWork{
 		Tex: tex, Map: geom.TexMap{U0: 1, DuDx: 0.1, DvDy: 0.1}, LOD: -1,
 		Segments: []Segment{{Y: 0, X0: 0, X1: 100}, {Y: 1, X0: 0, X1: 100}},
 	}
-	pw := w.Precompute()
-	if len(pw.Reps)*2 > pw.Frags() {
-		t.Fatalf("%d runs over %d fragments, want long repeat runs", len(pw.Reps), pw.Frags())
-	}
-	for _, c := range []*countingCache{{Model: cache.New(cache.PaperConfig())}, {Model: cache.NewNone()}} {
-		e := New(0, DefaultSetupCycles, c, memory.NewBus(memory.BusConfig{TexelsPerCycle: 1}))
-		e.ProcessTriangle(0, w)
-		want := len(pw.Reps)
-		if !c.RepeatHits() {
-			want = pw.Frags()
+	for _, tc := range []struct {
+		w        *TriangleWork
+		maxShare float64 // of fragments that start a run
+	}{{magnified, 0.5}, {minifiedWork(tex, 0), 0.75}} {
+		w, pw := tc.w, tc.w.Precompute()
+		if float64(len(pw.Reps)) > tc.maxShare*float64(pw.Frags()) {
+			t.Fatalf("LOD %v: %d runs over %d fragments, want repeat runs", w.LOD, len(pw.Reps), pw.Frags())
 		}
-		if c.lookups != want {
-			t.Errorf("%T: %d footprint lookups, want %d (%d runs over %d fragments)",
-				c.Model, c.lookups, want, len(pw.Reps), pw.Frags())
+		if w.LOD == 0 {
+			each := perFragment(w)
+			for r := 1; r < len(each.Reps); r++ {
+				if slices.Equal(each.Addrs[8*r-8:8*r], each.Addrs[8*r:8*r+8]) {
+					t.Fatalf("minified fragment %d repeats the texels of the one before it (test premise broken)", r)
+				}
+			}
+		}
+		for _, c := range []*countingCache{{Model: cache.New(cache.PaperConfig())}, {Model: cache.NewNone()}} {
+			e := New(0, DefaultSetupCycles, c, memory.NewBus(memory.BusConfig{TexelsPerCycle: 1}))
+			e.ProcessTriangle(0, w)
+			want := len(pw.Reps)
+			if !c.RepeatHits() {
+				want = pw.Frags()
+			}
+			if c.lookups != want {
+				t.Errorf("LOD %v, %T: %d footprint lookups, want %d (%d runs over %d fragments)",
+					w.LOD, c.Model, c.lookups, want, len(pw.Reps), pw.Frags())
+			}
 		}
 	}
 }

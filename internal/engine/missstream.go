@@ -1,12 +1,14 @@
 // The miss-stream path: probe once, time many. The node hides memory
 // latency behind the prefetch FIFO and models only bandwidth, so a
 // fragment's probes read no clock: a node's L1/L2 hit-miss sequence is a
-// function of its footprint stream and its cache geometry alone. The bus
-// ratio, setup cost, prefetch depth and triangle buffer change only the
-// timing. A probe walk (internal/core) therefore feeds each of a node's
-// work items to one Prober per cache geometry (Prober.AppendMisses), each
-// appending to a compact miss stream, and a timing pass (ProcessMisses)
-// replays a stream into any bus and buffer setting.
+// function of the lines its footprints touch, in order, and its cache
+// geometry alone, so a run of footprints in the same lines probes as its
+// first footprint repeated (precomputed.go). The bus ratio, setup cost,
+// prefetch depth and triangle buffer change only the timing. A probe walk
+// (internal/core) therefore feeds each of a node's work items to one Prober
+// per cache geometry (Prober.AppendMisses), each appending to a compact
+// miss stream, and a timing pass (ProcessMisses) replays a stream into any
+// bus and buffer setting.
 //
 // Equivalence contract: ProcessMisses is the only loop that times
 // fragments — every fragment that missed through missFragment, every other
@@ -63,10 +65,11 @@ func (p *Prober) misses(missMask uint8, foot *[8]texture.Addr) uint32 {
 // AppendMisses is the probe pass over one work item: it probes every
 // fragment's footprint in scan order and appends the item's miss-stream ops
 // to ops — one per fragment that missed in the L1, one per run of
-// consecutive all-hit fragments. A run that repeats a footprint, on a cache
-// whose RepeatHits holds, is probed once and its repeats counted as hits.
-// Runs never extend ops present before the call, so each item's ops stay a
-// slice of their own. Every run of w must cover at least one fragment.
+// consecutive all-hit fragments. A run of footprints in the same lines, on
+// a cache whose RepeatHits holds, is probed once and its repeats counted as
+// hits. Runs never extend ops present before the call, so each item's ops
+// stay a slice of their own. Every run of w must cover at least one
+// fragment.
 func (p *Prober) AppendMisses(ops []uint32, w *PrecomputedWork) []uint32 {
 	repeatFast := p.L1.RepeatHits()
 	hits, repeats := 0, 0

@@ -78,12 +78,12 @@ func TestMissStreamMatchesPrecomputed(t *testing.T) {
 							if i == 5 {
 								w.Segments = nil // a zero-pixel routing still pays setup
 							}
-							pw := w.Precompute()
+							pw, each := w.Precompute(), perFragment(w)
 							frags += pw.Frags()
 							first := len(ops)
 							ops = probe.AppendMisses(ops, &pw)
 							arrival := float64(7 * i)
-							want := ref.ProcessPrecomputed(arrival, &pw)
+							want := ref.ProcessPrecomputed(arrival, &each)
 							if got := timed.ProcessMisses(arrival, pw.Segments, ops[first:]); got != want {
 								t.Fatalf("triangle %d: timing pass done at %v, ProcessPrecomputed at %v", i, got, want)
 							}

@@ -75,9 +75,13 @@ type Params struct {
 	// and triangle, fragment and texture-count budgets by Scale², while
 	// texture sizes, patch sizes and texel densities stay fixed — so all
 	// cache-local structure (line sharing at tile boundaries, LOD, texture
-	// working-set density) is identical to the full frame. 0 means 1.
+	// working-set density) is identical to the full frame. 0 means 1;
+	// otherwise it must lie in (0, MaxScale].
 	Scale float64
 }
+
+// MaxScale is the largest Scale Generate accepts.
+const MaxScale = 4
 
 func (p Params) withDefaults() Params {
 	if p.Scale == 0 {
@@ -111,8 +115,8 @@ func (p Params) Validate() error {
 		return fmt.Errorf("scene: fresh fraction %v outside [0,1]", p.FreshFraction)
 	case p.HotSpotShare < 0 || p.HotSpotShare >= 1:
 		return fmt.Errorf("scene: hot-spot share %v outside [0,1)", p.HotSpotShare)
-	case p.Scale <= 0 || p.Scale > 4:
-		return fmt.Errorf("scene: scale %v outside (0,4]", p.Scale)
+	case p.Scale <= 0 || p.Scale > MaxScale:
+		return fmt.Errorf("scene: scale %v outside (0,%d]", p.Scale, MaxScale)
 	case p.TexSize < 4 || p.TexSize&(p.TexSize-1) != 0:
 		return fmt.Errorf("scene: texture size %d not a power of two ≥ 4", p.TexSize)
 	}

@@ -200,6 +200,7 @@ func TestSubmitValidation(t *testing.T) {
 			Experiment: &ExperimentSpec{ID: "table1"}}, // both specs
 		{Type: "sweep", Sweep: &sweep.Spec{Scene: "truc640", Procs: []int{1_000_000_000}}}, // too many processors
 		overflowSweep(), // 2^65 points
+		{Type: "sweep", Sweep: &sweep.Spec{Scene: "truc640", Scale: 100}}, // scale past the scene's
 	}
 	for i, req := range bad {
 		if _, code := postJob(t, ts, req); code != http.StatusBadRequest {

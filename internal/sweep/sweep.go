@@ -106,6 +106,9 @@ func (s Spec) Validate() error {
 	if _, err := scene.ByName(s.Scene, s.Scale); err != nil {
 		return fmt.Errorf("%w (known: %v)", err, scene.Names())
 	}
+	if !(s.Scale > 0 && s.Scale <= scene.MaxScale) {
+		return fmt.Errorf("scale: %v must be in (0, %d]", s.Scale, scene.MaxScale)
+	}
 	if _, err := distKind(s.Dist); err != nil {
 		return err
 	}

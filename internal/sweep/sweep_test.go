@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/scene"
 )
 
 // tinySpec keeps test sweeps fast: one small scene, four configurations.
@@ -67,6 +70,12 @@ func TestValidateBounds(t *testing.T) {
 		{"points over limit", Spec{Procs: repeated(1, maxPoints+1), Sizes: []int{4}}, false},
 		{"points wrap to 0", Spec{Procs: repeated(1, 8192), Sizes: repeated(4, 8192),
 			Caches: repeated(16, 8192), Buses: repeated(1.0, 8192), Buffers: repeated(1, 8192)}, false},
+		{"default scale", Spec{Scale: 0}, true},
+		{"scale at limit", Spec{Scale: scene.MaxScale}, true},
+		{"negative scale", Spec{Scale: -1}, false},
+		{"scale over limit", Spec{Scale: 5}, false},
+		{"scale 100", Spec{Scale: 100}, false},
+		{"NaN scale", Spec{Scale: math.NaN()}, false},
 	}
 	for _, c := range cases {
 		c.spec.Scene = "truc640"

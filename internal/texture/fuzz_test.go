@@ -39,22 +39,52 @@ func refFootprint(t *Texture, u, v, lod float64) [8]Addr {
 	return out
 }
 
+// refFloors returns the texel-center floors refFootprint builds a
+// footprint from: u and v on each of the two bracketing levels.
+func refFloors(t *Texture, u, v, lod float64) [4]int32 {
+	s := t.Sampler(lod)
+	return [4]int32{
+		int32(math.Floor(u*s.inv0 - 0.5)), int32(math.Floor(v*s.inv0 - 0.5)),
+		int32(math.Floor(u*s.inv1 - 0.5)), int32(math.Floor(v*s.inv1 - 0.5)),
+	}
+}
+
+// lines returns the 64-byte line of each address of a footprint.
+func lines(foot [8]Addr) [8]Addr {
+	for i := range foot {
+		foot[i] /= LineBytes
+	}
+	return foot
+}
+
+// stepFootprints is the number of steps the stepping leg of
+// FuzzSamplerFootprint takes.
+const stepFootprints = 64
+
 // FuzzSamplerFootprint checks Sampler.Footprint, TrilinearFootprint,
 // BilinearFootprint and AddressOf against the texel-by-texel reference on
 // random power-of-two textures (1×N and N×1 included), placed after another
 // texture so level bases are non-zero, at any coordinates — negative and
 // wrapping — and any level of detail, including magnification (lod < 0)
 // and lods past the end of the mip chain.
+//
+// Its stepping leg walks Sampler.Next from (u, v) by (du, dv) per step, as
+// the engine walks a span: every footprint Next writes must equal the
+// reference, every repeat it reports must lie in the reference's lines, in
+// order, and a step whose texel floors all equal those of the last
+// footprint written must be reported as a repeat.
 func FuzzSamplerFootprint(f *testing.F) {
-	f.Add(uint8(8), uint8(8), 20.5, 7.25, 0.5)
-	f.Add(uint8(0), uint8(6), -3.75, 1000.0, -2.0)
-	f.Add(uint8(5), uint8(0), 1e6, -1e6, 40.0)
-	f.Add(uint8(3), uint8(2), 7.999, 3.5, 2.99)
-	f.Fuzz(func(t *testing.T, logW, logH uint8, u, v, lod float64) {
-		// Keep the coordinates inside int32 at every level and lod inside
-		// int: beyond that the float→int conversions are undefined.
+	f.Add(uint8(8), uint8(8), 20.5, 7.25, 0.3, 0.05, 0.5)
+	f.Add(uint8(0), uint8(6), -3.75, 1000.0, 0.0, -0.7, -2.0)
+	f.Add(uint8(5), uint8(0), 1e6, -1e6, 1.0, 0.0, 40.0)
+	f.Add(uint8(3), uint8(2), 7.999, 3.5, -1.25, 0.5, 2.99)
+	f.Fuzz(func(t *testing.T, logW, logH uint8, u, v, du, dv, lod float64) {
+		// Keep the coordinates inside int32 at every level and step and lod
+		// inside int: beyond that the float→int conversions are undefined.
 		const limit = 1 << 30
-		if !(math.Abs(u) < limit && math.Abs(v) < limit && math.Abs(lod) < limit) {
+		const reach = stepFootprints + 1
+		if !(math.Abs(u)+reach*math.Abs(du) < limit && math.Abs(v)+reach*math.Abs(dv) < limit &&
+			math.Abs(lod) < limit) {
 			return
 		}
 		m := NewManager()
@@ -85,6 +115,32 @@ func FuzzSamplerFootprint(f *testing.F) {
 		iu, iv := int32(u), int32(v)
 		if a, r := tex.AddressOf(l, iu, iv), refAddress(&tex.levels[l], iu, iv); a != r {
 			t.Fatalf("AddressOf(%d, %d, %d) = %d, want %d", l, iu, iv, a, r)
+		}
+
+		s = tex.Sampler(lod)
+		var written [4]int32
+		for k := 0; k < stepFootprints; k++ {
+			want, floors := refFootprint(tex, u, v, lod), refFloors(tex, u, v, lod)
+			same := s.Next(u, v, &got)
+			switch {
+			case k == 0 && same:
+				t.Fatalf("%dx%d lod %v: a new sampler's Next(%v, %v) reported a repeat",
+					tex.Width(), tex.Height(), lod, u, v)
+			case k > 0 && !same && floors == written:
+				t.Fatalf("%dx%d lod %v step %d: Next(%v, %v) missed a repeat of texel floors %v",
+					tex.Width(), tex.Height(), lod, k, u, v, floors)
+			case !same && got != want:
+				t.Fatalf("%dx%d lod %v step %d: Next(%v, %v) wrote %v, want %v",
+					tex.Width(), tex.Height(), lod, k, u, v, got, want)
+			case same && lines(got) != lines(want):
+				t.Fatalf("%dx%d lod %v step %d: Next(%v, %v) reported a repeat of %v, whose lines differ from %v",
+					tex.Width(), tex.Height(), lod, k, u, v, got, want)
+			}
+			if !same {
+				written = floors
+			}
+			u += du
+			v += dv
 		}
 	})
 }

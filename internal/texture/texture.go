@@ -18,7 +18,9 @@ const (
 	// TexelBytes is the size of one texel (32-bit RGBA).
 	TexelBytes = 4
 	// LineBytes is the size of one cache line / memory burst.
-	LineBytes = 64
+	LineBytes = 1 << LineShift
+	// LineShift is log2(LineBytes): the line of address a is a >> LineShift.
+	LineShift = 6
 	// BlockW is the width and height in texels of one blocked tile; a 4×4
 	// block of 4-byte texels fills exactly one 64-byte line.
 	BlockW = 4
@@ -55,14 +57,44 @@ func colOffset(uu uint32) Addr {
 // neighborhood around texel-center coordinates (u*inv - 0.5, v*inv - 0.5),
 // built from two row addresses and two column offsets.
 func (lv *level) bilinear(inv, u, v float64) (a0, a1, a2, a3 Addr) {
-	u0 := int32(math.Floor(u*inv - 0.5))
-	v0 := int32(math.Floor(v*inv - 0.5))
-	c0 := colOffset(uint32(u0) & lv.maskU)
-	c1 := colOffset(uint32(u0+1) & lv.maskU)
-	r0 := lv.rowAddr(uint32(v0) & lv.maskV)
-	r1 := lv.rowAddr(uint32(v0+1) & lv.maskV)
+	c0, c1 := lv.cols(int32(math.Floor(u*inv - 0.5)))
+	r0, r1 := lv.rows(int32(math.Floor(v*inv - 0.5)))
 	return r0 + c0, r0 + c1, r1 + c0, r1 + c1
 }
+
+// cols returns the column offsets of texel columns u0 and u0+1, wrapped.
+func (lv *level) cols(u0 int32) (c0, c1 Addr) {
+	return colOffset(uint32(u0) & lv.maskU), colOffset(uint32(u0+1) & lv.maskU)
+}
+
+// rows returns the row addresses of texel rows v0 and v0+1, wrapped.
+func (lv *level) rows(v0 int32) (r0, r1 Addr) {
+	return lv.rowAddr(uint32(v0) & lv.maskV), lv.rowAddr(uint32(v0+1) & lv.maskV)
+}
+
+// axisWindow returns the interval [lo, hi) of texel-center coordinates x
+// whose floor i' puts texels i' and i'+1 in the same block columns (or
+// rows) as i = ⌊x⌋ and i+1 on a level size texels wide (or high). A level
+// at most BlockW wide is a single block column, so the interval is
+// unbounded. On a wider level, wrapping keeps blocks whole, so the blocks
+// depend on ⌊i' / BlockW⌋ alone: with r = i mod 4 < 3 both texels lie in
+// i's block for every i' in [i−r, i−r+3), and with r = 3 they straddle
+// two blocks for i' = i only.
+func axisWindow(i int32, size uint32) (lo, hi float64) {
+	if size <= BlockW {
+		return -inf, inf
+	}
+	r := uint32(i) % BlockW
+	base := float64(i - int32(r)) // cannot wrap: i rounded down to a multiple of 4
+	return base + windowLo[r], base + windowHi[r]
+}
+
+var (
+	inf = math.Inf(1)
+	// windowLo and windowHi are axisWindow's bounds relative to i−r, by r.
+	windowLo = [BlockW]float64{0, 0, 0, 3}
+	windowHi = [BlockW]float64{3, 3, 3, 4}
+)
 
 // levelScale is 1/2^l, the factor from base-level to level-l coordinates.
 // It is an exact power of two, so u*levelScale(l) is exact.
@@ -126,9 +158,15 @@ func (t *Texture) BilinearFootprint(l int, u, v float64, out []Addr) {
 // Sampler generates the trilinear footprints of one texture at one level of
 // detail: the two bracketing mip levels and their coordinate scales,
 // resolved once (per triangle) instead of once per fragment.
+//
+// For Next it also keeps a line window: for each of the four texel-center
+// coordinates a footprint is built from (u and v on each level), the
+// interval [lo, hi) over which the lines of the last footprint Next wrote
+// stay the same. A new Sampler's window is empty.
 type Sampler struct {
 	l0, l1     level
 	inv0, inv1 float64
+	lo, hi     [4]float64 // x0, y0 (level l0), x1, y1 (level l1)
 }
 
 // Sampler resolves the mip pair a trilinear filter at level-of-detail lod
@@ -151,6 +189,38 @@ func (t *Texture) Sampler(lod float64) Sampler {
 func (s *Sampler) Footprint(u, v float64, out *[8]Addr) {
 	out[0], out[1], out[2], out[3] = s.l0.bilinear(s.inv0, u, v)
 	out[4], out[5], out[6], out[7] = s.l1.bilinear(s.inv1, u, v)
+}
+
+// Next is Footprint for a caller stepping along a span that only needs the
+// footprint's lines. When (u, v) lies inside the line window — its eight
+// addresses fall in the same 64-byte lines, in the same order, as those of
+// the footprint Next last wrote to out — it leaves out alone and reports
+// same. Otherwise it writes the footprint of (u, v) to out, as Footprint
+// does, and moves the window to it. out must be the same array on every
+// call.
+func (s *Sampler) Next(u, v float64, out *[8]Addr) (same bool) {
+	// The window holds the very x the floors are taken of: bounds on u and
+	// v instead would disagree with them wherever u*inv - 0.5 rounds onto
+	// an interval's end.
+	x0, y0 := u*s.inv0-0.5, v*s.inv0-0.5
+	x1, y1 := u*s.inv1-0.5, v*s.inv1-0.5
+	if x0 >= s.lo[0] && x0 < s.hi[0] && y0 >= s.lo[1] && y0 < s.hi[1] &&
+		x1 >= s.lo[2] && x1 < s.hi[2] && y1 >= s.lo[3] && y1 < s.hi[3] {
+		return true
+	}
+	i0, j0 := int32(math.Floor(x0)), int32(math.Floor(y0))
+	i1, j1 := int32(math.Floor(x1)), int32(math.Floor(y1))
+	c0, c1 := s.l0.cols(i0)
+	r0, r1 := s.l0.rows(j0)
+	out[0], out[1], out[2], out[3] = r0+c0, r0+c1, r1+c0, r1+c1
+	c0, c1 = s.l1.cols(i1)
+	r0, r1 = s.l1.rows(j1)
+	out[4], out[5], out[6], out[7] = r0+c0, r0+c1, r1+c0, r1+c1
+	s.lo[0], s.hi[0] = axisWindow(i0, s.l0.w)
+	s.lo[1], s.hi[1] = axisWindow(j0, s.l0.h)
+	s.lo[2], s.hi[2] = axisWindow(i1, s.l1.w)
+	s.lo[3], s.hi[3] = axisWindow(j1, s.l1.h)
+	return false
 }
 
 // TrilinearFootprint is Sampler(lod).Footprint(u, v, out), for callers

@@ -1,6 +1,7 @@
 package texture
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -263,5 +264,31 @@ func BenchmarkSamplerFootprint(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		s.Footprint(float64(i%256), float64((i*7)%256), &out)
+	}
+}
+
+// BenchmarkSamplerNext steps a sampler along a row as the engine does, at
+// three texel strides per pixel: 4 (every footprint moves to new lines, the
+// worst case, against BenchmarkSamplerFootprint), 1 (lines repeat for a
+// few pixels) and 0.125 (magnified: long repeats).
+func BenchmarkSamplerNext(b *testing.B) {
+	for _, step := range []float64{4, 1, 0.125} {
+		b.Run(fmt.Sprint("step=", step), func(b *testing.B) {
+			m := NewManager()
+			tex := m.MustAdd(256, 256)
+			s := tex.Sampler(0.5)
+			var out [8]Addr
+			same := 0
+			u, v := 0.3, 17.6
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if s.Next(u, v, &out) {
+					same++
+				}
+				u += step
+				v += step / 8
+			}
+			b.ReportMetric(float64(same)/float64(b.N), "same/op")
+		})
 	}
 }
