@@ -16,9 +16,12 @@
 // do not change a single span or address. So one artifact is built per
 // (scene, resolution, distribution) and replayed into any number of machine
 // configurations, which is what makes dense cache-axis sweeps cheap
-// (internal/sweep's planner). The planner's artifacts are spans-only: its
-// machines time from miss streams, whose one probe walk per class
-// (missstream.go) generates each item's footprints and drops them.
+// (internal/sweep's planner). An artifact holds one frame, as the paper's
+// method captures one frame and replays it against many cache
+// configurations; a frame sequence (Machine.RunSequence) always streams.
+// The planner's artifacts are spans-only: its machines time from miss
+// streams, whose one probe walk per class (missstream.go) generates each
+// item's footprints and drops them.
 //
 // Equivalence contract: a machine with an artifact attached produces
 // byte-identical results (cycles, counters, cache statistics, FIFO peaks) to
@@ -46,15 +49,13 @@ import (
 	"repro/internal/trace"
 )
 
-// RasterArtifact is the reusable output of rasterizing a frame sequence on
-// one (scene, resolution, distribution): per frame, the routed triangles in
-// submission order, each carrying its per-node owned segments and
-// optionally run-length-encoded trilinear footprint streams. Build it with
+// RasterArtifact is the reusable output of rasterizing one frame on one
+// (scene, resolution, distribution): the routed triangles in submission
+// order, each carrying its per-node owned segments and optionally
+// run-length-encoded trilinear footprint streams. Build it with
 // BuildRasterArtifact, attach it with Machine.SetRasterArtifact, and probe
 // it into miss streams with BuildMissStreams.
 type RasterArtifact struct {
-	// Scene is the name of the scene (frame 0) the artifact was built from.
-	Scene string
 	// Screen is the rendered screen rectangle — the resolution.
 	Screen geom.Rect
 	// Procs, Dist and TileSize identify the distribution the spans were
@@ -62,16 +63,15 @@ type RasterArtifact struct {
 	Procs    int
 	Dist     distrib.Kind
 	TileSize int
-	// Textures is the texture table of every frame (frames of a sequence
-	// must share it, as Machine.RunSequenceContext requires).
+	// Textures is the frame's texture table, which a machine must share.
 	Textures []trace.TexSize
 	// HasFootprints reports whether texel address streams were generated.
 	// A machine replaying a spans-only artifact (ArtifactOpts.SpansOnly)
 	// without miss streams times every work item live.
 	HasFootprints bool
-	// Frames holds one entry per frame, in sequence order.
+	// Frames holds the artifact's one frame.
 	Frames []*FrameArtifact
-	// mgr is the frames' texture memory, which the source triangles'
+	// mgr is the frame's texture memory, which the source triangles'
 	// texture IDs index.
 	mgr *texture.Manager
 }
@@ -146,19 +146,9 @@ func (a *RasterArtifact) Bytes() int {
 	return n
 }
 
-// Counts returns each node's routed triangle count for frame fi.
-func (a *RasterArtifact) Counts(fi int) []int { return a.Frames[fi].counts }
-
-// finalize derives every frame's per-node index and counts. Called by the
-// builder; the derived state is read-only afterwards, so a finalized
-// artifact is safe for concurrent replays.
-func (a *RasterArtifact) finalize() {
-	for _, f := range a.Frames {
-		f.finalize(a.Procs)
-	}
-}
-
-// finalize derives the frame's per-node counts and work index.
+// finalize derives the frame's per-node counts and work index. The derived
+// state is read-only afterwards, so a finalized artifact is safe for
+// concurrent replays.
 func (f *FrameArtifact) finalize(procs int) {
 	f.counts = make([]int, procs)
 	f.perNode = make([][]*ArtifactDest, procs)
@@ -178,9 +168,9 @@ func (f *FrameArtifact) finalize(procs int) {
 	}
 }
 
-// ArtifactOpts tunes how BuildRasterArtifact works, never what it produces:
-// the artifact contents are byte-identical at every setting (SpansOnly only
-// omits the footprint streams, it does not change the spans).
+// ArtifactOpts tunes BuildRasterArtifact. Workers changes how it works,
+// never what it produces; SpansOnly omits the footprint streams, and leaves
+// every span as it is.
 type ArtifactOpts struct {
 	// Workers bounds the build's parallelism (<=0 = GOMAXPROCS).
 	Workers int
@@ -191,39 +181,28 @@ type ArtifactOpts struct {
 	SpansOnly bool
 }
 
-// BuildRasterArtifact rasterizes a frame sequence once for the given
-// distribution and returns the replayable artifact. The frames must satisfy
-// the same constraints Machine.RunSequenceContext enforces (shared texture
-// table) and additionally share one screen rectangle. tileSize 0 means the
-// Config default (16).
+// BuildRasterArtifact rasterizes one frame, frames[0], for the given
+// distribution and returns the replayable artifact; any other frame count
+// is an error. tileSize 0 means the Config default (16).
 func BuildRasterArtifact(ctx context.Context, frames []*trace.Scene, procs int, kind distrib.Kind, tileSize int, opts ArtifactOpts) (*RasterArtifact, error) {
-	if len(frames) == 0 {
-		return nil, fmt.Errorf("core: artifact needs at least one frame")
+	if len(frames) != 1 {
+		return nil, fmt.Errorf("core: an artifact holds one frame, got %d", len(frames))
 	}
 	if tileSize == 0 {
 		tileSize = 16
 	}
-	first := frames[0]
-	for i, f := range frames {
-		if err := f.Validate(); err != nil {
-			return nil, fmt.Errorf("core: frame %d: %w", i, err)
-		}
-		if f.Screen != first.Screen {
-			return nil, fmt.Errorf("core: frame %d screen %v differs from frame 0's %v",
-				i, f.Screen, first.Screen)
-		}
-		if err := checkTextures(f.Textures, first.Textures, "frame 0"); err != nil {
-			return nil, fmt.Errorf("core: frame %d %w", i, err)
-		}
+	f := frames[0]
+	if err := f.Validate(); err != nil {
+		return nil, fmt.Errorf("core: frame: %w", err)
 	}
-	if err := checkScreen(first.Screen); err != nil {
+	if err := checkScreen(f.Screen); err != nil {
 		return nil, err
 	}
-	d, err := distrib.New(kind, first.Screen, procs, tileSize)
+	d, err := distrib.New(kind, f.Screen, procs, tileSize)
 	if err != nil {
 		return nil, err
 	}
-	mgr, err := first.BuildTextures()
+	mgr, err := f.BuildTextures()
 	if err != nil {
 		return nil, err
 	}
@@ -231,26 +210,21 @@ func BuildRasterArtifact(ctx context.Context, frames []*trace.Scene, procs int, 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	a := &RasterArtifact{
-		Scene:         first.Name,
-		Screen:        first.Screen,
+	fa, err := buildFrameArtifact(ctx, f, d, raster.New(f.Screen), mgr, workers, !opts.SpansOnly)
+	if err != nil {
+		return nil, err
+	}
+	fa.finalize(procs)
+	return &RasterArtifact{
+		Screen:        f.Screen,
 		Procs:         procs,
 		Dist:          kind,
 		TileSize:      tileSize,
-		Textures:      append([]trace.TexSize(nil), first.Textures...),
+		Textures:      append([]trace.TexSize(nil), f.Textures...),
 		HasFootprints: !opts.SpansOnly,
+		Frames:        []*FrameArtifact{fa},
 		mgr:           mgr,
-	}
-	rast := raster.New(first.Screen)
-	for _, f := range frames {
-		fa, err := buildFrameArtifact(ctx, f, d, rast, mgr, workers, !opts.SpansOnly)
-		if err != nil {
-			return nil, err
-		}
-		a.Frames = append(a.Frames, fa)
-	}
-	a.finalize()
-	return a, nil
+	}, nil
 }
 
 // buildFrameArtifact rasterizes one frame across worker goroutines. Each
@@ -454,7 +428,7 @@ func checkScreen(r geom.Rect) error {
 
 // checkTextures returns how texture table got differs from want, the table
 // of whom: nil when they are equal. The frames of a sequence and the
-// artifacts of a machine must share its texture table.
+// artifact of a machine must share its texture table.
 func checkTextures(got, want []trace.TexSize, whom string) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("has %d textures, %s has %d", len(got), whom, len(want))
@@ -468,11 +442,11 @@ func checkTextures(got, want []trace.TexSize, whom string) error {
 }
 
 // SetRasterArtifact attaches a prebuilt raster artifact: subsequent runs
-// walk it instead of streaming their frames, with byte-identical results. The
+// walk it instead of streaming their frame, with byte-identical results. The
 // artifact must match the machine's scene, screen and distribution. The
-// caller must run the machine on the frames the
-// artifact was built from — identity is sanity-checked per run by name,
-// screen and triangle count. Pass nil to detach.
+// caller must run the machine on the one frame the artifact was built
+// from — identity is sanity-checked per run by name, screen and triangle
+// count. Pass nil to detach.
 func (m *Machine) SetRasterArtifact(a *RasterArtifact) error {
 	if a == nil {
 		m.artifact, m.streams = nil, nil
@@ -494,21 +468,19 @@ func (m *Machine) SetRasterArtifact(a *RasterArtifact) error {
 	return nil
 }
 
-// checkArtifactFrames sanity-checks that the run's frames line up with the
-// attached artifact.
+// checkArtifactFrames sanity-checks that the run is the one frame the
+// attached artifact was built from.
 func (m *Machine) checkArtifactFrames(frames []*trace.Scene) error {
-	a := m.artifact
-	if len(frames) != len(a.Frames) {
-		return fmt.Errorf("core: run has %d frames, artifact %d", len(frames), len(a.Frames))
+	if len(frames) != 1 {
+		return fmt.Errorf("core: run has %d frames, an artifact holds one", len(frames))
 	}
-	for i, f := range frames {
-		if f.Name != a.Frames[i].Name || len(f.Triangles) != a.Frames[i].Triangles {
-			return fmt.Errorf("core: frame %d is %q (%d triangles), artifact was built from %q (%d)",
-				i, f.Name, len(f.Triangles), a.Frames[i].Name, a.Frames[i].Triangles)
-		}
-		if f.Screen != a.Screen {
-			return fmt.Errorf("core: frame %d screen %v, artifact screen %v", i, f.Screen, a.Screen)
-		}
+	f, fa := frames[0], m.artifact.Frames[0]
+	if f.Name != fa.Name || len(f.Triangles) != fa.Triangles {
+		return fmt.Errorf("core: frame is %q (%d triangles), artifact was built from %q (%d)",
+			f.Name, len(f.Triangles), fa.Name, fa.Triangles)
+	}
+	if f.Screen != m.artifact.Screen {
+		return fmt.Errorf("core: frame screen %v, artifact screen %v", f.Screen, m.artifact.Screen)
 	}
 	return nil
 }

@@ -17,16 +17,16 @@ import (
 	"repro/internal/trace"
 )
 
-// runArtifactPair simulates frames under cfg on the event-driven reference,
-// building each frame in memory. It then replays a prebuilt raster artifact
-// of the same frames on the forced FIFO-coupled driver and, with the given
-// node parallelism, under the default dispatch rule, and fails unless every
-// per-frame result is byte-identical after JSON encoding. It returns the
+// runArtifactPair simulates frame s under cfg on the event-driven
+// reference, building the frame in memory. It then replays a prebuilt
+// raster artifact of the frame on the forced FIFO-coupled driver and, with
+// the given node parallelism, under the default dispatch rule, and fails
+// unless every result is byte-identical after JSON encoding. It returns the
 // default-dispatch replaying machine.
-func runArtifactPair(t *testing.T, frames []*trace.Scene, cfg Config, nodePar int, opts ArtifactOpts) *Machine {
+func runArtifactPair(t *testing.T, s *trace.Scene, cfg Config, nodePar int, opts ArtifactOpts) *Machine {
 	t.Helper()
-	run := func(a *RasterArtifact, force func(*Machine)) ([]*Result, *Machine) {
-		m, err := NewMachine(frames[0], cfg)
+	run := func(a *RasterArtifact, force func(*Machine)) (string, *Machine) {
+		m, err := NewMachine(s, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,35 +37,29 @@ func runArtifactPair(t *testing.T, frames []*trace.Scene, cfg Config, nodePar in
 		if err := m.SetRasterArtifact(a); err != nil {
 			t.Fatal(err)
 		}
-		rs, err := m.RunSequence(frames)
+		res, err := m.RunContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rs, m
+		js, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(js), m
 	}
 	want, _ := run(nil, forceOracle)
 
 	cfgd := cfg.withDefaults()
-	a, err := BuildRasterArtifact(context.Background(), frames, cfgd.Procs,
+	a, err := BuildRasterArtifact(context.Background(), []*trace.Scene{s}, cfgd.Procs,
 		cfgd.Distribution, cfgd.TileSize, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	coupled, _ := run(a, forceCoupled)
 	got, replay := run(a, nil)
-	for name, rs := range map[string][]*Result{"coupled": coupled, "default": got} {
-		for i := range want {
-			wantJS, err := json.Marshal(want[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotJS, err := json.Marshal(rs[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(wantJS) != string(gotJS) {
-				t.Errorf("frame %d: %s replay diverged\nreference: %s\nreplay: %s", i, name, wantJS, gotJS)
-			}
+	for name, js := range map[string]string{"coupled": coupled, "default": got} {
+		if js != want {
+			t.Errorf("%s replay diverged\nreference: %s\nreplay: %s", name, want, js)
 		}
 	}
 	return replay
@@ -96,7 +90,7 @@ func TestArtifactReplayEquivalenceMatrix(t *testing.T) {
 						CacheKind: ck,
 						Bus:       memory.BusConfig{TexelsPerCycle: 2},
 					}
-					runArtifactPair(t, []*trace.Scene{s}, cfg, nodePar, ArtifactOpts{})
+					runArtifactPair(t, s, cfg, nodePar, ArtifactOpts{})
 				}
 			}
 		}
@@ -116,8 +110,8 @@ func TestArtifactReplayNoRepeatGuarantee(t *testing.T) {
 		},
 		Bus: memory.BusConfig{TexelsPerCycle: 1},
 	}
-	runArtifactPair(t, []*trace.Scene{s}, cfg, 1, ArtifactOpts{})
-	runArtifactPair(t, []*trace.Scene{s}, cfg, 4, ArtifactOpts{})
+	runArtifactPair(t, s, cfg, 1, ArtifactOpts{})
+	runArtifactPair(t, s, cfg, 4, ArtifactOpts{})
 }
 
 // TestArtifactReplayL2 checks replay with the two-level hierarchy and a
@@ -129,18 +123,74 @@ func TestArtifactReplayL2(t *testing.T) {
 		Bus:     memory.BusConfig{TexelsPerCycle: 2},
 		MainBus: memory.BusConfig{TexelsPerCycle: 1},
 	}
-	runArtifactPair(t, []*trace.Scene{s}, cfg, 4, ArtifactOpts{})
+	runArtifactPair(t, s, cfg, 4, ArtifactOpts{})
 }
 
-// TestArtifactReplaySequence checks frame sequences: one artifact holds all
-// frames and the inter-frame cache state must evolve exactly as in a direct
-// run.
+// TestArtifactReplaySequence checks frame sequences, which stream, since an
+// artifact holds one frame: on 4 workers, every frame runs on the
+// decoupled driver and the inter-frame cache state evolves exactly as on
+// the event-driven reference.
 func TestArtifactReplaySequence(t *testing.T) {
-	base := benchSceneFor(t, "room3", 0.1)
-	frames := scene.PanSequence(base, 4, 3, 1)
-	m := runArtifactPair(t, frames, Config{Procs: 8, TileSize: 8}, 4, ArtifactOpts{})
+	frames := scene.PanSequence(benchSceneFor(t, "room3", 0.1), 4, 3, 1)
+	run := func(force func(*Machine)) (string, *Machine) {
+		m, err := NewMachine(frames[0], Config{Procs: 8, TileSize: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		force(m)
+		rs, err := m.RunSequence(frames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, err := json.Marshal(rs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(js), m
+	}
+	want, _ := run(forceOracle)
+	got, m := run(func(m *Machine) { m.SetNodeParallelism(4) })
+	if got != want {
+		t.Errorf("streamed sequence diverged\nreference: %s\nstreamed:  %s", want, got)
+	}
 	if m.parallelFrames != len(frames) {
-		t.Errorf("replay ran %d of %d frames on the decoupled driver", m.parallelFrames, len(frames))
+		t.Errorf("the stream ran %d of %d frames on the decoupled driver", m.parallelFrames, len(frames))
+	}
+}
+
+// TestArtifactHoldsOneFrame: BuildRasterArtifact takes exactly one frame, and a
+// machine with an artifact attached refuses a run of two frames, even when
+// the artifact was made to hold both.
+func TestArtifactHoldsOneFrame(t *testing.T) {
+	s := testScene(3, 40, 64)
+	next := testScene(4, 30, 64)
+	next.Name = "core-test-2"
+	build := func(frames ...*trace.Scene) (*RasterArtifact, error) {
+		return BuildRasterArtifact(context.Background(), frames, 4, distrib.BlockKind, 16, ArtifactOpts{SpansOnly: true})
+	}
+	for _, frames := range [][]*trace.Scene{nil, {s, next}} {
+		if _, err := build(frames...); err == nil || !strings.Contains(err.Error(), "one frame") {
+			t.Errorf("artifact of %d frames: err = %v, want a one-frame error", len(frames), err)
+		}
+	}
+	a, err := build(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := build(next)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Frames = append(a.Frames, b.Frames[0])
+	m, err := NewMachine(s, Config{Procs: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetRasterArtifact(a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.RunSequence([]*trace.Scene{s, next}); err == nil || !strings.Contains(err.Error(), "holds one") {
+		t.Errorf("two-frame run with an artifact attached: err = %v, want a one-frame error", err)
 	}
 }
 
@@ -153,7 +203,7 @@ func TestArtifactReplayCoupled(t *testing.T) {
 	s := testScene(5, 60, 96)
 	counts := frameCounts(t, s, 4)
 	most := slices.Max(counts)
-	m := runArtifactPair(t, []*trace.Scene{s}, Config{Procs: 4, TriangleBuffer: most}, 4, ArtifactOpts{})
+	m := runArtifactPair(t, s, Config{Procs: 4, TriangleBuffer: most}, 4, ArtifactOpts{})
 	if m.parallelFrames != 1 {
 		t.Errorf("buffer %d that no node overfills: decoupled driver ran %d of 1 frames", most, m.parallelFrames)
 	}
@@ -162,7 +212,7 @@ func TestArtifactReplayCoupled(t *testing.T) {
 			t.Errorf("node %d: FIFO peak %d, want its count %d", i, n.FIFOPeak, counts[i])
 		}
 	}
-	m = runArtifactPair(t, []*trace.Scene{s}, Config{Procs: 4, TriangleBuffer: 8}, 4, ArtifactOpts{})
+	m = runArtifactPair(t, s, Config{Procs: 4, TriangleBuffer: 8}, 4, ArtifactOpts{})
 	if m.parallelFrames != 0 {
 		t.Error("decoupled driver engaged despite an overfilled triangle buffer")
 	}
@@ -179,7 +229,7 @@ func TestArtifactSpansOnly(t *testing.T) {
 		{Procs: 4, L2Config: l2Config(), MainBus: memory.BusConfig{TexelsPerCycle: 1}, Bus: memory.BusConfig{TexelsPerCycle: 0.5}},
 		{Procs: 4, CacheKind: CacheNone, Bus: memory.BusConfig{TexelsPerCycle: 2}},
 	} {
-		runArtifactPair(t, []*trace.Scene{s}, cfg, 4, ArtifactOpts{SpansOnly: true})
+		runArtifactPair(t, s, cfg, 4, ArtifactOpts{SpansOnly: true})
 	}
 	a, err := BuildRasterArtifact(context.Background(), []*trace.Scene{s}, 4,
 		distrib.BlockKind, 16, ArtifactOpts{SpansOnly: true})

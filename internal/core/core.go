@@ -296,8 +296,6 @@ type Machine struct {
 	// with an artifact attached probes each work item as it times it, from
 	// its footprint stream or, in a spans-only artifact, live.
 	streams *MissStreams
-	// frame is the index of the frame being timed.
-	frame int
 	// parallelFrames counts frames walked on the decoupled clock, streamed
 	// or stored, so tests can assert which clock actually ran.
 	parallelFrames int
@@ -447,8 +445,8 @@ func (m *Machine) RunSequenceContext(ctx context.Context, frames []*trace.Scene)
 	prev := make([]NodeResult, m.cfg.Procs)
 	frameStart := 0.0
 	var results []*Result
-	for fi, f := range frames {
-		if err := m.runFrame(ctx, fi, f); err != nil {
+	for _, f := range frames {
+		if err := m.runFrame(ctx, f); err != nil {
 			return nil, err
 		}
 		res := &Result{Config: m.cfg, Scene: f.Name}
@@ -456,7 +454,7 @@ func (m *Machine) RunSequenceContext(ctx context.Context, frames []*trace.Scene)
 			cum := nodeResult(e, m.lastFIFOPeaks[i])
 			if m.streams != nil {
 				// The probe walk, not the engine, ran the caches.
-				cum.Cache, cum.L2 = m.streams.stats(i, fi)
+				cum.Cache, cum.L2 = m.streams.nodes[i].l1, m.streams.nodes[i].l2
 			}
 			res.add(cum.sub(prev[i]))
 			prev[i] = cum
@@ -478,12 +476,11 @@ func (m *Machine) RunSequenceContext(ctx context.Context, frames []*trace.Scene)
 	return results, nil
 }
 
-// runFrame times frame fi: by the machine model's own hook if it has one,
+// runFrame times frame f: by the machine model's own hook if it has one,
 // else by one walk over the frame's work items (stream.go), streamed or
 // taken from the attached artifact, on the clock the dispatch rule
 // (decoupled, parallel.go) picks from the frame's per-node counts.
-func (m *Machine) runFrame(ctx context.Context, fi int, f *trace.Scene) error {
-	m.frame = fi
+func (m *Machine) runFrame(ctx context.Context, f *trace.Scene) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}

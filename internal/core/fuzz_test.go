@@ -15,19 +15,23 @@ import (
 // FuzzFrameDrivers is the cross-driver differential oracle: a random small
 // scene — or, on odd seeds, a two-frame sequence — on a random machine must
 // give the event-driven reference's results, byte for byte, on the forced
-// FIFO-coupled driver, under the default dispatch rule (the frame stream,
-// on GOMAXPROCS workers and on one), replaying a memoized artifact with
-// footprint streams, replaying a spans-only artifact (timed live), and
-// timing from the miss streams of a two-geometry probe walk over the
-// spans-only artifact: one stream shared by machines on both drivers and at
-// a second bus ratio and buffer depth, the other timing a machine of the
-// second geometry. With record set, every run also records an
-// auto-interval flight trace, which must match the reference's byte for
-// byte too. Every run must conserve the fragments a single node draws and
-// hold the model's physical invariants (checkInvariants). The same input,
-// with degenerate and off-screen triangles mixed into the scene, also holds
-// sort-last in both assignments and, on block inputs, the dynamic tile
-// queue in both orders to their hand-written references.
+// FIFO-coupled driver and under the default dispatch rule (the frame
+// stream, on GOMAXPROCS workers and on one). An artifact holds one frame,
+// so the remaining legs run on the input's first frame, against the
+// reference's run of it: replaying a memoized artifact with footprint
+// streams, replaying a spans-only artifact (timed live), and timing from
+// the miss streams of a two-geometry probe walk over the spans-only
+// artifact: one stream shared by machines on both drivers and at a second
+// bus ratio and buffer depth, the other timing a machine of the second
+// geometry. A pure-scan machine never probes, so its walk probes only the
+// second geometry, and its own legs time the artifact alone, as in the
+// planner. With record set, every run also records an auto-interval flight
+// trace, which must match the reference's byte for byte too. Every run
+// must conserve the fragments a single node draws and hold the model's
+// physical invariants (checkInvariants). The same input, with degenerate
+// and off-screen triangles mixed into the scene, also holds sort-last in
+// both assignments and, on block inputs, the dynamic tile queue in both
+// orders to their hand-written references.
 func FuzzFrameDrivers(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(4), uint8(0), uint8(16), uint8(0), uint8(1), uint16(9999), false, false)
 	f.Add(int64(2), uint8(60), uint8(8), uint8(1), uint8(2), uint8(1), uint8(2), uint16(7), false, true)
@@ -53,9 +57,9 @@ func FuzzFrameDrivers(f *testing.F) {
 			next.Name = "core-test-2"
 			frames = append(frames, next)
 		}
-		// run returns the sequence's encoded results, checked against the
+		// run returns the encoded results of frames, checked against the
 		// physical invariants, and, with record set, its trace.
-		run := func(cfg Config, a *RasterArtifact, ms *MissStreams, force func(*Machine)) (string, string) {
+		run := func(cfg Config, frames []*trace.Scene, a *RasterArtifact, ms *MissStreams, force func(*Machine)) (string, string) {
 			t.Helper()
 			m, err := NewMachine(s, cfg)
 			if err != nil {
@@ -94,74 +98,92 @@ func FuzzFrameDrivers(f *testing.F) {
 			}
 			return string(js), string(tr)
 		}
+		type leg struct {
+			name  string
+			a     *RasterArtifact
+			ms    *MissStreams
+			force func(*Machine)
+		}
+		check := func(frames []*trace.Scene, want, wantTrace string, legs []leg) {
+			t.Helper()
+			for _, p := range legs {
+				got, tr := run(cfg, frames, p.a, p.ms, p.force)
+				if got != want {
+					t.Errorf("%s diverged from the reference\nreference: %s\n%s: %s", p.name, want, p.name, got)
+				}
+				if tr != wantTrace {
+					t.Errorf("%s: flight trace diverged from the reference (%d vs %d bytes)", p.name, len(tr), len(wantTrace))
+				}
+			}
+		}
 
-		want, wantTrace := run(cfg, nil, nil, forceOracle)
+		want, wantTrace := run(cfg, frames, nil, nil, forceOracle)
+		check(frames, want, wantTrace, []leg{
+			{"forced coupled", nil, nil, forceCoupled},
+			{"default dispatch", nil, nil, nil},
+			{"default dispatch, one worker", nil, nil, func(m *Machine) { m.SetNodeParallelism(1) }},
+		})
+
+		one := frames[:1]
+		want1, wantTrace1 := want, wantTrace
+		if len(frames) > 1 {
+			want1, wantTrace1 = run(cfg, one, nil, nil, forceOracle)
+		}
 		cfgd := cfg.withDefaults()
-		a, err := BuildRasterArtifact(context.Background(), frames, cfgd.Procs,
+		a, err := BuildRasterArtifact(context.Background(), one, cfgd.Procs,
 			cfgd.Distribution, cfgd.TileSize, ArtifactOpts{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		spans, err := BuildRasterArtifact(context.Background(), frames, cfgd.Procs,
+		spans, err := BuildRasterArtifact(context.Background(), one, cfgd.Procs,
 			cfgd.Distribution, cfgd.TileSize, ArtifactOpts{Workers: 2, SpansOnly: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		// The second geometry toggles the L2, or on a pure-scan machine
-		// moves to a finite bus, so the walk always probes something.
+		// moves to a finite bus, so it always probes.
 		second := cfg
 		if cfg.HasL2() {
 			second.L2Config, second.MainBus = cache.Config{}, memory.BusConfig{}
 		} else {
 			second.L2Config, second.MainBus = l2Config(), memory.BusConfig{TexelsPerCycle: 1}
 		}
+		probing := []Config{cfg, second}
 		if cfg.MissGeometry().PureScan {
 			second.Bus.TexelsPerCycle = 2
+			probing = []Config{second}
 		}
-		walked, err := BuildMissStreams(context.Background(), spans, []Config{cfg, second}, 2)
+		walked, err := BuildMissStreams(context.Background(), spans, probing, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shared := walked[0]
-		for _, p := range []struct {
-			name  string
-			a     *RasterArtifact
-			ms    *MissStreams
-			force func(*Machine)
-		}{
-			{"forced coupled", nil, nil, forceCoupled},
-			{"default dispatch", nil, nil, nil},
-			{"default dispatch, one worker", nil, nil, func(m *Machine) { m.SetNodeParallelism(1) }},
+		var shared *MissStreams // none for a pure-scan machine
+		if len(walked) == 2 {
+			shared = walked[0]
+		}
+		check(one, want1, wantTrace1, []leg{
 			{"memoized artifact", a, nil, nil},
 			{"spans-only artifact", spans, nil, nil},
 			{"shared stream", spans, shared, nil},
 			{"shared stream, forced coupled", spans, shared, forceCoupled},
-		} {
-			got, tr := run(cfg, p.a, p.ms, p.force)
-			if got != want {
-				t.Errorf("%s diverged from the reference\nreference: %s\n%s: %s", p.name, want, p.name, got)
-			}
-			if tr != wantTrace {
-				t.Errorf("%s: flight trace diverged from the reference (%d vs %d bytes)", p.name, len(tr), len(wantTrace))
-			}
-		}
+		})
 
 		// The same stream times another bus ratio and buffer depth, as long
-		// as the cache geometry (pure scan included) stays the same.
+		// as the cache geometry stays the same.
 		other := cfg
 		other.Bus.TexelsPerCycle = []float64{3, 0.25}[bus%2]
 		other.TriangleBuffer = 1 + int(buffer/3)%10000
 		if other.MissGeometry() == cfg.MissGeometry() {
-			want, wantTrace := run(other, nil, nil, forceOracle)
-			got, tr := run(other, spans, shared, nil)
+			want, wantTrace := run(other, one, nil, nil, forceOracle)
+			got, tr := run(other, one, spans, shared, nil)
 			if got != want || tr != wantTrace {
 				t.Errorf("shared stream at bus %v, buffer %d diverged from the reference\nreference: %s\nstream:    %s",
 					other.Bus.TexelsPerCycle, other.TriangleBuffer, want, got)
 			}
 		}
-		// The walk's second stream times its own geometry.
-		want2, wantTrace2 := run(second, nil, nil, forceOracle)
-		if got, tr := run(second, spans, walked[1], nil); got != want2 || tr != wantTrace2 {
+		// The walk's last stream times the second geometry.
+		want2, wantTrace2 := run(second, one, nil, nil, forceOracle)
+		if got, tr := run(second, one, spans, walked[len(walked)-1], nil); got != want2 || tr != wantTrace2 {
 			t.Errorf("second geometry's stream diverged from the reference\nreference: %s\nstream:    %s", want2, got)
 		}
 

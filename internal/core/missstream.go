@@ -5,17 +5,17 @@
 // (raster artifact, cache geometry, L2 geometry) alone; the bus ratio,
 // triangle buffer, setup cost and prefetch depth change only the timing.
 // BuildMissStreams walks each node's work items once for all the cache
-// geometries of an artifact: it generates each item's footprints, feeds
-// them to one engine.Prober per geometry (Prober.AppendMisses) and drops
-// them, so no footprint outlives its item. Every machine the streams are
-// attached to runs only the timing pass (engine.Engine.ProcessMisses), on
-// either clock of the frame walk.
+// geometries of a one-frame artifact that probe: it generates each item's
+// footprints, feeds them to one engine.Prober per geometry
+// (Prober.AppendMisses) and drops them, so no footprint outlives its item.
+// Every machine the streams are attached to runs only the timing pass
+// (engine.Engine.ProcessMisses), on either clock of the frame walk.
 //
 // Equivalence contract: a machine timing from miss streams gives results
 // byte-identical to streaming the frame live (cycles, counters, cache
 // statistics, FIFO peaks and flight traces), by engine.ProcessMisses's
-// contract; the cache and L2 statistics are the probe walk's, snapshotted
-// at every frame boundary because RunSequence reports per-frame deltas.
+// contract; the cache and L2 statistics are the probe walk's, taken at the
+// end of the frame.
 //
 // The dynamic tile queue and sort-last time frames with hooks of their own
 // and never take an artifact, so they never time from streams: which
@@ -28,8 +28,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/engine"
@@ -59,9 +57,9 @@ func (c Config) MissGeometry() MissGeometry {
 	return g
 }
 
-// MissStreams is the probe walk's output for one raster artifact and one
-// cache geometry: per node, the miss stream of every work item in every
-// frame. Build it with BuildMissStreams and attach it with
+// MissStreams is the probe walk's output for one single-frame raster
+// artifact and one cache geometry: per node, the miss stream of every work
+// item of the frame. Build it with BuildMissStreams and attach it with
 // Machine.SetMissStreams; it is read-only afterwards, so any number of
 // machines may time from it concurrently.
 type MissStreams struct {
@@ -71,22 +69,12 @@ type MissStreams struct {
 	nodes []nodeStream
 }
 
-// nodeStream is one node's miss stream. Work items are numbered across
-// frames in frame order, each frame's in submission order.
+// nodeStream is one node's miss stream, its work items in submission order,
+// and the node's cache and L2 statistics at the end of the frame.
 type nodeStream struct {
 	ops []uint32
 	// ends[i+1] is the end offset of item i's ops; ends[0] is 0.
-	ends []int
-	// first[fi] is the number of the node's first item of frame fi.
-	first []int
-	// frames holds the node's cumulative cache statistics at the end of
-	// each frame.
-	frames []frameStats
-}
-
-// frameStats is a node's cumulative cache and L2 statistics at a frame
-// boundary.
-type frameStats struct {
+	ends   []int
 	l1, l2 cache.Stats
 }
 
@@ -103,19 +91,18 @@ func (s *MissStreams) Bytes() int {
 // configuration of cfgs, in order, configurations of one MissGeometry
 // sharing one. Each node's work items are walked once, in order, on up to
 // workers goroutines (<=0 = GOMAXPROCS): every item's footprints are
-// generated once and probed by every geometry. A pure-scan geometry never
-// probes, so its streams hold no ops and cost no walk. The artifact need
-// not carry footprints.
+// generated once and probed by every geometry. A pure-scan configuration
+// never probes, so it has no stream and is rejected. The artifact need not
+// carry footprints.
 //
-// A node is one task, which generates each item's footprints into a buffer
-// it reuses from item to item. With fewer nodes than workers, the spare
-// workers split each node's geometries into groups, one task per (node,
-// group), and a helper per node generates the footprints ahead of the
-// groups' probes (footRing).
+// A node is one task. With at least as many nodes as workers, the task
+// generates each item's footprints itself, into a buffer it reuses from
+// item to item; with fewer, a helper goroutine of the task's own generates
+// them ahead of its probes (footRing).
 func BuildMissStreams(ctx context.Context, a *RasterArtifact, cfgs []Config, workers int) ([]*MissStreams, error) {
 	out := make([]*MissStreams, len(cfgs))
 	byGeom := make(map[MissGeometry]*MissStreams)
-	var probed []*MissStreams // the geometries that probe, in first-seen order
+	var probed []*MissStreams // one per geometry, in first-seen order
 	var probeCfgs []Config
 	for i, cfg := range cfgs {
 		cfg = cfg.withDefaults()
@@ -126,78 +113,43 @@ func BuildMissStreams(ctx context.Context, a *RasterArtifact, cfgs []Config, wor
 			return nil, fmt.Errorf("core: artifact is for %d nodes, configuration has %d", a.Procs, cfg.Procs)
 		}
 		g := cfg.MissGeometry()
+		if g.PureScan {
+			return nil, fmt.Errorf("core: a pure-scan configuration (perfect cache, infinite bus) never probes, so it has no miss stream")
+		}
 		if byGeom[g] == nil {
-			s := &MissStreams{art: a, procs: a.Procs, geom: g, nodes: make([]nodeStream, a.Procs)}
-			byGeom[g] = s
-			if g.PureScan {
-				s.fillPureScan()
-			} else {
-				probed = append(probed, s)
-				probeCfgs = append(probeCfgs, cfg)
-			}
+			byGeom[g] = &MissStreams{art: a, procs: a.Procs, geom: g, nodes: make([]nodeStream, a.Procs)}
+			probed = append(probed, byGeom[g])
+			probeCfgs = append(probeCfgs, cfg)
 		}
 		out[i] = byGeom[g]
-	}
-	if len(probed) == 0 {
-		return out, nil
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	groups := min(max(workers/a.Procs, 1), len(probed))
-	var rings []*footRing
-	if a.Procs < workers {
-		rings = make([]*footRing, a.Procs)
-		for p := range rings {
-			rings[p] = newFootRing(a, p, groups)
-		}
-	}
-	err := par.ForEach(ctx, workers, a.Procs*groups, func(t int) error {
-		p, grp := t/groups, t%groups
-		lo, hi := grp*len(probed)/groups, (grp+1)*len(probed)/groups
-		walk := nodeWalk{art: a, p: p, probers: make([]engine.Prober, hi-lo), streams: make([]*nodeStream, hi-lo)}
-		for j := range walk.probers {
-			cfg := probeCfgs[lo+j]
+	err := par.ForEach(ctx, workers, a.Procs, func(p int) error {
+		walk := nodeWalk{art: a, p: p, probers: make([]engine.Prober, len(probed)), streams: make([]*nodeStream, len(probed))}
+		for j, cfg := range probeCfgs {
 			walk.probers[j].L1 = newCache(cfg)
 			if cfg.HasL2() {
 				walk.probers[j].L2 = cache.New(cfg.L2Config)
 			}
-			walk.streams[j] = &probed[lo+j].nodes[p]
+			walk.streams[j] = &probed[j].nodes[p]
 		}
-		if rings == nil {
+		if a.Procs >= workers {
 			return walk.run(ctx, walk.inline())
 		}
-		err := walk.run(ctx, rings[p].reader(grp))
-		if err != nil {
-			rings[p].stop() // the node's other groups may wait on slots this one holds
-		}
-		return err
+		r := newFootRing(a, p)
+		defer r.stop()
+		return walk.run(ctx, r.next)
 	})
-	for _, r := range rings {
-		r.stop()
-	}
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// fillPureScan gives every node of a pure-scan stream its item offsets and
-// frame statistics: every item holds no ops, and the caches never run.
-func (s *MissStreams) fillPureScan() {
-	for p := range s.nodes {
-		ns := &s.nodes[p]
-		ns.ends = []int{0}
-		for _, f := range s.art.Frames {
-			ns.first = append(ns.first, len(ns.ends)-1)
-			ns.ends = append(ns.ends, make([]int, len(f.perNode[p]))...)
-			ns.frames = append(ns.frames, frameStats{})
-		}
-	}
-}
-
-// nodeWalk is one walk over node p's work items, probing a group of cache
-// geometries: probers[j] appends its misses to streams[j].
+// nodeWalk is one walk over node p's work items, probing every cache
+// geometry: probers[j] appends its misses to streams[j].
 type nodeWalk struct {
 	art     *RasterArtifact
 	p       int
@@ -206,37 +158,27 @@ type nodeWalk struct {
 }
 
 // run walks the node's items in order, taking each item's footprints from
-// next, and probes them into every stream of the group. next returns nil
-// only when the walk was stopped.
+// next, and probes them into every stream.
 func (w *nodeWalk) run(ctx context.Context, next func(d *ArtifactDest) *engine.PrecomputedWork) error {
 	for _, ns := range w.streams {
 		ns.ends = []int{0}
 	}
-	for _, f := range w.art.Frames {
-		for _, ns := range w.streams {
-			ns.first = append(ns.first, len(ns.ends)-1)
-		}
-		for k, d := range f.perNode[w.p] {
-			if k%ctxPollTriangles == 0 && k > 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			work := next(d)
-			if work == nil {
-				return fmt.Errorf("core: probe walk of node %d stopped", w.p)
-			}
-			for j, ns := range w.streams {
-				ns.ops = w.probers[j].AppendMisses(ns.ops, work)
-				ns.ends = append(ns.ends, len(ns.ops))
+	for k, d := range w.art.Frames[0].perNode[w.p] {
+		if k%ctxPollTriangles == 0 && k > 0 {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
 		}
+		work := next(d)
 		for j, ns := range w.streams {
-			st := frameStats{l1: w.probers[j].L1.Stats()}
-			if w.probers[j].L2 != nil {
-				st.l2 = w.probers[j].L2.Stats()
-			}
-			ns.frames = append(ns.frames, st)
+			ns.ops = w.probers[j].AppendMisses(ns.ops, work)
+			ns.ends = append(ns.ends, len(ns.ops))
+		}
+	}
+	for j, ns := range w.streams {
+		ns.l1 = w.probers[j].L1.Stats()
+		if w.probers[j].L2 != nil {
+			ns.l2 = w.probers[j].L2.Stats()
 		}
 	}
 	return nil
@@ -263,38 +205,34 @@ func (w *nodeWalk) inline() func(d *ArtifactDest) *engine.PrecomputedWork {
 const ringSlots, slotRuns = 8, 512
 
 // footRing generates node p's footprints on a helper goroutine, whole work
-// items at a time, ahead of the walks that read them: every reader reads
-// every slot, and the last to finish a slot hands it back to the helper.
-// Each channel holds up to every slot, so no send blocks.
+// items at a time, ahead of the one walk that reads them (next), which
+// hands each slot back once it has read it. Each channel holds every slot,
+// so no send blocks.
 type footRing struct {
-	free   chan *footSlot
-	full   []chan *footSlot // one per reader
-	done   chan struct{}    // closed by stop
-	exited chan struct{}    // closed by the helper
-	once   sync.Once
+	free, full chan *footSlot
+	done       chan struct{} // closed by stop
+	exited     chan struct{} // closed by the helper
+
+	cur  *footSlot // the slot the walk is reading
+	item int       // the next item of cur to hand out
+	work engine.PrecomputedWork
 }
 
 // footSlot holds the footprint runs of consecutive work items: item i's
 // runs are addrs[8*ends[i]:8*ends[i+1]] and reps[ends[i]:ends[i+1]].
-// readers counts the readers still reading it.
 type footSlot struct {
-	addrs   []texture.Addr
-	reps    []int32
-	ends    []int
-	readers atomic.Int32
+	addrs []texture.Addr
+	reps  []int32
+	ends  []int
 }
 
-// newFootRing starts the helper for node p of artifact a, for the given
-// number of readers.
-func newFootRing(a *RasterArtifact, p, readers int) *footRing {
+// newFootRing starts the helper for node p of artifact a.
+func newFootRing(a *RasterArtifact, p int) *footRing {
 	r := &footRing{
 		free:   make(chan *footSlot, ringSlots),
-		full:   make([]chan *footSlot, readers),
+		full:   make(chan *footSlot, ringSlots),
 		done:   make(chan struct{}),
 		exited: make(chan struct{}),
-	}
-	for i := range r.full {
-		r.full[i] = make(chan *footSlot, ringSlots)
 	}
 	for range ringSlots {
 		r.free <- &footSlot{}
@@ -304,86 +242,58 @@ func newFootRing(a *RasterArtifact, p, readers int) *footRing {
 }
 
 // fill is the helper: it generates every item's footprints in walk order
-// and hands each slot to every reader as it fills, until the items run out
-// or the ring is stopped.
+// and hands each slot to the walk as it fills, until the items run out or
+// the ring is stopped.
 func (r *footRing) fill(a *RasterArtifact, p int) {
 	defer close(r.exited)
 	var s *footSlot
-	send := func() {
-		s.readers.Store(int32(len(r.full)))
-		for _, c := range r.full {
-			c <- s
+	for _, d := range a.Frames[0].perNode[p] {
+		if s == nil {
+			select {
+			case s = <-r.free:
+			case <-r.done:
+				return
+			}
+			s.addrs, s.reps, s.ends = s.addrs[:0], s.reps[:0], append(s.ends[:0], 0)
 		}
-		s = nil
-	}
-	for _, f := range a.Frames {
-		for _, d := range f.perNode[p] {
-			if s == nil {
-				select {
-				case s = <-r.free:
-				case <-r.done:
-					return
-				}
-				s.addrs, s.reps, s.ends = s.addrs[:0], s.reps[:0], append(s.ends[:0], 0)
-			}
-			tw := d.work(a.mgr)
-			s.addrs, s.reps = tw.AppendFootprints(s.addrs, s.reps)
-			s.ends = append(s.ends, len(s.reps))
-			if len(s.reps) >= slotRuns {
-				send()
-			}
+		tw := d.work(a.mgr)
+		s.addrs, s.reps = tw.AppendFootprints(s.addrs, s.reps)
+		s.ends = append(s.ends, len(s.reps))
+		if len(s.reps) >= slotRuns {
+			r.full <- s
+			s = nil
 		}
 	}
 	if s != nil {
-		send()
+		r.full <- s
 	}
 }
 
-// stop ends the helper, whether or not its readers read every item, and
-// waits for it to exit. It may be called any number of times.
+// stop ends the helper, whether or not the walk read every item, and waits
+// for it to exit. The walk's task calls it once the walk has returned.
 func (r *footRing) stop() {
-	r.once.Do(func() { close(r.done) })
+	close(r.done)
 	<-r.exited
 }
 
-// reader returns the footprint source of the ring's i-th reader: each call
-// returns the footprints of the walk's next item, d, or nil once the ring
-// is stopped.
-func (r *footRing) reader(i int) func(d *ArtifactDest) *engine.PrecomputedWork {
-	var cur *footSlot
-	item := 0 // the next item of cur to hand out
-	var work engine.PrecomputedWork
-	return func(d *ArtifactDest) *engine.PrecomputedWork {
-		if cur == nil || item == len(cur.ends)-1 {
-			if cur != nil && cur.readers.Add(-1) == 0 {
-				r.free <- cur
-			}
-			select {
-			case cur = <-r.full[i]:
-			case <-r.done:
-				return nil
-			}
-			item = 0
+// next returns the footprints of the walk's next item, d.
+func (r *footRing) next(d *ArtifactDest) *engine.PrecomputedWork {
+	if r.cur == nil || r.item == len(r.cur.ends)-1 {
+		if r.cur != nil {
+			r.free <- r.cur
 		}
-		lo, hi := cur.ends[item], cur.ends[item+1]
-		item++
-		work = engine.PrecomputedWork{Segments: d.Work.Segments, Addrs: cur.addrs[8*lo : 8*hi], Reps: cur.reps[lo:hi]}
-		return &work
+		r.cur, r.item = <-r.full, 0
 	}
+	lo, hi := r.cur.ends[r.item], r.cur.ends[r.item+1]
+	r.item++
+	r.work = engine.PrecomputedWork{Segments: d.Work.Segments, Addrs: r.cur.addrs[8*lo : 8*hi], Reps: r.cur.reps[lo:hi]}
+	return &r.work
 }
 
-// ops returns node p's ops for its k-th work item of frame fi.
-func (s *MissStreams) ops(p, fi, k int) []uint32 {
+// ops returns node p's ops for its k-th work item.
+func (s *MissStreams) ops(p, k int) []uint32 {
 	ns := &s.nodes[p]
-	i := ns.first[fi] + k
-	return ns.ops[ns.ends[i]:ns.ends[i+1]]
-}
-
-// stats returns node p's cumulative cache and L2 statistics at the end of
-// frame fi.
-func (s *MissStreams) stats(p, fi int) (l1, l2 cache.Stats) {
-	st := s.nodes[p].frames[fi]
-	return st.l1, st.l2
+	return ns.ops[ns.ends[k]:ns.ends[k+1]]
 }
 
 // SetMissStreams attaches miss streams built for the machine's attached
@@ -421,7 +331,7 @@ func (m *Machine) process(p, k int, d *ArtifactDest, arrival float64) float64 {
 	e := m.engines[p]
 	switch {
 	case m.streams != nil:
-		return e.ProcessMisses(arrival, d.Work.Segments, m.streams.ops(p, m.frame, k))
+		return e.ProcessMisses(arrival, d.Work.Segments, m.streams.ops(p, k))
 	case m.artifact != nil && m.artifact.HasFootprints:
 		return e.ProcessPrecomputed(arrival, &d.Work)
 	}

@@ -14,7 +14,6 @@ import (
 	"repro/internal/distrib"
 	"repro/internal/engine"
 	"repro/internal/memory"
-	"repro/internal/scene"
 	"repro/internal/telemetry/flight"
 	"repro/internal/trace"
 )
@@ -42,39 +41,33 @@ func probePass(a *RasterArtifact, cfg Config) []nodeStream {
 			probe.L2 = cache.New(cfg.L2Config)
 		}
 		ns.ends = []int{0}
-		for _, f := range a.Frames {
-			ns.first = append(ns.first, len(ns.ends)-1)
-			for _, d := range f.perNode[p] {
-				if !cfg.MissGeometry().PureScan {
-					ns.ops = probe.AppendMisses(ns.ops, &d.Work)
-				}
-				ns.ends = append(ns.ends, len(ns.ops))
-			}
-			st := frameStats{l1: probe.L1.Stats()}
-			if probe.L2 != nil {
-				st.l2 = probe.L2.Stats()
-			}
-			ns.frames = append(ns.frames, st)
+		for _, d := range a.Frames[0].perNode[p] {
+			ns.ops = probe.AppendMisses(ns.ops, &d.Work)
+			ns.ends = append(ns.ends, len(ns.ops))
+		}
+		ns.l1 = probe.L1.Stats()
+		if probe.L2 != nil {
+			ns.l2 = probe.L2.Stats()
 		}
 	}
 	return nodes
 }
 
 // TestMissStreamWalkMatchesProbePasses: one probe walk over a spans-only
-// artifact of a 3-frame sequence, for a 4 KB cache, the paper's 16 KB cache
-// with an L2, the cacheless model (whose repeats are probed) and a
-// pure-scan machine, gives every geometry the ops, item ends and per-frame
-// cache statistics of a per-geometry pass over the recorded footprints —
-// on one worker, with each node's geometries split across workers, and
-// with the footprint helper running ahead of the probes. Two
-// configurations of one geometry share one stream.
+// artifact, for a 4 KB cache, the paper's 16 KB cache with an L2, the
+// cacheless model (whose repeats are probed) and a perfect cache on a
+// finite bus, gives every geometry the ops, item ends and cache statistics
+// of a per-geometry pass over the recorded footprints — on one worker,
+// with fewer nodes than workers (the footprint helper running ahead of the
+// probes) and with more. Two configurations of one geometry share one
+// stream.
 func TestMissStreamWalkMatchesProbePasses(t *testing.T) {
-	frames := scene.PanSequence(benchSceneFor(t, "room3", 0.1), 3, 2, 1)
+	frames := []*trace.Scene{benchSceneFor(t, "room3", 0.1)}
 	geoms := []Config{
 		{CacheConfig: cache.Config{SizeBytes: 4096, Ways: 4, LineBytes: 64}},
 		{L2Config: l2Config(), MainBus: memory.BusConfig{TexelsPerCycle: 1}},
 		{CacheKind: CacheNone},
-		{CacheKind: CachePerfect},
+		{CacheKind: CachePerfect, Bus: memory.BusConfig{TexelsPerCycle: 1}},
 		{CacheConfig: cache.Config{SizeBytes: 4096, Ways: 4, LineBytes: 64}, Bus: memory.BusConfig{TexelsPerCycle: 2}},
 	}
 	for _, procs := range []int{1, 4} {
@@ -106,11 +99,10 @@ func TestMissStreamWalkMatchesProbePasses(t *testing.T) {
 				for p := range ms.nodes {
 					got, w := &ms.nodes[p], &want[i][p]
 					ops += len(got.ops)
-					if !slices.Equal(got.ops, w.ops) || !slices.Equal(got.ends, w.ends) ||
-						!slices.Equal(got.first, w.first) || !slices.Equal(got.frames, w.frames) {
-						t.Errorf("procs %d workers %d geometry %d node %d: walk diverged from the probe pass\nwalk: %d ops, ends %v…, frames %+v\npass: %d ops, ends %v…, frames %+v",
-							procs, workers, i, p, len(got.ops), got.ends[:min(4, len(got.ends))], got.frames,
-							len(w.ops), w.ends[:min(4, len(w.ends))], w.frames)
+					if !slices.Equal(got.ops, w.ops) || !slices.Equal(got.ends, w.ends) || got.l1 != w.l1 || got.l2 != w.l2 {
+						t.Errorf("procs %d workers %d geometry %d node %d: walk diverged from the probe pass\nwalk: %d ops, ends %v…, cache %+v %+v\npass: %d ops, ends %v…, cache %+v %+v",
+							procs, workers, i, p, len(got.ops), got.ends[:min(4, len(got.ends))], got.l1, got.l2,
+							len(w.ops), w.ends[:min(4, len(w.ends))], w.l1, w.l2)
 					}
 				}
 			}
@@ -122,8 +114,7 @@ func TestMissStreamWalkMatchesProbePasses(t *testing.T) {
 }
 
 // TestMissStreamWalkCancelled: a walk on a cancelled context returns its
-// error, with its footprint helpers stopped, whether it splits a node
-// across workers or not.
+// error, with its footprint helpers stopped, whether it runs them or not.
 func TestMissStreamWalkCancelled(t *testing.T) {
 	s := testScene(7, 60, 96)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -147,12 +138,11 @@ func TestMissStreamWalkCancelled(t *testing.T) {
 // a spans-only artifact, attached to
 // machines that differ in everything else — bus ratio (non-integral line
 // costs included), triangle buffer (overfull FIFOs included), setup cost,
-// prefetch depth, node workers, a flight recorder — gives every frame of a
-// sequence the results, and the flight trace, of building each frame in
-// memory.
+// prefetch depth, node workers, a flight recorder — gives the results, and
+// the flight trace, of building the frame in memory. A pure-scan machine
+// has no stream and, as in the planner, times the artifact alone.
 func TestMissStreamSharedAcrossTimingConfigs(t *testing.T) {
-	base := benchSceneFor(t, "room3", 0.1)
-	frames := scene.PanSequence(base, 3, 2, 1)
+	frames := []*trace.Scene{benchSceneFor(t, "room3", 0.1)}
 	geoms := []struct {
 		name string
 		cfg  Config
@@ -182,10 +172,12 @@ func TestMissStreamSharedAcrossTimingConfigs(t *testing.T) {
 		cfgs[i] = g.cfg
 		cfgs[i].Procs, cfgs[i].Distribution, cfgs[i].TileSize = 4, distrib.BlockKind, 8
 	}
-	streams, err := BuildMissStreams(context.Background(), a, cfgs, 2)
+	probing := cfgs[:len(cfgs)-1] // all but the pure-scan machine
+	streams, err := BuildMissStreams(context.Background(), a, probing, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	streams = append(streams, nil)
 	for i, g := range geoms {
 		cfg, ms := cfgs[i], streams[i]
 		for _, tc := range timings {
@@ -247,7 +239,8 @@ func TestMissStreamSharedAcrossTimingConfigs(t *testing.T) {
 
 // TestMissStreamRejectsMismatch: SetMissStreams accepts only streams built
 // from the attached artifact for the machine's cache geometry, and
-// BuildMissStreams only configurations of the artifact's node count.
+// BuildMissStreams only configurations of the artifact's node count that
+// probe.
 func TestMissStreamRejectsMismatch(t *testing.T) {
 	s := testScene(5, 30, 64)
 	frames := []*trace.Scene{s}
@@ -297,6 +290,10 @@ func TestMissStreamRejectsMismatch(t *testing.T) {
 	}
 	if _, err := BuildMissStreams(context.Background(), a, []Config{cfg, {Procs: 4}}, 0); err == nil {
 		t.Error("a 2-node artifact was probed for 4 nodes")
+	}
+	if _, err := BuildMissStreams(context.Background(), a, []Config{cfg, {Procs: 2, CacheKind: CachePerfect}}, 0); err == nil ||
+		!strings.Contains(err.Error(), "pure-scan") {
+		t.Errorf("a pure-scan configuration was probed: %v", err)
 	}
 	// Re-attaching another artifact drops the streams.
 	m := machine(cfg, a)

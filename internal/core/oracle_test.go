@@ -26,7 +26,7 @@ import (
 func forceOracle(m *Machine) {
 	m.timeFrame = func(m *Machine, ctx context.Context, f *trace.Scene) error {
 		if m.artifact != nil {
-			return m.replayOracle(ctx, m.artifact.Frames[m.frame])
+			return m.replayOracle(ctx, m.artifact.Frames[0])
 		}
 		fa, err := buildFrameArtifact(ctx, f, m.dist, m.rast, m.mgr, m.nodeParallelism(), false)
 		if err != nil {

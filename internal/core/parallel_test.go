@@ -196,7 +196,7 @@ func frameCounts(t *testing.T, s *trace.Scene, procs int) []int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return a.Counts(0)
+	return a.Frames[0].counts
 }
 
 // TestParallelKernelOverfullFIFOFallsBack builds a frame with more triangles

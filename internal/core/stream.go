@@ -54,7 +54,7 @@ func (m *Machine) walk(ctx context.Context, f *trace.Scene, c clock, mine []bool
 	var stored []ArtifactTriangle
 	n := len(f.Triangles)
 	if m.artifact != nil {
-		stored = m.artifact.Frames[m.frame].Tris
+		stored = m.artifact.Frames[0].Tris
 		n = len(stored)
 	}
 	w := newDemuxScratch(m.cfg.Procs)
@@ -96,7 +96,7 @@ func (m *Machine) walk(ctx context.Context, f *trace.Scene, c clock, mine []bool
 // frame's, or with no artifact attached a route-only pass over f.
 func (m *Machine) counts(f *trace.Scene) []int {
 	if m.artifact != nil {
-		return m.artifact.Frames[m.frame].counts
+		return m.artifact.Frames[0].counts
 	}
 	counts := make([]int, m.cfg.Procs)
 	w := newDemuxScratch(m.cfg.Procs)

@@ -103,7 +103,10 @@ func (b *Bus) Fetch(issueTime float64, lines int) float64 {
 	if start < 0 {
 		start = 0
 	}
-	cost := float64(lines) * b.lineCycles
+	// The conversion rounds the product, so no compiler may fuse it into
+	// the adds below (Go spec, "Arithmetic operators"): arm64 compilers
+	// would, and move rows on non-dyadic buses.
+	cost := float64(float64(lines) * b.lineCycles)
 	b.freeAt = start + cost
 	b.stats.BusyCycles += cost
 	return b.freeAt

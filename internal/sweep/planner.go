@@ -3,15 +3,17 @@
 // cache geometry, bus bandwidth or buffer depth share their raster work. The
 // planner partitions a sweep's simulations — baselines included — into
 // raster-equivalence classes keyed by Spec.RasterClassKey, rasterizes once
-// per multi-member class into a spans-only core.RasterArtifact, and fans the
-// artifact out to every member simulation. A 1-processor machine has no
+// per multi-member class into a spans-only core.RasterArtifact of the
+// sweep's one frame, and fans the artifact out to every member simulation. A 1-processor machine has no
 // distribution, so RunWith hands every 1-processor point its baseline's
 // machine, and one class holds all of a sweep's baselines and 1-processor
 // points. One layer down, a class's cache probes depend only on its cache
 // geometry (core.MissGeometry): the planner walks the artifact once per
 // class (core.BuildMissStreams), probing every cache geometry of its
 // members at once into core.MissStreams, and every member that probes runs
-// only the timing pass. No footprint outlives the walk. Replay is
+// only the timing pass. A pure-scan member (perfect cache, infinite bus)
+// never probes: it adds no geometry to the walk and times the artifact
+// alone. No footprint outlives the walk. Replay is
 // byte-identical to rasterizing (core's artifact and miss-stream
 // contracts), so memoization changes wall-clock only; the RunOpts.NoMemo
 // escape hatch exists for benchmarking and distrust, never for correctness.

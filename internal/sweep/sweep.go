@@ -397,11 +397,11 @@ type RunOpts struct {
 	// sweep of one big configuration runs it beside its baseline, each
 	// parallelized across its nodes. A raster class's artifact and its one
 	// probe walk (its miss streams) are built as one simulation alone —
-	// with 0, on the whole budget — because every member waits for them;
-	// a walk over fewer nodes than workers splits each node's cache
-	// geometries across the spare workers, and a helper per node generates
-	// the footprints once, ahead of every group's probes. The setting
-	// never changes which clock times a frame, nor any result.
+	// with 0, on the whole budget — because every member waits for them.
+	// The walk runs one task per node, probing every cache geometry; over
+	// fewer nodes than workers, each task's own helper goroutine generates
+	// the node's footprints ahead of its probes. The setting never changes
+	// which clock times a frame, nor any result.
 	NodeParallelism int
 	// Progress, when non-nil, observes each configuration's lifecycle (see
 	// ProgressSink). Off costs one nil check per row; rows and results are

@@ -264,3 +264,21 @@ func TestNodeParallelismMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+// TestRowOnNonDyadicBus pins a row whose bus clock rounds: at 3 texels per
+// cycle a line costs 16/3 cycles, so a bus clock that fused its product
+// into the following add (one rounding where memory.Bus.Fetch's conversion
+// demands two) moves this row by a whole cycle, to 61101.33. The goldens'
+// buses are powers of two, whose line costs are exact, and at scales 0.1
+// and 0.25 quake's row does not move, so neither catches a fused clock.
+func TestRowOnNonDyadicBus(t *testing.T) {
+	res, err := RunWith(context.Background(), Spec{Scene: "quake", Scale: 0.5, Procs: []int{16}, Sizes: []int{16}, Bus: 3}, RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := res.Rows[0]
+	if r.Cycles != 61102.333333333336 || r.StallCycles != 304782.00000002974 {
+		t.Errorf("quake at scale 0.5, 16 processors, block-16, bus 3: cycles %v, stall cycles %v; want 61102.333333333336 and 304782.00000002974",
+			r.Cycles, r.StallCycles)
+	}
+}
