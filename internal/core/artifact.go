@@ -19,18 +19,18 @@
 // (internal/sweep's planner). An artifact holds one frame, as the paper's
 // method captures one frame and replays it against many cache
 // configurations; a frame sequence (Machine.RunSequence) always streams.
-// The planner's artifacts are spans-only: its machines time from miss
-// streams, whose one probe walk per class (missstream.go) generates each
-// item's footprints and drops them.
+// The planner's artifacts are spans-only and carry their own miss streams,
+// one per cache geometry, from one probe walk (missstream.go) that
+// generates each item's footprints and drops them.
 //
 // Equivalence contract: a machine with an artifact attached produces
 // byte-identical results (cycles, counters, cache statistics, FIFO peaks) to
 // the same machine streaming its frames, on both clocks: the footprint
 // streams come from engine.TriangleWork.AppendFootprints, which steps u/v
-// exactly as engine.ProcessTriangle does; the machine probes them per work
-// item, or ahead of time into shared miss streams, or, without streams of
-// either kind, times the item live; and every engine path times each
-// fragment through the one timing loop, engine.Engine.ProcessMisses.
+// exactly as engine.ProcessTriangle does; the machine times from the
+// artifact's miss stream for its geometry or, without one, probes each work
+// item as it times it; and every engine path times each fragment through
+// the one timing loop, engine.Engine.ProcessMisses.
 package core
 
 import (
@@ -52,9 +52,10 @@ import (
 // RasterArtifact is the reusable output of rasterizing one frame on one
 // (scene, resolution, distribution): the routed triangles in submission
 // order, each carrying its per-node owned segments and optionally
-// run-length-encoded trilinear footprint streams. Build it with
-// BuildRasterArtifact, attach it with Machine.SetRasterArtifact, and probe
-// it into miss streams with BuildMissStreams.
+// run-length-encoded trilinear footprint streams, and, in the copy a probe
+// walk returns, its miss streams. Build it with BuildRasterArtifact, probe
+// it into miss streams with BuildMissStreams, and attach either with
+// Machine.SetRasterArtifact.
 type RasterArtifact struct {
 	// Screen is the rendered screen rectangle — the resolution.
 	Screen geom.Rect
@@ -74,6 +75,9 @@ type RasterArtifact struct {
 	// mgr is the frame's texture memory, which the source triangles'
 	// texture IDs index.
 	mgr *texture.Manager
+	// streams holds one miss stream per cache geometry the probe walk
+	// (BuildMissStreams) was asked for; nil in an artifact never walked.
+	streams map[missGeometry]missStreams
 }
 
 // FrameArtifact is one frame's routed triangles.
@@ -131,16 +135,27 @@ func (d *ArtifactDest) process(e *engine.Engine, mgr *texture.Manager, arrival f
 	return e.ProcessTriangle(arrival, &w)
 }
 
-// Bytes returns the memory the artifact's work lists take: destinations,
-// segments and footprint streams.
+// Bytes returns the memory the artifact's work lists and miss streams
+// take: destinations, segments, footprint streams and miss streams.
 func (a *RasterArtifact) Bytes() int {
-	n := 0
+	n := a.streamBytes()
 	for _, f := range a.Frames {
 		for _, tri := range f.Tris {
 			n += len(tri.Dests) * int(unsafe.Sizeof(ArtifactDest{}))
 			for _, d := range tri.Dests {
 				n += int(unsafe.Sizeof(engine.Segment{}))*len(d.Work.Segments) + 4*len(d.Work.Addrs) + 4*len(d.Work.Reps)
 			}
+		}
+	}
+	return n
+}
+
+// streamBytes returns the memory the artifact's miss streams take.
+func (a *RasterArtifact) streamBytes() int {
+	n := 0
+	for _, s := range a.streams {
+		for i := range s {
+			n += 4*len(s[i].ops) + 8*len(s[i].ends)
 		}
 	}
 	return n
@@ -442,11 +457,12 @@ func checkTextures(got, want []trace.TexSize, whom string) error {
 }
 
 // SetRasterArtifact attaches a prebuilt raster artifact: subsequent runs
-// walk it instead of streaming their frame, with byte-identical results. The
-// artifact must match the machine's scene, screen and distribution. The
-// caller must run the machine on the one frame the artifact was built
-// from — identity is sanity-checked per run by name, screen and triangle
-// count. Pass nil to detach.
+// walk it instead of streaming their frame, with byte-identical results,
+// timing from its miss stream for the machine's cache geometry if it holds
+// one. The artifact must match the machine's scene, screen and
+// distribution. The caller must run the machine on the one frame the
+// artifact was built from — identity is sanity-checked per run by name,
+// screen and triangle count. Pass nil to detach.
 func (m *Machine) SetRasterArtifact(a *RasterArtifact) error {
 	if a == nil {
 		m.artifact, m.streams = nil, nil
@@ -462,9 +478,7 @@ func (m *Machine) SetRasterArtifact(a *RasterArtifact) error {
 	if err := checkTextures(a.Textures, m.scene.Textures, "the machine"); err != nil {
 		return fmt.Errorf("core: artifact %w", err)
 	}
-	if a != m.artifact {
-		m.artifact, m.streams = a, nil
-	}
+	m.artifact, m.streams = a, a.streams[m.cfg.missGeometry()]
 	return nil
 }
 

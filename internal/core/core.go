@@ -291,11 +291,11 @@ type Machine struct {
 	// artifact, when non-nil, supplies every frame's prebuilt work list to
 	// walk in place of the stream (see SetRasterArtifact).
 	artifact *RasterArtifact
-	// streams, when non-nil, holds the artifact's miss streams for this
-	// machine's cache geometry (see SetMissStreams); without them, a run
-	// with an artifact attached probes each work item as it times it, from
-	// its footprint stream or, in a spans-only artifact, live.
-	streams *MissStreams
+	// streams, when non-nil, is the attached artifact's miss stream for
+	// this machine's cache geometry (see SetRasterArtifact); without one, a
+	// run with an artifact attached probes each work item as it times it,
+	// from its footprint stream or, in a spans-only artifact, live.
+	streams missStreams
 	// parallelFrames counts frames walked on the decoupled clock, streamed
 	// or stored, so tests can assert which clock actually ran.
 	parallelFrames int
@@ -454,7 +454,7 @@ func (m *Machine) RunSequenceContext(ctx context.Context, frames []*trace.Scene)
 			cum := nodeResult(e, m.lastFIFOPeaks[i])
 			if m.streams != nil {
 				// The probe walk, not the engine, ran the caches.
-				cum.Cache, cum.L2 = m.streams.nodes[i].l1, m.streams.nodes[i].l2
+				cum.Cache, cum.L2 = m.streams[i].l1, m.streams[i].l2
 			}
 			res.add(cum.sub(prev[i]))
 			prev[i] = cum

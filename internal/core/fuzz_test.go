@@ -19,14 +19,15 @@ import (
 // stream, on GOMAXPROCS workers and on one). An artifact holds one frame,
 // so the remaining legs run on the input's first frame, against the
 // reference's run of it: replaying a memoized artifact with footprint
-// streams, replaying a spans-only artifact (timed live), and timing from
-// the miss streams of a two-geometry probe walk over the spans-only
-// artifact: one stream shared by machines on both drivers and at a second
-// bus ratio and buffer depth, the other timing a machine of the second
-// geometry. A pure-scan machine never probes, so its walk probes only the
-// second geometry, and its own legs time the artifact alone, as in the
-// planner. With record set, every run also records an auto-interval flight
-// trace, which must match the reference's byte for byte too. Every run
+// streams, replaying a spans-only artifact (timed live), and replaying a
+// spans-only artifact probed for two geometries, from which every machine
+// times with the miss stream of its own: the input's stream shared by
+// machines on both drivers and at a second bus ratio and buffer depth, the
+// other timing a machine of the second geometry. A pure-scan machine never
+// probes, so the walk skips it, and its own legs time the probed artifact
+// alone, as in the planner. With record set, every run also records an
+// auto-interval flight trace, which must match the reference's byte for
+// byte too. Every run
 // must conserve the fragments a single node draws and hold the model's
 // physical invariants (checkInvariants). The same input, with degenerate
 // and off-screen triangles mixed into the scene, also holds sort-last in
@@ -59,7 +60,7 @@ func FuzzFrameDrivers(f *testing.F) {
 		}
 		// run returns the encoded results of frames, checked against the
 		// physical invariants, and, with record set, its trace.
-		run := func(cfg Config, frames []*trace.Scene, a *RasterArtifact, ms *MissStreams, force func(*Machine)) (string, string) {
+		run := func(cfg Config, frames []*trace.Scene, a *RasterArtifact, force func(*Machine)) (string, string) {
 			t.Helper()
 			m, err := NewMachine(s, cfg)
 			if err != nil {
@@ -73,9 +74,6 @@ func FuzzFrameDrivers(f *testing.F) {
 				rec = m.EnableFlightRecorder(0)
 			}
 			if err := m.SetRasterArtifact(a); err != nil {
-				t.Fatal(err)
-			}
-			if err := m.SetMissStreams(ms); err != nil {
 				t.Fatal(err)
 			}
 			rs, err := m.RunSequence(frames)
@@ -101,13 +99,12 @@ func FuzzFrameDrivers(f *testing.F) {
 		type leg struct {
 			name  string
 			a     *RasterArtifact
-			ms    *MissStreams
 			force func(*Machine)
 		}
 		check := func(frames []*trace.Scene, want, wantTrace string, legs []leg) {
 			t.Helper()
 			for _, p := range legs {
-				got, tr := run(cfg, frames, p.a, p.ms, p.force)
+				got, tr := run(cfg, frames, p.a, p.force)
 				if got != want {
 					t.Errorf("%s diverged from the reference\nreference: %s\n%s: %s", p.name, want, p.name, got)
 				}
@@ -117,17 +114,17 @@ func FuzzFrameDrivers(f *testing.F) {
 			}
 		}
 
-		want, wantTrace := run(cfg, frames, nil, nil, forceOracle)
+		want, wantTrace := run(cfg, frames, nil, forceOracle)
 		check(frames, want, wantTrace, []leg{
-			{"forced coupled", nil, nil, forceCoupled},
-			{"default dispatch", nil, nil, nil},
-			{"default dispatch, one worker", nil, nil, func(m *Machine) { m.SetNodeParallelism(1) }},
+			{"forced coupled", nil, forceCoupled},
+			{"default dispatch", nil, nil},
+			{"default dispatch, one worker", nil, func(m *Machine) { m.SetNodeParallelism(1) }},
 		})
 
 		one := frames[:1]
 		want1, wantTrace1 := want, wantTrace
 		if len(frames) > 1 {
-			want1, wantTrace1 = run(cfg, one, nil, nil, forceOracle)
+			want1, wantTrace1 = run(cfg, one, nil, forceOracle)
 		}
 		cfgd := cfg.withDefaults()
 		a, err := BuildRasterArtifact(context.Background(), one, cfgd.Procs,
@@ -148,42 +145,36 @@ func FuzzFrameDrivers(f *testing.F) {
 		} else {
 			second.L2Config, second.MainBus = l2Config(), memory.BusConfig{TexelsPerCycle: 1}
 		}
-		probing := []Config{cfg, second}
-		if cfg.MissGeometry().PureScan {
+		wantWalked := 2
+		if cfg.missGeometry().pureScan {
 			second.Bus.TexelsPerCycle = 2
-			probing = []Config{second}
+			wantWalked = 1
 		}
-		walked, err := BuildMissStreams(context.Background(), spans, probing, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var shared *MissStreams // none for a pure-scan machine
-		if len(walked) == 2 {
-			shared = walked[0]
+		probed, walked, err := BuildMissStreams(context.Background(), spans, []Config{cfg, second}, 2)
+		if err != nil || walked != wantWalked {
+			t.Fatalf("walked %d geometries (%v), want %d", walked, err, wantWalked)
 		}
 		check(one, want1, wantTrace1, []leg{
-			{"memoized artifact", a, nil, nil},
-			{"spans-only artifact", spans, nil, nil},
-			{"shared stream", spans, shared, nil},
-			{"shared stream, forced coupled", spans, shared, forceCoupled},
+			{"memoized artifact", a, nil},
+			{"spans-only artifact", spans, nil},
+			{"probed artifact", probed, nil},
+			{"probed artifact, forced coupled", probed, forceCoupled},
 		})
 
-		// The same stream times another bus ratio and buffer depth, as long
-		// as the cache geometry stays the same.
+		// The probed artifact times another bus ratio and buffer depth: from
+		// the input's stream while the cache geometry stays the same, and
+		// live when the ratio takes a pure-scan machine off its regime.
 		other := cfg
 		other.Bus.TexelsPerCycle = []float64{3, 0.25}[bus%2]
 		other.TriangleBuffer = 1 + int(buffer/3)%10000
-		if other.MissGeometry() == cfg.MissGeometry() {
-			want, wantTrace := run(other, one, nil, nil, forceOracle)
-			got, tr := run(other, one, spans, shared, nil)
-			if got != want || tr != wantTrace {
-				t.Errorf("shared stream at bus %v, buffer %d diverged from the reference\nreference: %s\nstream:    %s",
-					other.Bus.TexelsPerCycle, other.TriangleBuffer, want, got)
-			}
+		wantOther, wantOtherTrace := run(other, one, nil, forceOracle)
+		if got, tr := run(other, one, probed, nil); got != wantOther || tr != wantOtherTrace {
+			t.Errorf("probed artifact at bus %v, buffer %d diverged from the reference\nreference: %s\nprobed:    %s",
+				other.Bus.TexelsPerCycle, other.TriangleBuffer, wantOther, got)
 		}
-		// The walk's last stream times the second geometry.
-		want2, wantTrace2 := run(second, one, nil, nil, forceOracle)
-		if got, tr := run(second, one, spans, walked[len(walked)-1], nil); got != want2 || tr != wantTrace2 {
+		// The walk's other stream times the second geometry.
+		want2, wantTrace2 := run(second, one, nil, forceOracle)
+		if got, tr := run(second, one, probed, nil); got != want2 || tr != wantTrace2 {
 			t.Errorf("second geometry's stream diverged from the reference\nreference: %s\nstream:    %s", want2, got)
 		}
 

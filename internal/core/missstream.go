@@ -4,12 +4,18 @@
 // on time. A node's L1/L2 hit-miss sequence is therefore a function of
 // (raster artifact, cache geometry, L2 geometry) alone; the bus ratio,
 // triangle buffer, setup cost and prefetch depth change only the timing.
-// BuildMissStreams walks each node's work items once for all the cache
-// geometries of a one-frame artifact that probe: it generates each item's
-// footprints, feeds them to one engine.Prober per geometry
-// (Prober.AppendMisses) and drops them, so no footprint outlives its item.
-// Every machine the streams are attached to runs only the timing pass
-// (engine.Engine.ProcessMisses), on either clock of the frame walk.
+// BuildMissStreams walks each node's work items of a one-frame artifact
+// once for all the cache geometries of a list of configurations: it
+// generates each item's footprints, feeds them to one engine.Prober per
+// geometry (Prober.AppendMisses) and drops them, so no footprint outlives
+// its item. It returns a copy of the artifact that carries the streams, one
+// per geometry, and a machine that copy is attached to picks the stream of
+// its own geometry (SetRasterArtifact) and runs only the timing pass
+// (engine.Engine.ProcessMisses), on either clock of the frame walk. A
+// machine whose geometry has no stream — a pure-scan machine, which never
+// probes, or one the walk was not asked for — probes as it times. So which
+// stream a machine times from is decided here alone, and a mismatch cannot
+// be built.
 //
 // Equivalence contract: a machine timing from miss streams gives results
 // byte-identical to streaming the frame live (cycles, counters, cache
@@ -35,39 +41,33 @@ import (
 	"repro/internal/texture"
 )
 
-// MissGeometry is the part of a Config that a miss stream depends on: the
+// missGeometry is the part of a Config that a miss stream depends on: the
 // cache models, plus whether the engine is in the pure-scan regime (perfect
 // cache on an infinite bus), which never probes at all. Two configurations
 // with equal geometries share their miss streams.
-type MissGeometry struct {
-	Kind     CacheKind
-	Cache    cache.Config // zero unless Kind is CacheReal
-	L2       cache.Config // zero without an L2
-	PureScan bool
+type missGeometry struct {
+	kind     CacheKind
+	cache    cache.Config // zero unless kind is CacheReal
+	l2       cache.Config // zero without an L2
+	pureScan bool
 }
 
-// MissGeometry returns the geometry cfg's miss streams are built for.
-func (c Config) MissGeometry() MissGeometry {
+// missGeometry returns the geometry of cfg's miss streams.
+func (c Config) missGeometry() missGeometry {
 	c = c.withDefaults()
-	g := MissGeometry{Kind: c.CacheKind, L2: c.L2Config}
+	g := missGeometry{kind: c.CacheKind, l2: c.L2Config}
 	if c.CacheKind == CacheReal {
-		g.Cache = c.CacheConfig
+		g.cache = c.CacheConfig
 	}
-	g.PureScan = c.CacheKind == CachePerfect && c.Bus.Infinite()
+	g.pureScan = c.CacheKind == CachePerfect && c.Bus.Infinite()
 	return g
 }
 
-// MissStreams is the probe walk's output for one single-frame raster
+// missStreams is the probe walk's output for one single-frame raster
 // artifact and one cache geometry: per node, the miss stream of every work
-// item of the frame. Build it with BuildMissStreams and attach it with
-// Machine.SetMissStreams; it is read-only afterwards, so any number of
-// machines may time from it concurrently.
-type MissStreams struct {
-	art   *RasterArtifact
-	procs int
-	geom  MissGeometry
-	nodes []nodeStream
-}
+// item of the frame. It is read-only once built, so any number of machines
+// may time from it concurrently.
+type missStreams []nodeStream
 
 // nodeStream is one node's miss stream, its work items in submission order,
 // and the node's cache and L2 statistics at the end of the frame.
@@ -78,62 +78,60 @@ type nodeStream struct {
 	l1, l2 cache.Stats
 }
 
-// Bytes returns the memory the stream's ops and item offsets take.
-func (s *MissStreams) Bytes() int {
-	n := 0
-	for i := range s.nodes {
-		n += 4*len(s.nodes[i].ops) + 8*len(s.nodes[i].ends)
-	}
-	return n
+// ops returns node p's ops for its k-th work item.
+func (s missStreams) ops(p, k int) []uint32 {
+	ns := &s[p]
+	return ns.ops[ns.ends[k]:ns.ends[k+1]]
 }
 
-// BuildMissStreams runs the probe walk for artifact a: one MissStreams per
-// configuration of cfgs, in order, configurations of one MissGeometry
-// sharing one. Each node's work items are walked once, in order, on up to
-// workers goroutines (<=0 = GOMAXPROCS): every item's footprints are
-// generated once and probed by every geometry. A pure-scan configuration
-// never probes, so it has no stream and is rejected. The artifact need not
-// carry footprints.
+// BuildMissStreams runs the probe walk for artifact a and returns a copy of
+// a that carries one miss stream per cache geometry of cfgs that probes,
+// with how many geometries it walked. Configurations of one geometry share
+// a stream, and a pure-scan configuration (perfect cache, infinite bus)
+// never probes, so it adds none. Each node's work items are walked once, in
+// order, on up to workers goroutines (<=0 = GOMAXPROCS): every item's
+// footprints are generated once and probed by every geometry. The artifact
+// need not carry footprints, and the walk never writes it: the copy shares
+// its work lists, and any streams a already holds are replaced.
 //
 // A node is one task. With at least as many nodes as workers, the task
 // generates each item's footprints itself, into a buffer it reuses from
 // item to item; with fewer, a helper goroutine of the task's own generates
 // them ahead of its probes (footRing).
-func BuildMissStreams(ctx context.Context, a *RasterArtifact, cfgs []Config, workers int) ([]*MissStreams, error) {
-	out := make([]*MissStreams, len(cfgs))
-	byGeom := make(map[MissGeometry]*MissStreams)
-	var probed []*MissStreams // one per geometry, in first-seen order
-	var probeCfgs []Config
-	for i, cfg := range cfgs {
+func BuildMissStreams(ctx context.Context, a *RasterArtifact, cfgs []Config, workers int) (*RasterArtifact, int, error) {
+	streams := make(map[missGeometry]missStreams)
+	var probeCfgs []Config // one per geometry, in first-seen order
+	for _, cfg := range cfgs {
 		cfg = cfg.withDefaults()
 		if err := cfg.Validate(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if a.Procs != cfg.Procs {
-			return nil, fmt.Errorf("core: artifact is for %d nodes, configuration has %d", a.Procs, cfg.Procs)
+			return nil, 0, fmt.Errorf("core: artifact is for %d nodes, configuration has %d", a.Procs, cfg.Procs)
 		}
-		g := cfg.MissGeometry()
-		if g.PureScan {
-			return nil, fmt.Errorf("core: a pure-scan configuration (perfect cache, infinite bus) never probes, so it has no miss stream")
+		g := cfg.missGeometry()
+		if _, ok := streams[g]; ok || g.pureScan {
+			continue
 		}
-		if byGeom[g] == nil {
-			byGeom[g] = &MissStreams{art: a, procs: a.Procs, geom: g, nodes: make([]nodeStream, a.Procs)}
-			probed = append(probed, byGeom[g])
-			probeCfgs = append(probeCfgs, cfg)
-		}
-		out[i] = byGeom[g]
+		streams[g] = make(missStreams, a.Procs)
+		probeCfgs = append(probeCfgs, cfg)
+	}
+	walked := *a
+	walked.streams = streams
+	if len(probeCfgs) == 0 {
+		return &walked, 0, nil
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	err := par.ForEach(ctx, workers, a.Procs, func(p int) error {
-		walk := nodeWalk{art: a, p: p, probers: make([]engine.Prober, len(probed)), streams: make([]*nodeStream, len(probed))}
+		walk := nodeWalk{art: a, p: p, probers: make([]engine.Prober, len(probeCfgs)), streams: make([]*nodeStream, len(probeCfgs))}
 		for j, cfg := range probeCfgs {
 			walk.probers[j].L1 = newCache(cfg)
 			if cfg.HasL2() {
 				walk.probers[j].L2 = cache.New(cfg.L2Config)
 			}
-			walk.streams[j] = &probed[j].nodes[p]
+			walk.streams[j] = &streams[cfg.missGeometry()][p]
 		}
 		if a.Procs >= workers {
 			return walk.run(ctx, walk.inline())
@@ -143,9 +141,9 @@ func BuildMissStreams(ctx context.Context, a *RasterArtifact, cfgs []Config, wor
 		return walk.run(ctx, r.next)
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return out, nil
+	return &walked, len(probeCfgs), nil
 }
 
 // nodeWalk is one walk over node p's work items, probing every cache
@@ -290,40 +288,10 @@ func (r *footRing) next(d *ArtifactDest) *engine.PrecomputedWork {
 	return &r.work
 }
 
-// ops returns node p's ops for its k-th work item.
-func (s *MissStreams) ops(p, k int) []uint32 {
-	ns := &s.nodes[p]
-	return ns.ops[ns.ends[k]:ns.ends[k+1]]
-}
-
-// SetMissStreams attaches miss streams built for the machine's attached
-// raster artifact and its cache geometry: subsequent runs time from them
-// instead of probing, with byte-identical results. A machine with an
-// artifact attached and no streams probes each work item as it times it.
-// Pass nil to detach.
-func (m *Machine) SetMissStreams(s *MissStreams) error {
-	if s == nil {
-		m.streams = nil
-		return nil
-	}
-	switch {
-	case m.artifact == nil:
-		return fmt.Errorf("core: miss streams need a raster artifact attached first")
-	case s.art != m.artifact:
-		return fmt.Errorf("core: miss streams were built from another raster artifact")
-	case s.procs != m.cfg.Procs:
-		return fmt.Errorf("core: miss streams are for %d nodes, machine has %d", s.procs, m.cfg.Procs)
-	case s.geom != m.cfg.MissGeometry():
-		return fmt.Errorf("core: miss streams are for cache geometry %+v, machine has %+v", s.geom, m.cfg.MissGeometry())
-	}
-	m.streams = s
-	return nil
-}
-
 // process times node p's k-th work item of the current frame, d, arriving
 // at arrival, and returns its completion time: the one step the walk takes
-// per stored work item. With miss streams attached it runs the timing pass
-// on the item's stream, with an artifact that carries footprints it
+// per stored work item. With a miss stream for its geometry it runs the
+// timing pass on the item's stream, with an artifact that carries footprints it
 // replays the item's footprints, and any other item — a spans-only
 // artifact's, or one of a frame built in memory — is timed live. Only the
 // live item resolves its triangle's texture binding.

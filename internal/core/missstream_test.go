@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -18,14 +17,15 @@ import (
 	"repro/internal/trace"
 )
 
-// buildStreams walks artifact a for cfg's cache geometry alone.
-func buildStreams(t *testing.T, a *RasterArtifact, cfg Config, workers int) *MissStreams {
+// buildStreams walks artifact a for cfg's cache geometry alone and returns
+// the walked artifact and its stream.
+func buildStreams(t *testing.T, a *RasterArtifact, cfg Config, workers int) (*RasterArtifact, missStreams) {
 	t.Helper()
-	ms, err := BuildMissStreams(context.Background(), a, []Config{cfg}, workers)
+	walked, _, err := BuildMissStreams(context.Background(), a, []Config{cfg}, workers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ms[0]
+	return walked, walked.streams[cfg.missGeometry()]
 }
 
 // probePass is the per-geometry probe pass: node by node, every work item's
@@ -60,7 +60,7 @@ func probePass(a *RasterArtifact, cfg Config) []nodeStream {
 // of a per-geometry pass over the recorded footprints — on one worker,
 // with fewer nodes than workers (the footprint helper running ahead of the
 // probes) and with more. Two configurations of one geometry share one
-// stream.
+// stream: the walk covers four geometries for five configurations.
 func TestMissStreamWalkMatchesProbePasses(t *testing.T) {
 	frames := []*trace.Scene{benchSceneFor(t, "room3", 0.1)}
 	geoms := []Config{
@@ -78,7 +78,7 @@ func TestMissStreamWalkMatchesProbePasses(t *testing.T) {
 			}
 			return a
 		}
-		full, spans := build(ArtifactOpts{}), build(ArtifactOpts{SpansOnly: true})
+		full := build(ArtifactOpts{})
 		cfgs := make([]Config, len(geoms))
 		want := make([][]nodeStream, len(geoms))
 		for i, g := range geoms {
@@ -86,18 +86,21 @@ func TestMissStreamWalkMatchesProbePasses(t *testing.T) {
 			cfgs[i].Procs = procs
 			want[i] = probePass(full, cfgs[i])
 		}
+		spans := build(ArtifactOpts{SpansOnly: true})
 		for _, workers := range []int{1, 2, 8} {
-			streams, err := BuildMissStreams(context.Background(), spans, cfgs, workers)
+			probed, walked, err := BuildMissStreams(context.Background(), spans, cfgs, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if streams[4] != streams[0] {
-				t.Errorf("procs %d workers %d: configurations of one geometry got two streams", procs, workers)
+			if walked != 4 || len(probed.streams) != 4 {
+				t.Errorf("procs %d workers %d: walked %d geometries into %d streams, want 4 for 4 geometries",
+					procs, workers, walked, len(probed.streams))
 			}
 			ops := 0
-			for i, ms := range streams {
-				for p := range ms.nodes {
-					got, w := &ms.nodes[p], &want[i][p]
+			for i, cfg := range cfgs {
+				ms := probed.streams[cfg.missGeometry()]
+				for p := range ms {
+					got, w := &ms[p], &want[i][p]
 					ops += len(got.ops)
 					if !slices.Equal(got.ops, w.ops) || !slices.Equal(got.ends, w.ends) || got.l1 != w.l1 || got.l2 != w.l2 {
 						t.Errorf("procs %d workers %d geometry %d node %d: walk diverged from the probe pass\nwalk: %d ops, ends %v…, cache %+v %+v\npass: %d ops, ends %v…, cache %+v %+v",
@@ -126,7 +129,7 @@ func TestMissStreamWalkCancelled(t *testing.T) {
 		}
 		cfgs := []Config{{Procs: procs}, {Procs: procs, CacheKind: CacheNone}}
 		for _, workers := range []int{1, 8} {
-			if _, err := BuildMissStreams(ctx, a, cfgs, workers); !errors.Is(err, context.Canceled) {
+			if _, _, err := BuildMissStreams(ctx, a, cfgs, workers); !errors.Is(err, context.Canceled) {
 				t.Errorf("procs %d workers %d: walk on a cancelled context returned %v", procs, workers, err)
 			}
 		}
@@ -135,12 +138,14 @@ func TestMissStreamWalkCancelled(t *testing.T) {
 
 // TestMissStreamSharedAcrossTimingConfigs is the probe-once-time-many
 // contract: one miss stream per cache geometry, all built in one walk over
-// a spans-only artifact, attached to
-// machines that differ in everything else — bus ratio (non-integral line
-// costs included), triangle buffer (overfull FIFOs included), setup cost,
+// a spans-only artifact, timed by machines attached to the artifact that
+// differ in everything else — bus ratio (non-integral line costs
+// included), triangle buffer (overfull FIFOs included), setup cost,
 // prefetch depth, node workers, a flight recorder — gives the results, and
-// the flight trace, of building the frame in memory. A pure-scan machine
-// has no stream and, as in the planner, times the artifact alone.
+// the flight trace, of building the frame in memory. The pure-scan
+// configuration adds no stream to the walk: its machine, as in the
+// planner, times the artifact alone, and on a finite bus it times from the
+// perfect cache's stream.
 func TestMissStreamSharedAcrossTimingConfigs(t *testing.T) {
 	frames := []*trace.Scene{benchSceneFor(t, "room3", 0.1)}
 	geoms := []struct {
@@ -172,23 +177,17 @@ func TestMissStreamSharedAcrossTimingConfigs(t *testing.T) {
 		cfgs[i] = g.cfg
 		cfgs[i].Procs, cfgs[i].Distribution, cfgs[i].TileSize = 4, distrib.BlockKind, 8
 	}
-	probing := cfgs[:len(cfgs)-1] // all but the pure-scan machine
-	streams, err := BuildMissStreams(context.Background(), a, probing, 2)
-	if err != nil {
-		t.Fatal(err)
+	probed, walked, err := BuildMissStreams(context.Background(), a, cfgs, 2)
+	if err != nil || walked != len(cfgs)-1 {
+		t.Fatalf("walked %d geometries (%v), want all but the pure-scan one", walked, err)
 	}
-	streams = append(streams, nil)
 	for i, g := range geoms {
-		cfg, ms := cfgs[i], streams[i]
 		for _, tc := range timings {
-			c := cfg
+			c := cfgs[i]
 			tc.set(&c)
-			if c.MissGeometry() != cfg.MissGeometry() {
-				continue // the timing change left the stream's geometry (pure scan on a finite bus)
-			}
 			for _, record := range []bool{false, true} {
 				t.Run(fmt.Sprintf("%s/%s/flight=%v", g.name, tc.name, record), func(t *testing.T) {
-					run := func(a *RasterArtifact, ms *MissStreams, nodePar int) (string, string) {
+					run := func(a *RasterArtifact, nodePar int) (string, string) {
 						m, err := NewMachine(frames[0], c)
 						if err != nil {
 							t.Fatal(err)
@@ -197,8 +196,8 @@ func TestMissStreamSharedAcrossTimingConfigs(t *testing.T) {
 						if err := m.SetRasterArtifact(a); err != nil {
 							t.Fatal(err)
 						}
-						if err := m.SetMissStreams(ms); err != nil {
-							t.Fatal(err)
+						if a != nil && (m.streams == nil) != c.missGeometry().pureScan {
+							t.Fatalf("attached machine has stream %v, pure scan %v", m.streams != nil, c.missGeometry().pureScan)
 						}
 						var rec *flight.Recorder
 						if record {
@@ -221,9 +220,9 @@ func TestMissStreamSharedAcrossTimingConfigs(t *testing.T) {
 						}
 						return string(js), string(tr)
 					}
-					want, wantTrace := run(nil, nil, 1)
+					want, wantTrace := run(nil, 1)
 					for _, nodePar := range []int{1, 2} {
-						got, tr := run(a, ms, nodePar)
+						got, tr := run(probed, nodePar)
 						if got != want {
 							t.Errorf("%d workers: stream replay diverged\nin memory: %s\nstream:    %s", nodePar, want, got)
 						}
@@ -237,74 +236,121 @@ func TestMissStreamSharedAcrossTimingConfigs(t *testing.T) {
 	}
 }
 
-// TestMissStreamRejectsMismatch: SetMissStreams accepts only streams built
-// from the attached artifact for the machine's cache geometry, and
-// BuildMissStreams only configurations of the artifact's node count that
-// probe.
+// TestMissStreamRejectsMismatch: BuildMissStreams probes only
+// configurations of the artifact's node count.
 func TestMissStreamRejectsMismatch(t *testing.T) {
-	s := testScene(5, 30, 64)
-	frames := []*trace.Scene{s}
-	build := func(procs int, opts ArtifactOpts) *RasterArtifact {
-		a, err := BuildRasterArtifact(context.Background(), frames, procs, distrib.BlockKind, 16, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a
+	a, err := BuildRasterArtifact(context.Background(), []*trace.Scene{testScene(5, 30, 64)}, 2, distrib.BlockKind, 16, ArtifactOpts{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	cfg := Config{Procs: 2, Bus: memory.BusConfig{TexelsPerCycle: 1}}
-	a, other := build(2, ArtifactOpts{}), build(2, ArtifactOpts{})
-	ms := buildStreams(t, a, cfg, 0)
-	if len(ms.nodes[0].ops)+len(ms.nodes[1].ops) == 0 {
-		t.Fatal("a real cache's stream holds no ops")
-	}
-	machine := func(cfg Config, a *RasterArtifact) *Machine {
-		m, err := NewMachine(s, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := m.SetRasterArtifact(a); err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	for _, tc := range []struct {
-		name string
-		m    *Machine
-		want string
-	}{
-		{"no artifact", machine(cfg, nil), "artifact attached first"},
-		{"other artifact", machine(cfg, other), "another raster artifact"},
-		{"cache size", machine(Config{Procs: 2, CacheConfig: cache.Config{SizeBytes: 8192, Ways: 4, LineBytes: 64}}, a), "cache geometry"},
-		{"cache kind", machine(Config{Procs: 2, CacheKind: CacheNone}, a), "cache geometry"},
-		{"l2", machine(Config{Procs: 2, L2Config: l2Config()}, a), "cache geometry"},
-		{"pure scan", machine(Config{Procs: 2, CacheKind: CachePerfect}, a), "cache geometry"},
-	} {
-		err := tc.m.SetMissStreams(ms)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: SetMissStreams = %v, want an error mentioning %q", tc.name, err, tc.want)
-		}
-	}
-	// Equal geometries share: another bus and buffer take the stream.
-	if err := machine(Config{Procs: 2, Bus: memory.BusConfig{TexelsPerCycle: 3}, TriangleBuffer: 2}, a).SetMissStreams(ms); err != nil {
-		t.Errorf("stream refused by a machine of the same geometry: %v", err)
-	}
-	if _, err := BuildMissStreams(context.Background(), a, []Config{cfg, {Procs: 4}}, 0); err == nil {
+	if _, _, err := BuildMissStreams(context.Background(), a, []Config{cfg, {Procs: 4}}, 0); err == nil {
 		t.Error("a 2-node artifact was probed for 4 nodes")
 	}
-	if _, err := BuildMissStreams(context.Background(), a, []Config{cfg, {Procs: 2, CacheKind: CachePerfect}}, 0); err == nil ||
-		!strings.Contains(err.Error(), "pure-scan") {
-		t.Errorf("a pure-scan configuration was probed: %v", err)
+	if _, ms := buildStreams(t, a, cfg, 0); len(ms[0].ops)+len(ms[1].ops) == 0 {
+		t.Fatal("a real cache's stream holds no ops")
 	}
-	// Re-attaching another artifact drops the streams.
-	m := machine(cfg, a)
-	if err := m.SetMissStreams(ms); err != nil {
+}
+
+// TestMissStreamWalkLeavesInputUntouched: the walk returns a copy of the
+// artifact that carries its streams and never writes the artifact it
+// walks, so a second walk of either gives a third artifact with only the
+// second walk's geometries, and the artifact's bytes are its work lists'
+// plus its streams'.
+func TestMissStreamWalkLeavesInputUntouched(t *testing.T) {
+	a, err := BuildRasterArtifact(context.Background(), []*trace.Scene{testScene(5, 30, 64)}, 2, distrib.BlockKind, 16, ArtifactOpts{SpansOnly: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.SetRasterArtifact(other); err != nil {
+	paper, none := Config{Procs: 2}, Config{Procs: 2, CacheKind: CacheNone}
+	first, _ := buildStreams(t, a, paper, 0)
+	second, _ := buildStreams(t, first, none, 0)
+	if a.streams != nil || a.streamBytes() != 0 {
+		t.Errorf("the walk wrote its input: %d geometries", len(a.streams))
+	}
+	if len(first.streams) != 1 || first.streams[paper.missGeometry()] == nil {
+		t.Errorf("the second walk changed the first walk's artifact: %d geometries", len(first.streams))
+	}
+	if len(second.streams) != 1 || second.streams[none.missGeometry()] == nil {
+		t.Errorf("a walk of a walked artifact kept its old streams: %d geometries", len(second.streams))
+	}
+	for _, w := range []*RasterArtifact{first, second} {
+		if n := w.streamBytes(); n <= 0 || w.Bytes() != a.Bytes()+n {
+			t.Errorf("walked artifact takes %d bytes with %d of streams; its input takes %d", w.Bytes(), n, a.Bytes())
+		}
+	}
+}
+
+// TestMissStreamWalkSkipsPureScan: a walk over a configuration list that
+// includes a pure-scan configuration succeeds and walks only the probing
+// geometries; each machine attached to the artifact takes the stream of
+// its own geometry, and the pure-scan machine, which has none, times the
+// artifact alone and matches the event-driven reference.
+func TestMissStreamWalkSkipsPureScan(t *testing.T) {
+	s := testScene(11, 60, 96)
+	frames := []*trace.Scene{s}
+	a, err := BuildRasterArtifact(context.Background(), frames, 4, distrib.BlockKind, 16, ArtifactOpts{SpansOnly: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if m.streams != nil {
-		t.Error("streams of the old artifact survived attaching another")
+	paper := Config{Procs: 4, Bus: memory.BusConfig{TexelsPerCycle: 1}}
+	pure := Config{Procs: 4, CacheKind: CachePerfect}
+	none := Config{Procs: 4, CacheKind: CacheNone}
+	probed, walked, err := BuildMissStreams(context.Background(), a, []Config{paper, pure, none, pure}, 2)
+	if err != nil {
+		t.Fatalf("walk with a pure-scan configuration: %v", err)
+	}
+	if walked != 2 || len(probed.streams) != 2 {
+		t.Errorf("walked %d geometries into %d streams, want 2", walked, len(probed.streams))
+	}
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		stream bool
+	}{
+		{"real cache, bus 3", Config{Procs: 4, Bus: memory.BusConfig{TexelsPerCycle: 3}, TriangleBuffer: 2}, true},
+		{"no cache", none, true},
+		{"pure scan", pure, false},
+		{"8 KB cache", Config{Procs: 4, CacheConfig: cache.Config{SizeBytes: 8192, Ways: 4, LineBytes: 64}}, false},
+	} {
+		run := func(a *RasterArtifact, force func(*Machine)) string {
+			m, err := NewMachine(s, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if force != nil {
+				force(m)
+			}
+			if err := m.SetRasterArtifact(a); err != nil {
+				t.Fatal(err)
+			}
+			if a != nil && (m.streams != nil) != tc.stream {
+				t.Errorf("%s: attached machine has a stream: %v, want %v", tc.name, m.streams != nil, tc.stream)
+			}
+			rs, err := m.RunSequence(frames)
+			if err != nil {
+				t.Fatal(err)
+			}
+			js, err := json.Marshal(rs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return string(js)
+		}
+		if want, got := run(nil, forceOracle), run(probed, nil); got != want {
+			t.Errorf("%s: attached machine diverged from the reference\nreference: %s\nattached:  %s", tc.name, want, got)
+		}
+	}
+	// Re-attaching the artifact as it was before the walk drops the stream.
+	m, err := NewMachine(s, paper)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SetRasterArtifact(probed); err != nil || m.streams == nil {
+		t.Fatalf("attach: %v, stream %v", err, m.streams != nil)
+	}
+	if err := m.SetRasterArtifact(a); err != nil || m.streams != nil {
+		t.Errorf("re-attach: %v; the old artifact's stream survived: %v", err, m.streams != nil)
 	}
 }
 
@@ -317,14 +363,14 @@ func TestMissStreamCompact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := buildStreams(t, a, Config{Procs: 16, Bus: memory.BusConfig{TexelsPerCycle: 1}}, 0)
+	_, ms := buildStreams(t, a, Config{Procs: 16, Bus: memory.BusConfig{TexelsPerCycle: 1}}, 0)
 	frags, ops := 0, 0
 	for _, tri := range a.Frames[0].Tris {
 		for _, d := range tri.Dests {
 			frags += d.Work.Frags()
 		}
 	}
-	for _, ns := range ms.nodes {
+	for _, ns := range ms {
 		ops += len(ns.ops)
 	}
 	if ops == 0 || ops*4 > frags {
@@ -342,7 +388,7 @@ func TestMissStreamConcurrentMachines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms := buildStreams(t, a, Config{Procs: 8}, 2)
+	a, _ = buildStreams(t, a, Config{Procs: 8}, 2)
 	buses := []float64{0.5, 1, 2, 3}
 	got := make([]string, len(buses))
 	var wg sync.WaitGroup
@@ -357,10 +403,6 @@ func TestMissStreamConcurrentMachines(t *testing.T) {
 			}
 			m.SetNodeParallelism(2)
 			if err := m.SetRasterArtifact(a); err != nil {
-				t.Error(err)
-				return
-			}
-			if err := m.SetMissStreams(ms); err != nil {
 				t.Error(err)
 				return
 			}

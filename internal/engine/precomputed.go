@@ -66,8 +66,8 @@ func (w *TriangleWork) AppendFootprints(addrs []texture.Addr, reps []int32) ([]t
 	for _, sp := range w.Segments {
 		yc := float64(sp.Y) + 0.5
 		xc := float64(sp.X0) + 0.5
-		u := w.Map.U0 + w.Map.DuDx*xc + w.Map.DuDy*yc
-		v := w.Map.V0 + w.Map.DvDx*xc + w.Map.DvDy*yc
+		u := w.Map.U0 + float64(w.Map.DuDx*xc) + float64(w.Map.DuDy*yc)
+		v := w.Map.V0 + float64(w.Map.DvDx*xc) + float64(w.Map.DvDy*yc)
 		for x := sp.X0; x < sp.X1; x++ {
 			// A new sampler writes on its first call, so a repeat always
 			// has a run of this call to extend.

@@ -28,7 +28,7 @@ func (v Vec2) Sub(w Vec2) Vec2 { return Vec2{v.X - w.X, v.Y - w.Y} }
 func (v Vec2) Scale(s float64) Vec2 { return Vec2{v.X * s, v.Y * s} }
 
 // Cross returns the z component of the cross product v × w.
-func (v Vec2) Cross(w Vec2) float64 { return v.X*w.Y - v.Y*w.X }
+func (v Vec2) Cross(w Vec2) float64 { return float64(v.X*w.Y) - float64(v.Y*w.X) }
 
 // Len returns the Euclidean length of v.
 func (v Vec2) Len() float64 { return math.Hypot(v.X, v.Y) }
@@ -100,8 +100,8 @@ type TexMap struct {
 // At returns the texel coordinate for screen position (x, y).
 func (m TexMap) At(x, y float64) Vec2 {
 	return Vec2{
-		X: m.U0 + m.DuDx*x + m.DuDy*y,
-		Y: m.V0 + m.DvDx*x + m.DvDy*y,
+		X: m.U0 + float64(m.DuDx*x) + float64(m.DuDy*y),
+		Y: m.V0 + float64(m.DvDx*x) + float64(m.DvDy*y),
 	}
 }
 

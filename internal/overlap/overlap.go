@@ -85,7 +85,7 @@ func Predict(s *trace.Scene, kind distrib.Kind, procs, size, setupCycles int) (P
 	}
 	p.MeanOverlap /= float64(n)
 	p.MeanRouted = p.TotalRouted / float64(n)
-	setup := p.TotalRouted * float64(setupCycles)
+	setup := float64(p.TotalRouted * float64(setupCycles))
 	if denom := setup + fragments; denom > 0 {
 		p.SetupFraction = setup / denom
 	}

@@ -64,7 +64,7 @@ func makeEdges(t geom.Triangle) ([3]edge, bool) {
 		// a = -(q.Y - p.Y), b = (q.X - p.X).
 		a := p.Y - q.Y
 		b := q.X - p.X
-		c := -(a*p.X + b*p.Y)
+		c := -(float64(a*p.X) + float64(b*p.Y))
 		// Top-left rule: an edge is "top" when it is horizontal and the
 		// interior is below it (b > 0 after our sign convention means moving
 		// down increases the function, so the interior is below); it is
@@ -96,7 +96,7 @@ func (r *Rasterizer) ForEachSpan(t geom.Triangle, clip geom.Rect, fn func(Span))
 		hi := float64(region.X1-1) + 0.5
 		empty := false
 		for _, e := range edges {
-			rhs := -(e.b*yc + e.c)
+			rhs := -(float64(e.b*yc) + e.c)
 			switch {
 			case e.a > 0:
 				x := rhs / e.a
@@ -116,7 +116,7 @@ func (r *Rasterizer) ForEachSpan(t geom.Triangle, clip geom.Rect, fn func(Span))
 				}
 			default:
 				// Horizontal boundary: the whole row is in or out.
-				val := e.b*yc + e.c
+				val := float64(e.b*yc) + e.c
 				if val < 0 || (val == 0 && !e.inclusive) {
 					empty = true
 				}

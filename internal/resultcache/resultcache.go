@@ -6,7 +6,8 @@
 //
 // The cache is an in-memory LRU with an optional write-through on-disk tier,
 // so a restarted service keeps its warm set (the L2 to the in-memory L1, to
-// keep the paper's framing).
+// keep the paper's framing). Each disk entry carries a SHA-256 of its
+// bytes, and an entry whose bytes do not match it is never served.
 package resultcache
 
 import (
@@ -42,7 +43,8 @@ type Config struct {
 	// MaxEntries bounds the in-memory tier (0 = DefaultMaxEntries).
 	MaxEntries int
 	// Dir, when non-empty, enables the write-through on-disk tier; one file
-	// per entry, named by key. The directory is created if missing.
+	// per entry, named by key, holding the entry's digest and bytes.
+	// The directory is created if missing.
 	Dir string
 	// Disabled turns the cache into a no-op: every Get misses and Put
 	// discards. Used to force re-simulation — the texsimd -no-cache flag
@@ -59,7 +61,7 @@ const DefaultMaxEntries = 256
 // status document render from it rather than keeping parallel counters.
 type Stats struct {
 	Hits       uint64 // Get served from memory or disk
-	Misses     uint64 // Get found nothing
+	Misses     uint64 // Get found nothing, or only a corrupt disk entry
 	RemoteHits uint64 // results fetched from an owning peer (PutRemote)
 	Evictions  uint64 // in-memory LRU evictions
 }
@@ -103,50 +105,9 @@ func New(cfg Config) (*Cache, error) {
 	}, nil
 }
 
-// Get returns the cached bytes for key. A memory miss falls back to the disk
-// tier and promotes the entry on success.
-func (c *Cache) Get(key string) ([]byte, bool) {
-	if c.disabled {
-		c.mu.Lock()
-		c.stats.Misses++
-		c.mu.Unlock()
-		return nil, false
-	}
-	c.mu.Lock()
-	if el, ok := c.byKey[key]; ok {
-		c.lru.MoveToFront(el)
-		c.stats.Hits++
-		val := el.Value.(*entry).val
-		c.mu.Unlock()
-		return val, true
-	}
-	c.mu.Unlock()
-
-	if c.dir != "" {
-		if val, err := os.ReadFile(c.path(key)); err == nil {
-			// Entries are JSON documents written atomically, so anything
-			// else — truncated, scribbled, or empty — is disk corruption,
-			// not a result. Serving it would poison every future hit (the
-			// insert would promote it to the memory tier); treat it as a
-			// miss and delete the file so the re-simulated result can be
-			// written back cleanly.
-			if !json.Valid(val) {
-				os.Remove(c.path(key))
-			} else {
-				c.mu.Lock()
-				c.stats.Hits++
-				c.insertLocked(key, val)
-				c.mu.Unlock()
-				return val, true
-			}
-		}
-	}
-
-	c.mu.Lock()
-	c.stats.Misses++
-	c.mu.Unlock()
-	return nil, false
-}
+// Get returns the cached bytes for key and counts a hit or a miss. A memory
+// miss falls back to the disk tier and promotes the entry on success.
+func (c *Cache) Get(key string) ([]byte, bool) { return c.lookup(key, true) }
 
 // Put stores val under key in memory and, when configured, on disk. The
 // slice is retained; callers must not mutate it afterwards.
@@ -166,7 +127,7 @@ func (c *Cache) Put(key string, val []byte) error {
 	if err != nil {
 		return fmt.Errorf("resultcache: %w", err)
 	}
-	if _, err := tmp.Write(val); err != nil {
+	if _, err := tmp.Write(append([]byte(digest(val)+"\n"), val...)); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("resultcache: %w", err)
@@ -197,28 +158,66 @@ func (c *Cache) PutRemote(key string, val []byte) error {
 // counters — the lookup a peer performs on behalf of another node, which
 // should not skew this node's local hit ratio. Memory entries are still
 // promoted; the disk tier is consulted like Get.
-func (c *Cache) Peek(key string) ([]byte, bool) {
-	if c.disabled {
-		return nil, false
-	}
+func (c *Cache) Peek(key string) ([]byte, bool) { return c.lookup(key, false) }
+
+// lookup is Get, which counts the hit or miss, and Peek, which does not.
+// A disabled cache holds nothing in either tier, so it always misses.
+func (c *Cache) lookup(key string, count bool) ([]byte, bool) {
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
 		c.lru.MoveToFront(el)
+		if count {
+			c.stats.Hits++
+		}
 		val := el.Value.(*entry).val
 		c.mu.Unlock()
 		return val, true
 	}
 	c.mu.Unlock()
 
-	if c.dir != "" {
-		if val, err := os.ReadFile(c.path(key)); err == nil && json.Valid(val) {
-			c.mu.Lock()
-			c.insertLocked(key, val)
-			c.mu.Unlock()
-			return val, true
-		}
+	val, ok := c.readDisk(key)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ok {
+		c.insertLocked(key, val)
 	}
+	switch {
+	case count && ok:
+		c.stats.Hits++
+	case count:
+		c.stats.Misses++
+	}
+	return val, ok
+}
+
+// readDisk returns key's entry from the disk tier: the one disk read of
+// Get and Peek. A file holds the digest of its entry's bytes, a newline and
+// the bytes, written atomically by Put, so a file whose bytes do not match
+// its digest — truncated, scribbled, bit rot that leaves valid JSON, or an
+// entry from before digests — is corruption, not a result. Serving it
+// would poison every future hit (the caller promotes it to the memory
+// tier); it reads as absent, and its file is deleted so the re-simulated
+// result can be written back cleanly.
+func (c *Cache) readDisk(key string) ([]byte, bool) {
+	if c.dir == "" {
+		return nil, false
+	}
+	data, err := os.ReadFile(c.path(key))
+	if err != nil {
+		return nil, false
+	}
+	if sum, val, found := bytes.Cut(data, []byte{'\n'}); found && string(sum) == digest(val) {
+		return val, true
+	}
+	os.Remove(c.path(key))
 	return nil, false
+}
+
+// digest is the hex SHA-256 of an entry's bytes, which its disk file holds
+// ahead of them.
+func digest(val []byte) string {
+	sum := sha256.Sum256(val)
+	return hex.EncodeToString(sum[:])
 }
 
 // insertLocked adds or refreshes the in-memory entry, evicting from the LRU
@@ -292,7 +291,8 @@ func (c *Cache) Stats() Stats {
 }
 
 // path maps a key to its disk file. Keys are hex digests, so they are safe
-// path components by construction.
+// path components by construction. The file keeps the .json name of the
+// entries it holds, though it starts with their digest (readDisk).
 func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key+".json")
 }

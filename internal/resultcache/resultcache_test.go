@@ -1,6 +1,7 @@
 package resultcache
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -169,50 +170,75 @@ func TestConcurrentAccess(t *testing.T) {
 func TestDiskCorruptionCountsAsMiss(t *testing.T) {
 	// A corrupted on-disk entry — truncated write, bit rot, an operator's
 	// stray edit — must never be served as a hit or surface as an error:
-	// the cache treats it as a miss and deletes the file so the slot heals
-	// on the next Put.
-	for _, scribble := range map[string][]byte{
-		"truncated": []byte(`{"rows":[{"cycles":12`),
-		"garbage":   []byte("\x00\xffnot json at all"),
-		"empty":     nil,
+	// Get and Peek both treat it as a miss (only Get counts one) and delete
+	// the file so the slot heals on the next Put. Bit rot that leaves valid
+	// JSON is caught by the entry's digest, and an entry written before
+	// digests reads as a miss once.
+	const doc = `{"rows":[{"cycles":12}]}`
+	for name, scribble := range map[string]func(old []byte) []byte{
+		"truncated": func([]byte) []byte { return []byte(`{"rows":[{"cycles":12`) },
+		"garbage":   func([]byte) []byte { return []byte("\x00\xffnot json at all") },
+		"empty":     func([]byte) []byte { return nil },
+		"flipped digit, valid JSON": func(old []byte) []byte {
+			return bytes.Replace(old, []byte(`"cycles":12`), []byte(`"cycles":13`), 1)
+		},
+		"no digest": func([]byte) []byte { return []byte(doc) },
 	} {
-		dir := t.TempDir()
-		c, err := New(Config{MaxEntries: 4, Dir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Put("k1", []byte(`{"rows":[]}`)); err != nil {
-			t.Fatal(err)
-		}
+		for _, peek := range []bool{false, true} {
+			dir := t.TempDir()
+			c, err := New(Config{MaxEntries: 4, Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Put("k1", []byte(doc)); err != nil {
+				t.Fatal(err)
+			}
 
-		// Scribble over the entry and evict it from memory by restarting.
-		if err := os.WriteFile(filepath.Join(dir, "k1.json"), scribble, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		c2, err := New(Config{MaxEntries: 4, Dir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if val, ok := c2.Get("k1"); ok {
-			t.Fatalf("corrupt entry served as hit: %q", val)
-		}
-		if s := c2.Stats(); s.Misses != 1 || s.Hits != 0 {
-			t.Errorf("stats after corrupt read = %+v, want 1 miss", s)
-		}
-		if _, err := os.Stat(filepath.Join(dir, "k1.json")); !os.IsNotExist(err) {
-			t.Error("corrupt entry file not deleted")
-		}
+			// Scribble over the entry and evict it from memory by restarting.
+			path := filepath.Join(dir, "k1.json")
+			old, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := scribble(old)
+			if bytes.Equal(bad, old) {
+				t.Fatalf("%s: the scribble left the entry as it was", name)
+			}
+			if err := os.WriteFile(path, bad, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c2, err := New(Config{MaxEntries: 4, Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			get, want := c2.Get, Stats{Misses: 1}
+			if peek {
+				get, want = c2.Peek, Stats{}
+			}
+			if val, ok := get("k1"); ok {
+				t.Fatalf("%s (peek %v): corrupt entry served as hit: %q", name, peek, val)
+			}
+			if s := c2.Stats(); s != want {
+				t.Errorf("%s (peek %v): stats after corrupt read = %+v, want %+v", name, peek, s, want)
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Errorf("%s (peek %v): corrupt entry file not deleted", name, peek)
+			}
 
-		// The slot works again after the next Put.
-		if err := c2.Put("k1", []byte(`{"rows":[1]}`)); err != nil {
-			t.Fatal(err)
-		}
-		c3, err := New(Config{MaxEntries: 4, Dir: dir})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if val, ok := c3.Get("k1"); !ok || string(val) != `{"rows":[1]}` {
-			t.Errorf("healed entry = %q, %v", val, ok)
+			// The slot works again after the next Put.
+			if err := c2.Put("k1", []byte(`{"rows":[1]}`)); err != nil {
+				t.Fatal(err)
+			}
+			c3, err := New(Config{MaxEntries: 4, Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if val, ok := get("k1"); !ok || string(val) != `{"rows":[1]}` {
+				t.Errorf("%s (peek %v): healed entry = %q, %v", name, peek, val, ok)
+			}
+			if val, ok := c3.Get("k1"); !ok || string(val) != `{"rows":[1]}` {
+				t.Errorf("%s (peek %v): healed entry after a restart = %q, %v", name, peek, val, ok)
+			}
 		}
 	}
 }

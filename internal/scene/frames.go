@@ -26,8 +26,8 @@ func Translate(s *trace.Scene, dx, dy float64) *trace.Scene {
 			t.V[j].Y += dy
 		}
 		// u(x+dx, y+dy) must equal the old u(x, y): shift the plane offsets.
-		t.Tex.U0 -= t.Tex.DuDx*dx + t.Tex.DuDy*dy
-		t.Tex.V0 -= t.Tex.DvDx*dx + t.Tex.DvDy*dy
+		t.Tex.U0 -= float64(t.Tex.DuDx*dx) + float64(t.Tex.DuDy*dy)
+		t.Tex.V0 -= float64(t.Tex.DvDx*dx) + float64(t.Tex.DvDy*dy)
 		out.Triangles[i] = t
 	}
 	return out

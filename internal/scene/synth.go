@@ -222,7 +222,7 @@ func GenerateWithRand(p Params, rng *rand.Rand) (*trace.Scene, error) {
 	if targetTris < 8 {
 		targetTris = 8
 	}
-	targetFrags := p.DepthComplexity * float64(sw) * float64(sh)
+	targetFrags := float64(p.DepthComplexity * float64(sw) * float64(sh))
 	avgTriArea := targetFrags / float64(targetTris)
 
 	// Hot-spot centers.
@@ -232,7 +232,7 @@ func GenerateWithRand(p Params, rng *rand.Rand) (*trace.Scene, error) {
 		spots = append(spots, hotspot{
 			cx: rng.Float64() * float64(sw),
 			cy: rng.Float64() * float64(sh),
-			r:  (0.05 + 0.07*rng.Float64()) * float64(sw),
+			r:  (0.05 + float64(0.07*rng.Float64())) * float64(sw),
 		})
 	}
 
@@ -243,7 +243,7 @@ func GenerateWithRand(p Params, rng *rand.Rand) (*trace.Scene, error) {
 		avgTriArea: avgTriArea * triMult}
 
 	emittedFrags := 0.0
-	hotFrags := p.HotSpotShare * targetFrags
+	hotFrags := float64(p.HotSpotShare * targetFrags)
 	baseFrags := targetFrags - hotFrags
 
 	// Background patches: surface quads spread over the whole screen
@@ -253,7 +253,7 @@ func GenerateWithRand(p Params, rng *rand.Rand) (*trace.Scene, error) {
 		meanSide = 0.33 * float64(min(sw, sh))
 	}
 	for emittedFrags < baseFrags && len(s.Triangles) < 4*targetTris {
-		side := meanSide * (0.5 + rng.Float64())
+		side := meanSide * (0.5 + float64(rng.Float64()))
 		cx := rng.Float64() * float64(sw)
 		cy := rng.Float64() * float64(sh)
 		emittedFrags += g.emitPatch(cx, cy, side, 1.0)
@@ -261,10 +261,10 @@ func GenerateWithRand(p Params, rng *rand.Rand) (*trace.Scene, error) {
 	// Hot-spot patches: small, finely subdivided (characters and props).
 	for len(spots) > 0 && emittedFrags < targetFrags && len(s.Triangles) < 4*targetTris {
 		sp := spots[rng.Intn(len(spots))]
-		side := (0.2 + 0.6*rng.Float64()) * sp.r
-		ang := rng.Float64() * 2 * math.Pi
+		side := (0.2 + float64(0.6*rng.Float64())) * sp.r
+		ang := float64(rng.Float64()) * 2 * math.Pi
 		d := rng.Float64() * sp.r
-		emittedFrags += g.emitPatch(sp.cx+math.Cos(ang)*d, sp.cy+math.Sin(ang)*d, side, hotSpotAreaScale)
+		emittedFrags += g.emitPatch(sp.cx+float64(math.Cos(ang)*d), sp.cy+float64(math.Sin(ang)*d), side, hotSpotAreaScale)
 	}
 	if len(s.Triangles) == 0 {
 		return nil, fmt.Errorf("scene %q: generator produced no triangles", p.Name)
@@ -299,7 +299,7 @@ func (g *generator) emitPatch(cx, cy, side float64, areaScale float64) float64 {
 	// extent divided by the sampling density) bounds the patch, the way a
 	// game wall section is sized to its texture. A patch may tile its
 	// texture slightly (factor up to ~1.3) but not wrap it wholesale.
-	d := g.p.TexelDensity * (0.8 + 0.4*rng.Float64())
+	d := g.p.TexelDensity * (0.8 + float64(0.4*rng.Float64()))
 	fresh := rng.Float64() < g.p.FreshFraction
 
 	var texID int
@@ -332,19 +332,19 @@ func (g *generator) emitPatch(cx, cy, side float64, areaScale float64) float64 {
 	// larger than it re-tiles the texture wholesale (GL_REPEAT), the way
 	// game walls stretch small magnified textures; a smaller patch maps a
 	// sub-region allocated from the texture.
-	natW := float64(cur.w) / d * (0.8 + 0.5*rng.Float64())
-	natH := float64(cur.h) / d * (0.8 + 0.5*rng.Float64())
+	natW := float64(cur.w) / d * (0.8 + float64(0.5*rng.Float64()))
+	natH := float64(cur.h) / d * (0.8 + float64(0.5*rng.Float64()))
 	tiled := side > 1.5*natW
 
-	x0 := cx - side/2
-	y0 := cy - side*(0.3+0.7*rng.Float64())/2 // patches vary in aspect
+	x0 := cx - float64(side/2)
+	y0 := cy - float64(side*(0.3+float64(0.7*rng.Float64()))/2) // patches vary in aspect
 	var x1, y1 float64
 	if tiled {
 		x1 = x0 + side
-		y1 = y0 + side*(0.4+0.8*rng.Float64())
+		y1 = y0 + float64(side*(0.4+float64(0.8*rng.Float64())))
 	} else {
 		x1 = x0 + math.Min(side, natW)
-		y1 = y0 + math.Min(side*(0.4+0.8*rng.Float64()), natH)
+		y1 = y0 + math.Min(side*(0.4+float64(0.8*rng.Float64())), natH)
 	}
 	// Clip the patch rectangle to the screen so off-screen area doesn't count
 	// toward the fragment budget.
@@ -399,8 +399,8 @@ func (g *generator) emitPatch(cx, cy, side float64, areaScale float64) float64 {
 
 	// The patch's affine mapping: texel (u0, v0) at patch corner (cx0, cy0).
 	tm := geom.TexMap{
-		U0:   u0 - d*cx0,
-		V0:   v0 - d*cy0,
+		U0:   u0 - float64(d*cx0),
+		V0:   v0 - float64(d*cy0),
 		DuDx: d,
 		DvDy: d,
 	}
@@ -413,13 +413,13 @@ func (g *generator) emitPatch(cx, cy, side float64, areaScale float64) float64 {
 	for i := 0; i <= nx; i++ {
 		xs[i] = cx0 + w*float64(i)/float64(nx)
 		if i > 0 && i < nx {
-			xs[i] += (rng.Float64() - 0.5) * w / float64(nx) * 0.5
+			xs[i] += float64((float64(rng.Float64()) - 0.5) * w / float64(nx) * 0.5)
 		}
 	}
 	for j := 0; j <= ny; j++ {
 		ys[j] = cy0 + h*float64(j)/float64(ny)
 		if j > 0 && j < ny {
-			ys[j] += (rng.Float64() - 0.5) * h / float64(ny) * 0.5
+			ys[j] += float64((float64(rng.Float64()) - 0.5) * h / float64(ny) * 0.5)
 		}
 	}
 	for j := 0; j < ny; j++ {

@@ -92,7 +92,7 @@ func (c *Chart) String() string {
 			steps := 2 * w
 			for k := 0; k <= steps; k++ {
 				f := float64(k) / float64(steps)
-				plot(s.X[i]+(s.X[i+1]-s.X[i])*f, s.Y[i]+(s.Y[i+1]-s.Y[i])*f, mark)
+				plot(s.X[i]+float64((s.X[i+1]-s.X[i])*f), s.Y[i]+float64((s.Y[i+1]-s.Y[i])*f), mark)
 			}
 		}
 		for i := range s.X {

@@ -2,21 +2,23 @@
 // distribution, processors, tile size), so sweep points that differ only in
 // cache geometry, bus bandwidth or buffer depth share their raster work. The
 // planner partitions a sweep's simulations — baselines included — into
-// raster-equivalence classes keyed by Spec.RasterClassKey, rasterizes once
-// per multi-member class into a spans-only core.RasterArtifact of the
-// sweep's one frame, and fans the artifact out to every member simulation. A 1-processor machine has no
-// distribution, so RunWith hands every 1-processor point its baseline's
-// machine, and one class holds all of a sweep's baselines and 1-processor
-// points. One layer down, a class's cache probes depend only on its cache
-// geometry (core.MissGeometry): the planner walks the artifact once per
-// class (core.BuildMissStreams), probing every cache geometry of its
-// members at once into core.MissStreams, and every member that probes runs
-// only the timing pass. A pure-scan member (perfect cache, infinite bus)
-// never probes: it adds no geometry to the walk and times the artifact
-// alone. No footprint outlives the walk. Replay is
-// byte-identical to rasterizing (core's artifact and miss-stream
-// contracts), so memoization changes wall-clock only; the RunOpts.NoMemo
-// escape hatch exists for benchmarking and distrust, never for correctness.
+// raster-equivalence classes keyed by Spec.RasterClassKey, and builds one
+// spans-only core.RasterArtifact of the sweep's one frame per multi-member
+// class, which every member simulation then replays. A 1-processor machine
+// has no distribution, so RunWith hands every 1-processor point its
+// baseline's machine, and one class holds all of a sweep's baselines and
+// 1-processor points. One layer down, a class's cache probes depend only on
+// its cache geometry: the planner hands the members' configurations to one
+// probe walk per class (core.BuildMissStreams), which returns the artifact
+// with a miss stream per cache geometry, and each member times from the
+// stream of its own geometry — core alone decides which. A pure-scan member
+// (perfect cache, infinite bus) never probes: the walk skips it, and it
+// times the artifact alone. No footprint outlives the walk. So the planner
+// builds, hands out and drops one artifact per class, and tracks no cache
+// geometry. Replay is byte-identical to rasterizing (core's artifact and
+// miss-stream contracts), so memoization changes wall-clock only; the
+// RunOpts.NoMemo escape hatch exists for benchmarking and distrust, never
+// for correctness.
 package sweep
 
 import (
@@ -64,68 +66,54 @@ type PlanStats struct {
 }
 
 // classState is one raster-equivalence class: its identity, whether it is
-// worth memoizing, its cache geometries, and the artifact and miss streams
-// built for it. The first member to acquire builds the artifact and walks
-// it for every geometry at once; the others block until that is done.
-// Members release after simulating, so each geometry's streams are dropped
-// when the last member using them is done, and the artifact with the last
-// member of the class.
+// worth memoizing, its members' configurations, and the artifact built for
+// it, miss streams included. The first member to acquire builds the
+// artifact and walks it for every cache geometry of the class at once; the
+// others block until that is done. Members release after simulating, and
+// the last one drops the artifact with its streams.
 type classState struct {
 	procs, size int
 	// memoized is decided once membership is complete (seal): only classes
 	// with at least two members pay for an artifact.
 	memoized bool
-	// cfgs holds one configuration per cache geometry that probes, in
-	// first-seen order, and geoms each geometry's index in cfgs; filled by
-	// plan.add and only read afterwards.
-	cfgs  []core.Config
-	geoms map[core.MissGeometry]int
+	// cfgs holds every member's configuration, filled by plan.add and only
+	// read afterwards.
+	cfgs []core.Config
 
 	mu        sync.Mutex
-	remaining int   // members not yet released
-	refs      []int // per geometry of cfgs, members not yet released
+	remaining int // members not yet released
 	built     bool
-	walked    bool // a probe walk ran and succeeded
+	geoms     int // cache geometries the probe walk covered
 	art       *core.RasterArtifact
-	streams   []*core.MissStreams // per geometry of cfgs
 	err       error
 }
 
-// acquire returns the class artifact and the miss streams of cfg's cache
-// geometry (nil for a pure-scan machine), building both on first use, on
-// up to workers goroutines. Concurrent members block until the build
-// completes; a build failure is remembered and returned to all.
-func (cs *classState) acquire(ctx context.Context, sc *trace.Scene, dk distrib.Kind, cfg core.Config, workers int) (*core.RasterArtifact, *core.MissStreams, error) {
+// acquire returns the class artifact, building it and its miss streams on
+// first use, on up to workers goroutines. Concurrent members block until
+// the build completes; a build failure is remembered and returned to all.
+func (cs *classState) acquire(ctx context.Context, sc *trace.Scene, dk distrib.Kind, workers int) (*core.RasterArtifact, error) {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if !cs.built {
 		cs.built = true
-		cs.art, cs.err = core.BuildRasterArtifact(ctx, []*trace.Scene{sc}, cs.procs, dk,
+		var spans *core.RasterArtifact
+		spans, cs.err = core.BuildRasterArtifact(ctx, []*trace.Scene{sc}, cs.procs, dk,
 			cs.size, core.ArtifactOpts{Workers: workers, SpansOnly: true})
-		if cs.err == nil && len(cs.cfgs) > 0 {
-			cs.streams, cs.err = core.BuildMissStreams(ctx, cs.art, cs.cfgs, workers)
-			cs.walked = cs.err == nil
+		if cs.err == nil {
+			cs.art, cs.geoms, cs.err = core.BuildMissStreams(ctx, spans, cs.cfgs, workers)
 		}
 	}
 	if cs.err != nil {
-		return nil, nil, cs.err
+		return nil, cs.err
 	}
-	if i, ok := cs.geoms[cfg.MissGeometry()]; ok {
-		return cs.art, cs.streams[i], nil
-	}
-	return cs.art, nil, nil
+	return cs.art, nil
 }
 
-// release drops one member's references: the last member of geometry g
-// frees its streams, and the last member of the class the artifact.
-func (cs *classState) release(g core.MissGeometry) {
+// release drops one member's reference: the last member of the class frees
+// the artifact and its streams.
+func (cs *classState) release() {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	if i, ok := cs.geoms[g]; ok {
-		if cs.refs[i]--; cs.refs[i] == 0 && cs.streams != nil {
-			cs.streams[i] = nil
-		}
-	}
 	if cs.remaining--; cs.remaining == 0 {
 		cs.art = nil
 	}
@@ -145,27 +133,17 @@ func newPlan(memo bool) *plan {
 }
 
 // add registers one simulation (a sweep point or a baseline) of machine
-// cfg with the class it belongs to and returns that class. A machine that
-// probes adds its cache geometry to the class's walk.
+// cfg with the class it belongs to and returns that class.
 func (p *plan) add(spec Spec, cfg core.Config) *classState {
 	key := spec.RasterClassKey(cfg.Procs, cfg.TileSize)
 	cs := p.byKey[key]
 	if cs == nil {
-		cs = &classState{procs: cfg.Procs, size: cfg.TileSize, geoms: make(map[core.MissGeometry]int)}
+		cs = &classState{procs: cfg.Procs, size: cfg.TileSize}
 		p.byKey[key] = cs
 		p.order = append(p.order, cs)
 	}
 	cs.remaining++
-	if g := cfg.MissGeometry(); !g.PureScan {
-		i, ok := cs.geoms[g]
-		if !ok {
-			i = len(cs.cfgs)
-			cs.geoms[g] = i
-			cs.cfgs = append(cs.cfgs, cfg)
-			cs.refs = append(cs.refs, 0)
-		}
-		cs.refs[i]++
-	}
+	cs.cfgs = append(cs.cfgs, cfg)
 	return cs
 }
 
@@ -190,7 +168,7 @@ func (p *plan) seal(points, baselines int) {
 func (p *plan) probes() int {
 	n := 0
 	for _, cs := range p.order {
-		if cs.walked {
+		if cs.geoms > 0 {
 			n++
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
@@ -173,8 +172,8 @@ func TestPlannerBusBufferAxes(t *testing.T) {
 // buffer sweep (the benchmark's axes workload): 72 points and 18 baselines,
 // 90 simulations in 5 raster classes, each class probing its 3 cache
 // geometries once in one walk — 5 probe walks, where every simulation used
-// to probe — with rows byte-identical to the unmemoized run. It logs one
-// class's artifact and stream bytes.
+// to probe — with rows byte-identical to the unmemoized run. It logs the
+// bytes of every class of points' artifact, miss streams included.
 func TestPlannerProbesOncePerCacheGeometry(t *testing.T) {
 	spec := Spec{Scene: "massive11255", Scale: 0.2, Dist: "block",
 		Procs: []int{16, 64}, Sizes: []int{8, 16},
@@ -187,20 +186,22 @@ func TestPlannerProbesOncePerCacheGeometry(t *testing.T) {
 	if plain.Probes != 0 {
 		t.Errorf("unmemoized plan = %+v, want no probe walks", plain)
 	}
-	art, streams := acquireClass(t, spec, 16, 8, 2)
-	total := 0
-	for _, ms := range streams {
-		total += ms.Bytes()
+	for _, procs := range spec.Procs {
+		for _, size := range spec.Sizes {
+			art := acquireClass(t, spec, procs, size, 2)
+			t.Logf("class (%d, %d): artifact with %d cache geometries' miss streams %.2f MiB",
+				procs, size, len(spec.Caches), float64(art.Bytes())/(1<<20))
+		}
 	}
-	t.Logf("class (16, 8): artifact %.2f MiB, %d miss streams %.2f MiB",
-		float64(art.Bytes())/(1<<20), len(streams), float64(total)/(1<<20))
 }
 
 // acquireClass plans spec's class (procs, size) alone — one member per
-// point of its cache, bus and buffer axes — and acquires it as the sweep
-// does, on workers goroutines. It returns the class artifact and the
-// stream of each cache size, in axis order.
-func acquireClass(t *testing.T, spec Spec, procs, size, workers int) (*core.RasterArtifact, []*core.MissStreams) {
+// point of its cache, bus and buffer axes — and acquires and releases it
+// as the sweep does, on workers goroutines. It checks that the members
+// share one artifact, that the class's walk covered every cache size of
+// the spec, and that the last release drops the artifact. It returns the
+// artifact.
+func acquireClass(t *testing.T, spec Spec, procs, size, workers int) *core.RasterArtifact {
 	t.Helper()
 	b, err := scene.ByName(spec.Scene, spec.Scale)
 	if err != nil {
@@ -231,35 +232,39 @@ func acquireClass(t *testing.T, spec Spec, procs, size, workers int) (*core.Rast
 	}
 	pl.seal(len(cfgs), 0)
 	var art *core.RasterArtifact
-	var streams []*core.MissStreams
-	for i, cfg := range cfgs {
-		a, ms, err := cs.acquire(context.Background(), sc, dk, cfg, workers)
+	for range cfgs {
+		a, err := cs.acquire(context.Background(), sc, dk, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
-		art = a
-		if i%(len(spec.Buses)*len(spec.Buffers)) == 0 {
-			streams = append(streams, ms)
+		if art != nil && a != art {
+			t.Fatal("two members of one class got two artifacts")
 		}
+		art = a
 	}
-	for _, cfg := range cfgs {
-		cs.release(cfg.MissGeometry())
+	if cs.geoms != len(spec.Caches) {
+		t.Errorf("the class's walk covered %d cache geometries, want one per cache size: %d", cs.geoms, len(spec.Caches))
 	}
-	if cs.art != nil || slices.ContainsFunc(cs.streams, func(ms *core.MissStreams) bool { return ms != nil }) {
-		t.Error("the class kept its artifact or a stream after its last member released it")
+	for range cfgs {
+		if cs.art == nil {
+			t.Fatal("the class dropped its artifact before its last member released it")
+		}
+		cs.release()
 	}
-	return art, streams
+	if cs.art != nil {
+		t.Error("the class kept its artifact after its last member released it")
+	}
+	return art
 }
 
 // TestPlannerClassStoresNoFootprints pins the memory of a memoized class:
-// its artifact holds segments only, no footprint run, and one walk gives
-// each cache geometry of the class a stream of its own, each geometry's
-// members sharing it.
+// its artifact holds segments only, no footprint run, beside the miss
+// streams of its one walk, which covers each cache size of the class.
 func TestPlannerClassStoresNoFootprints(t *testing.T) {
 	spec := Spec{Scene: "truc640", Scale: 0.2, Dist: "block",
 		Caches: []int{4, 16}, Buses: []float64{1, 2}, Buffers: []int{16}}
 	for _, workers := range []int{1, 2} {
-		art, streams := acquireClass(t, spec, 4, 8, workers)
+		art := acquireClass(t, spec, 4, 8, workers)
 		if art.HasFootprints {
 			t.Error("a memoized class built footprint streams")
 		}
@@ -271,9 +276,6 @@ func TestPlannerClassStoresNoFootprints(t *testing.T) {
 					}
 				}
 			}
-		}
-		if len(streams) != 2 || streams[0] == nil || streams[1] == nil || streams[0] == streams[1] {
-			t.Errorf("workers %d: streams %v, want one per cache size", workers, streams)
 		}
 	}
 }

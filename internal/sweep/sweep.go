@@ -765,8 +765,8 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 	}
 
 	// runOne simulates one configuration, replaying the class artifact when
-	// the planner memoized the class, from the miss streams of its cache
-	// geometry unless it is a pure-scan machine. Every member blocks on the
+	// the planner memoized the class; the machine times from the artifact's
+	// miss stream for its cache geometry. Every member blocks on the
 	// class artifact and its probe walk, so both run on the whole budget, as
 	// if their simulation ran alone. Each worker carves the work list from
 	// slabs of its own, so a build on every worker allocates a few large
@@ -780,15 +780,12 @@ func RunWith(ctx context.Context, spec Spec, opts RunOpts) (*Result, error) {
 		}
 		m.SetNodeParallelism(nodePar)
 		if cs.memoized {
-			art, ms, err := cs.acquire(ctx, sc, dk, cfg, probePar)
+			art, err := cs.acquire(ctx, sc, dk, probePar)
 			if err != nil {
 				return nil, nil, err
 			}
-			defer cs.release(cfg.MissGeometry())
+			defer cs.release()
 			if err := m.SetRasterArtifact(art); err != nil {
-				return nil, nil, err
-			}
-			if err := m.SetMissStreams(ms); err != nil {
 				return nil, nil, err
 			}
 		}

@@ -57,8 +57,8 @@ func colOffset(uu uint32) Addr {
 // neighborhood around texel-center coordinates (u*inv - 0.5, v*inv - 0.5),
 // built from two row addresses and two column offsets.
 func (lv *level) bilinear(inv, u, v float64) (a0, a1, a2, a3 Addr) {
-	c0, c1 := lv.cols(int32(math.Floor(u*inv - 0.5)))
-	r0, r1 := lv.rows(int32(math.Floor(v*inv - 0.5)))
+	c0, c1 := lv.cols(int32(math.Floor(float64(u*inv) - 0.5)))
+	r0, r1 := lv.rows(int32(math.Floor(float64(v*inv) - 0.5)))
 	return r0 + c0, r0 + c1, r1 + c0, r1 + c1
 }
 
@@ -202,8 +202,8 @@ func (s *Sampler) Next(u, v float64, out *[8]Addr) (same bool) {
 	// The window holds the very x the floors are taken of: bounds on u and
 	// v instead would disagree with them wherever u*inv - 0.5 rounds onto
 	// an interval's end.
-	x0, y0 := u*s.inv0-0.5, v*s.inv0-0.5
-	x1, y1 := u*s.inv1-0.5, v*s.inv1-0.5
+	x0, y0 := float64(u*s.inv0)-0.5, float64(v*s.inv0)-0.5
+	x1, y1 := float64(u*s.inv1)-0.5, float64(v*s.inv1)-0.5
 	if x0 >= s.lo[0] && x0 < s.hi[0] && y0 >= s.lo[1] && y0 < s.hi[1] &&
 		x1 >= s.lo[2] && x1 < s.hi[2] && y1 >= s.lo[3] && y1 < s.hi[3] {
 		return true

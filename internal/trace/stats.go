@@ -50,8 +50,8 @@ func Measure(s *Scene) (SceneStats, error) {
 			st.PixelsRendered += uint64(sp.Width())
 			xc := float64(sp.X0) + 0.5
 			yc := float64(sp.Y) + 0.5
-			u := t.Tex.U0 + t.Tex.DuDx*xc + t.Tex.DuDy*yc
-			v := t.Tex.V0 + t.Tex.DvDx*xc + t.Tex.DvDy*yc
+			u := t.Tex.U0 + float64(t.Tex.DuDx*xc) + float64(t.Tex.DuDy*yc)
+			v := t.Tex.V0 + float64(t.Tex.DvDx*xc) + float64(t.Tex.DvDy*yc)
 			for x := sp.X0; x < sp.X1; x++ {
 				smp.Footprint(u, v, &foot)
 				for _, a := range foot {
